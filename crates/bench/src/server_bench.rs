@@ -4,7 +4,7 @@
 //!
 //! Where the `smoke`/`paper` suites time the bare simulator, this suite
 //! times the whole serving stack — TCP framing, request pipelining, the
-//! shared worker pool and the sharded analysis store — by driving a
+//! shared worker pool and the shared analysis store — by driving a
 //! loopback server with N clients, each multiplexing several id-tagged
 //! sweeps on ONE connection (protocol v3). The metric is wire cells/sec:
 //! `EvalRecord` lines received across all clients divided by the

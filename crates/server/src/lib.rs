@@ -2,7 +2,7 @@
 //!
 //! The batch evaluation service of the Cassandra reproduction: a
 //! long-running, **pipelined** TCP server holding one [`EvalService`]
-//! session around one thread-safe, fingerprint-range-sharded
+//! session around one thread-safe, fingerprint-keyed
 //! [`cassandra_core::eval::AnalysisStore`], so the fingerprint-memoized
 //! Algorithm-2 analyses are shared across every client and request — the
 //! expensive half of an evaluation runs once per distinct program for the
@@ -19,10 +19,8 @@
 //! `ListWorkloads`), workload ingestion (`Submit`), design-matrix
 //! evaluation (`Sweep`), grid expansion over the policy-parameterised
 //! knobs (`GridSweep`, built on [`cassandra_core::policies::GridSweep`]),
-//! per-request cancellation (`Cancel`, addressing the client-supplied
-//! id of an in-flight request; see [`RequestEnvelope`]) and shard
-//! exchange between server processes (`SnapshotShard`/`AbsorbSnapshot`,
-//! driven by the example's `shard-sync` subcommand). Sweep responses
+//! and per-request cancellation (`Cancel`, addressing the client-supplied
+//! id of an in-flight request; see [`RequestEnvelope`]). Sweep responses
 //! stream one `EvalRecord` per line as cells complete, interleaved with
 //! `Progress` lines, and close with a summary carrying the session's
 //! cache counters and the same plain-text report offline `Experiment`

@@ -21,15 +21,19 @@
 //! response streams to finish, and the server interleaves the streams
 //! line-by-line (the id on every line is what demultiplexes them). Within
 //! one id the line order is unchanged from v2; bare v1 requests are still
-//! served one at a time in arrival order. v3 also adds the shard-sync pair
-//! ([`Request::SnapshotShard`] / [`Request::AbsorbSnapshot`]) for moving
-//! analysis-store shards between server processes.
+//! served one at a time in arrival order. v4 is v3 minus its two
+//! store-snapshot requests (`AbsorbSnapshot` and the matching export) and
+//! their replies: a server only ever holds analyses it ran itself or
+//! replayed from its own cache journal.
+//!
+//! A request line is at most [`MAX_REQUEST_LINE`] bytes, newline included;
+//! a longer line is answered with one `Error` and the connection closes.
 //!
 //! Wire-level strings name things the way the CLI does: defense design
 //! points by their [`DefenseMode::label`] (`"Cassandra-part"`, not the Rust
 //! variant name) and workloads by their paper name (`"ChaCha20_ct"`).
 
-use cassandra_core::eval::{AnalysisSnapshot, CacheStats, EvalRecord};
+use cassandra_core::eval::{CacheStats, EvalRecord};
 use cassandra_core::lint::LintRow;
 use cassandra_core::policies::GridSweep;
 use cassandra_core::registry::ExperimentOutput;
@@ -43,8 +47,14 @@ use serde::{Deserialize, Serialize};
 /// the revision is unchanged. v3 lifts the one-request-at-a-time-per-
 /// connection restriction (enveloped requests pipeline and their response
 /// streams interleave — a behavioral change old clients can observe, hence
-/// the bump) and adds the `SnapshotShard`/`AbsorbSnapshot` shard-sync pair.
-pub const PROTOCOL_VERSION: u32 = 3;
+/// the bump). v4 removes v3's store-snapshot export/`AbsorbSnapshot` pair:
+/// a line carrying either no longer decodes.
+pub const PROTOCOL_VERSION: u32 = 4;
+
+/// Longest request line the server reads, in bytes including the
+/// terminating newline. The largest legitimate request (a `GridSweep` or a
+/// `Sweep` naming many workloads) is a few KiB.
+pub const MAX_REQUEST_LINE: usize = 1 << 20;
 
 /// How a [`Request::Submit`] names the workload to ingest.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -179,22 +189,6 @@ pub enum Request {
         /// The id the target request was submitted under.
         id: String,
     },
-    /// Serialize one fingerprint-range shard of the server's analysis
-    /// store (protocol v3). → [`Response::ShardSnapshot`], or
-    /// [`Response::Error`] when `shard` is out of range.
-    SnapshotShard {
-        /// Shard index, `0..shards` as reported by
-        /// [`Response::ShardSnapshot`].
-        shard: usize,
-    },
-    /// Load a snapshot's analyses into the server's store, skipping
-    /// fingerprints it already holds (protocol v3) — the receiving half of
-    /// a `shard-sync`. → [`Response::Absorbed`].
-    AbsorbSnapshot {
-        /// The entries to absorb (any shard count; entries are re-routed
-        /// by fingerprint range on arrival).
-        snapshot: AnalysisSnapshot,
-    },
     /// Stop the server after this response. → [`Response::ShuttingDown`].
     Shutdown,
 }
@@ -305,23 +299,6 @@ pub enum Response {
         cells_done: usize,
         /// Total simulations this run will perform (constant per run).
         cells_total: usize,
-    },
-    /// One fingerprint-range shard of the server's analysis store, for a
-    /// [`Request::SnapshotShard`] (protocol v3).
-    ShardSnapshot {
-        /// The shard index this snapshot covers.
-        shard: usize,
-        /// The server store's total shard count (`shard < shards`).
-        shards: usize,
-        /// The shard's entries, ordered by fingerprint.
-        snapshot: AnalysisSnapshot,
-    },
-    /// Acknowledgement of a [`Request::AbsorbSnapshot`] (protocol v3).
-    Absorbed {
-        /// Entries in the submitted snapshot.
-        received: usize,
-        /// Entries actually absorbed (fingerprints the store lacked).
-        absorbed: usize,
     },
     /// Terminal line of a sweep stream stopped by [`Request::Cancel`] (no
     /// further `Record`s follow), and the acknowledgement sent to the
@@ -638,36 +615,13 @@ mod tests {
     }
 
     #[test]
-    fn shard_sync_messages_round_trip() {
-        let request = Request::SnapshotShard { shard: 2 };
-        assert_eq!(encode(&request), "{\"SnapshotShard\":{\"shard\":2}}");
-        assert_eq!(decode::<Request>(&encode(&request)).unwrap(), request);
-
-        let absorb = Request::AbsorbSnapshot {
-            snapshot: AnalysisSnapshot::default(),
-        };
-        let line = encode(&absorb);
-        assert!(line.starts_with("{\"AbsorbSnapshot\""), "{line}");
-        assert_eq!(decode::<Request>(&line).unwrap(), absorb);
-
-        let reply = Response::ShardSnapshot {
-            shard: 2,
-            shards: 8,
-            snapshot: AnalysisSnapshot::default(),
-        };
-        assert!(reply.is_terminal(), "a shard snapshot is one line");
-        assert_eq!(decode::<Response>(&encode(&reply)).unwrap(), reply);
-
-        let absorbed = Response::Absorbed {
-            received: 3,
-            absorbed: 1,
-        };
-        assert_eq!(
-            encode(&absorbed),
-            "{\"Absorbed\":{\"received\":3,\"absorbed\":1}}"
-        );
-        assert!(absorbed.is_terminal());
-        assert_eq!(decode::<Response>(&encode(&absorbed)).unwrap(), absorbed);
+    fn removed_store_snapshot_requests_do_not_decode() {
+        assert!(decode_request("{\"SnapshotShard\":{\"shard\":0}}").is_err());
+        assert!(decode_request("{\"AbsorbSnapshot\":{\"snapshot\":{\"entries\":[]}}}").is_err());
+        assert!(decode_request(
+            "{\"id\":\"a\",\"request\":{\"AbsorbSnapshot\":{\"snapshot\":{\"entries\":[]}}}}"
+        )
+        .is_err());
     }
 
     #[test]

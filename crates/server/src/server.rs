@@ -13,16 +13,24 @@
 //! per stream per turn). Each stream feeds the writer through its own
 //! bounded queue, so one sweep producing records faster than the wire
 //! drains them blocks **its own** worker, never the reader or the other
-//! streams. Cheap requests (`Ping`, `Submit`, `Cancel`, shard-sync,
-//! `Shutdown`, …) are answered inline on the reader thread, which is why a
-//! `Cancel` sent on the same connection stops a sweep ahead of it —
-//! whether that sweep is still streaming or still *queued* for a worker
-//! (tagged heavy requests register their cancel token at dispatch time,
-//! before entering the pool queue). Bare (un-enveloped v1) requests have
-//! no id to demultiplex by, so the reader waits for each one's terminal
-//! line before decoding the next — one at a time in arrival order,
-//! exactly as in v2 — but heavy bare requests still execute on the pool,
-//! so `--threads` bounds concurrent simulations for v1 clients too.
+//! streams. Cheap requests (`Ping`, `Submit`, `Cancel`, `Shutdown`, …)
+//! are answered inline on the reader thread, which is why a `Cancel` sent
+//! on the same connection stops a sweep ahead of it — whether that sweep
+//! is still streaming or still *queued* for a worker.
+//!
+//! Every heavy request, tagged or bare, takes the same path: a tagged
+//! one first reserves its id ([`EvalService::reserve`], which registers
+//! the cancel token before the request enters the pool queue), then the
+//! request becomes one pool job. The only difference is that a bare (v1)
+//! request has no id to demultiplex by, so the reader waits for its job
+//! to finish before decoding the next line — one at a time in arrival
+//! order, exactly as in v2 — while `--threads` still bounds concurrent
+//! simulations for v1 clients too.
+//!
+//! Request lines are read as bytes and checked for UTF-8 once complete,
+//! so a request split anywhere across a slow network survives the read
+//! timeout. A line longer than [`MAX_REQUEST_LINE`] bytes gets one
+//! `Error` and the connection closes.
 //!
 //! Shutdown is cooperative: [`ServerHandle::shutdown`] (or a client
 //! `Shutdown` request) raises a flag; the accept loop and idle readers
@@ -30,11 +38,11 @@
 //! completion, and [`ServerHandle::join`] returns with no dangling
 //! threads.
 
-use crate::protocol::{self, Request, Response, ResponseEnvelope};
-use crate::service::EvalService;
+use crate::protocol::{self, Request, Response, ResponseEnvelope, MAX_REQUEST_LINE};
+use crate::service::{EvalService, Reservation};
 use std::collections::VecDeque;
-use std::io::{self, BufRead, BufReader, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::io::{self, BufRead, BufReader, Read, Write};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
@@ -119,10 +127,10 @@ impl Drop for ServerHandle {
 
 /// Binds `addr` and serves `service` until shut down. Returns immediately;
 /// the listener runs on background threads. `threads` sizes the shared
-/// request worker pool that heavy tagged requests (sweeps, lints,
-/// experiments) are dispatched to — it bounds concurrent *simulations*,
+/// request worker pool that heavy requests (sweeps, lints, experiments)
+/// are dispatched to — it bounds concurrent *simulations*,
 /// not concurrent connections: every connection gets its own lightweight
-/// reader and writer thread, and tagged requests from all connections
+/// reader and writer thread, and heavy requests from all connections
 /// multiplex over the one pool.
 ///
 /// # Errors
@@ -157,7 +165,7 @@ pub fn serve(
 /// mpsc job channel.
 type Job = Box<dyn FnOnce() + Send>;
 
-/// The shared request worker pool: heavy tagged requests from every
+/// The shared request worker pool: heavy requests from every
 /// connection funnel into one job queue consumed by `threads` workers.
 struct RequestPool {
     tx: Mutex<Option<Sender<Job>>>,
@@ -478,8 +486,6 @@ fn runs_inline(request: &Request) -> bool {
             | Request::ListWorkloads
             | Request::Submit { .. }
             | Request::Cancel { .. }
-            | Request::SnapshotShard { .. }
-            | Request::AbsorbSnapshot { .. }
             | Request::Shutdown
     )
 }
@@ -524,13 +530,24 @@ fn handle_connection(
     };
 
     let mut reader = BufReader::new(stream);
-    let mut line = String::new();
+    let mut line: Vec<u8> = Vec::new();
+    let mut overlong = false;
     let result = loop {
-        match reader.read_line(&mut line) {
+        // Bytes, not `read_line`: a timeout mid-character must keep the
+        // partial read, and UTF-8 is checked once the line is whole.
+        let room = (MAX_REQUEST_LINE - line.len()) as u64;
+        match reader.by_ref().take(room).read_until(b'\n', &mut line) {
             Ok(0) => break Ok(()), // EOF: client hung up.
+            Ok(_) if line.len() == MAX_REQUEST_LINE && !line.ends_with(b"\n") => {
+                overlong = true;
+                let message = format!("request line exceeds {MAX_REQUEST_LINE} bytes");
+                break mux
+                    .open_stream()
+                    .push(encode_frame(None, Response::Error { message }));
+            }
             Ok(_) => {
                 let taken = std::mem::take(&mut line);
-                let trimmed = taken.trim();
+                let trimmed = taken.trim_ascii();
                 if !trimmed.is_empty() {
                     if let Err(e) = serve_line(trimmed, service, shutdown, pool, &mux) {
                         break Err(e);
@@ -556,98 +573,85 @@ fn handle_connection(
     // joining it here keeps the connection's thread accounting exact.
     mux.reader_done();
     let _ = writer.join();
+    if overlong {
+        // Close after the `Error` line without a reset: send FIN, then
+        // discard what the client already sent (bounded by the read
+        // timeout) so no unread bytes remain when the socket closes.
+        let stream = reader.into_inner();
+        let _ = stream.shutdown(Shutdown::Write);
+        let _ = io::copy(&mut stream.take(MAX_REQUEST_LINE as u64), &mut io::sink());
+    }
     result
 }
 
-/// Routes one decoded request line: inline on this thread, or onto the
-/// pool with its own response stream. `Err` means the connection is dead
-/// (mux closed under us) — request-level failures become `Error` frames.
+/// Routes one request line: inline on this thread, or onto the pool with
+/// its own response stream. `Err` means the connection is dead (mux
+/// closed under us) — request-level failures become `Error` frames.
 fn serve_line(
-    line: &str,
+    line: &[u8],
     service: &Arc<EvalService>,
     shutdown: &AtomicBool,
     pool: &RequestPool,
     mux: &Arc<MuxWriter>,
 ) -> io::Result<()> {
-    match protocol::decode_request(line) {
-        Ok((id, request)) => {
-            // Cheap requests run inline on the reader thread, tagged or
-            // bare: dispatching them behind queued sweeps would cost
-            // responsiveness for no concurrency win (and the inline
-            // `Cancel` is what stops sweeps streaming ahead of it on the
-            // same connection).
-            if runs_inline(&request) {
-                let is_shutdown = matches!(request, Request::Shutdown);
-                let handle = mux.open_stream();
-                let id = id.as_deref();
-                let mut sink = |response: Response| handle.push(encode_frame(id, response));
-                service.handle_tagged(id, request, &mut sink)?;
-                if is_shutdown {
-                    shutdown.store(true, Ordering::Relaxed);
-                }
-                return Ok(());
-            }
-            let Some(id) = id else {
-                // Bare (v1) heavy request: no id to demultiplex response
-                // lines by, so the reader waits for its terminal line
-                // before decoding the next request — the v1 lockstep
-                // contract — but the work itself still runs on the pool,
-                // so `--threads` bounds concurrent simulations for v1
-                // clients too.
-                let handle = mux.open_stream();
-                let service = Arc::clone(service);
-                let (done_tx, done_rx) = mpsc::channel();
-                let job: Job = Box::new(move || {
-                    let mut sink = |response: Response| handle.push(encode_frame(None, response));
-                    let _ = done_tx.send(service.handle(request, &mut sink));
-                });
-                if let Err(job) = pool.submit(job) {
-                    // Shutdown raced the dispatch: serve the request
-                    // inline rather than dropping it on the floor.
-                    job();
-                }
-                // The pool runs queued jobs to completion even during
-                // shutdown, so the result always arrives; a disconnect
-                // means the job panicked (logged by its worker).
-                return done_rx.recv().unwrap_or(Ok(()));
-            };
-            // Tagged heavy request: reserve the id *before* the request
-            // enters the pool queue, so a `Cancel` racing the queue
-            // already finds the token — the job then starts pre-cancelled
-            // and terminates with `Cancelled` without simulating.
-            let handle = mux.open_stream();
-            let reservation = match service.reserve(&id) {
-                Ok(reservation) => reservation,
-                Err(message) => {
-                    return handle.push(encode_frame(Some(&id), Response::Error { message }))
-                }
-            };
-            let service = Arc::clone(service);
-            let job: Job = Box::new(move || {
-                let mut sink = |response: Response| {
-                    handle.push(encode_frame(Some(reservation.id()), response))
-                };
-                // Sink errors mean the client is gone; the stream closes
-                // (handle drops) and there is nobody to report to.
-                let _ = service.handle_reserved(&reservation, request, &mut sink);
-            });
-            if let Err(job) = pool.submit(job) {
-                // Shutdown raced the dispatch: serve the request inline
-                // rather than dropping it on the floor.
-                job();
-            }
-            Ok(())
-        }
+    let decoded = std::str::from_utf8(line)
+        .map_err(|e| e.to_string())
+        .and_then(|text| protocol::decode_request(text).map_err(|e| e.to_string()));
+    let handle = mux.open_stream();
+    let (id, request) = match decoded {
+        Ok(decoded) => decoded,
         Err(e) => {
-            let handle = mux.open_stream();
-            handle.push(encode_frame(
-                None,
-                Response::Error {
-                    message: format!("invalid request: {e}"),
-                },
-            ))
+            let message = format!("invalid request: {e}");
+            return handle.push(encode_frame(None, Response::Error { message }));
         }
+    };
+    // Cheap requests run inline on the reader thread, tagged or bare:
+    // dispatching them behind queued sweeps would cost responsiveness for
+    // no concurrency win (and the inline `Cancel` is what stops sweeps
+    // streaming ahead of it on the same connection).
+    if runs_inline(&request) {
+        let is_shutdown = matches!(request, Request::Shutdown);
+        let mut sink = |response: Response| handle.push(encode_frame(id.as_deref(), response));
+        service.handle(None, request, &mut sink)?;
+        if is_shutdown {
+            shutdown.store(true, Ordering::Relaxed);
+        }
+        return Ok(());
     }
+    // Heavy request: a tagged one reserves its id *before* entering the
+    // pool queue, so a `Cancel` racing the queue already finds the token —
+    // the job then starts pre-cancelled and terminates with `Cancelled`
+    // without simulating.
+    let reservation = match id.as_deref().map(|id| service.reserve(id)).transpose() {
+        Ok(reservation) => reservation,
+        Err(message) => {
+            return handle.push(encode_frame(id.as_deref(), Response::Error { message }))
+        }
+    };
+    let bare = reservation.is_none();
+    let service = Arc::clone(service);
+    let (done_tx, done_rx) = mpsc::channel();
+    let job: Job = Box::new(move || {
+        let id = reservation.as_ref().map(Reservation::id);
+        let mut sink = |response: Response| handle.push(encode_frame(id, response));
+        let _ = done_tx.send(service.handle(reservation.as_ref(), request, &mut sink));
+    });
+    if let Err(job) = pool.submit(job) {
+        // Shutdown raced the dispatch: serve the request inline rather
+        // than dropping it on the floor.
+        job();
+    }
+    if bare {
+        // The v1 lockstep contract: no id to demultiplex response lines
+        // by, so the next line waits for this one's stream to end. The
+        // pool runs queued jobs to completion even during shutdown, so
+        // the result always arrives; a disconnect means the job panicked
+        // (logged by its worker).
+        return done_rx.recv().unwrap_or(Ok(()));
+    }
+    // A tagged stream's sink errors mean its client is gone; the stream
+    // closes with the job and there is nobody to report to.
+    Ok(())
 }
 
 #[cfg(test)]

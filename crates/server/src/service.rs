@@ -21,10 +21,14 @@
 //! store's internal locks are below all of them. No lock is held while a
 //! sweep simulates or while responses are written.
 //!
-//! The service is transport-agnostic: [`EvalService::handle_tagged`] maps
-//! one [`Request`] (plus its optional client-supplied id) to a stream of
-//! [`Response`]s through a caller-provided sink, and the loopback tests
-//! drive it both in-process and over TCP. With
+//! The service is transport-agnostic and has one request entry point:
+//! [`EvalService::handle`] maps one [`Request`] to a stream of
+//! [`Response`]s through a caller-provided sink. A request that arrived
+//! with a client-supplied id is first registered with
+//! [`EvalService::reserve`] — the only place ids are checked for
+//! duplicates — and served under the returned [`Reservation`], whose
+//! cancel token a concurrent [`Request::Cancel`] raises. The loopback
+//! tests drive the service both in-process and over TCP. With
 //! [`EvalService::with_cache_file`] the analysis store warm-starts from the
 //! file (replaying any appended journal entries), **appends** each freshly
 //! completed analysis to it as a journal line — so a crashed server keeps
@@ -233,35 +237,12 @@ impl Default for EvalService {
     }
 }
 
-/// A heavy request's claim on its id slot in the in-flight table: holds
-/// the request's [`CancelToken`] and, when the id was reserved by this
-/// claim (`owned`), deregisters it on every exit path. A claim built from
-/// a dispatch-time [`Reservation`] is not owned — the reservation keeps
-/// the id registered until the dispatcher drops it, so the id stays
-/// cancellable for the request's whole queued-plus-running lifetime.
-struct RequestClaim<'a> {
-    service: &'a EvalService,
-    id: Option<&'a str>,
-    token: CancelToken,
-    owned: bool,
-}
-
-impl Drop for RequestClaim<'_> {
-    fn drop(&mut self) {
-        if self.owned {
-            if let Some(id) = self.id {
-                lock(&self.service.cancels).remove(id);
-            }
-        }
-    }
-}
-
 /// A request id reserved on the dispatching thread *before* the request
 /// enters the server's worker-pool queue, so a `Cancel` that races the
 /// queue already finds a token to raise — the queued request then starts
 /// pre-cancelled and terminates with `Cancelled` without simulating
 /// anything. Deregisters the id on drop, i.e. after
-/// [`EvalService::handle_reserved`] has finished serving the request.
+/// [`EvalService::handle`] has finished serving the request.
 pub struct Reservation {
     service: Arc<EvalService>,
     id: String,
@@ -356,39 +337,10 @@ impl EvalService {
             .collect()
     }
 
-    /// Serves one id-less request ([`EvalService::handle_tagged`] with no
-    /// id — the v1 framing).
-    ///
-    /// # Errors
-    ///
-    /// Propagates errors returned by `sink`.
-    pub fn handle(&self, request: Request, sink: &mut ResponseSink<'_>) -> io::Result<()> {
-        self.handle_tagged(None, request, sink)
-    }
-
-    /// Serves one request, writing the response stream to `sink`. `id` is
-    /// the client-supplied request id, if the request arrived in a
-    /// [`crate::protocol::RequestEnvelope`]; while a sweep with an id is in
-    /// flight, a concurrent [`Request::Cancel`] with the same id stops it.
-    /// Protocol and evaluation failures become [`Response::Error`]
-    /// envelopes; `Err` is reserved for sink (I/O) failures.
-    ///
-    /// # Errors
-    ///
-    /// Propagates errors returned by `sink`.
-    pub fn handle_tagged(
-        &self,
-        id: Option<&str>,
-        request: Request,
-        sink: &mut ResponseSink<'_>,
-    ) -> io::Result<()> {
-        self.handle_inner(id, None, request, sink)
-    }
-
     /// Reserves `id` in the in-flight table ahead of dispatch, so the id
     /// is already cancellable while its request sits in the worker-pool
-    /// queue. Serve the request with [`EvalService::handle_reserved`] and
-    /// keep the reservation alive until it returns.
+    /// queue. Serve the request with [`EvalService::handle`] and keep the
+    /// reservation alive until it returns.
     ///
     /// # Errors
     ///
@@ -408,34 +360,21 @@ impl EvalService {
         })
     }
 
-    /// Serves one request whose id was pre-reserved with
-    /// [`EvalService::reserve`] (the server's dispatch path for tagged
-    /// heavy requests): like [`EvalService::handle_tagged`], but the
-    /// request runs under the reservation's cancel token instead of
-    /// registering a fresh one — a `Cancel` that arrived while the request
-    /// was still queued has already raised it.
+    /// Serves one request, writing the response stream to `sink`. A
+    /// request that arrived with a client-supplied id runs under the
+    /// [`Reservation`] [`EvalService::reserve`] returned for it: a
+    /// `Cancel` naming the id raises the reservation's token, whether it
+    /// arrives before the request starts or while it streams. Without a
+    /// reservation the request is uncancellable (the v1 framing).
+    /// Protocol and evaluation failures become [`Response::Error`]
+    /// envelopes; `Err` is reserved for sink (I/O) failures.
     ///
     /// # Errors
     ///
     /// Propagates errors returned by `sink`.
-    pub fn handle_reserved(
+    pub fn handle(
         &self,
-        reservation: &Reservation,
-        request: Request,
-        sink: &mut ResponseSink<'_>,
-    ) -> io::Result<()> {
-        self.handle_inner(
-            Some(&reservation.id),
-            Some(&reservation.token),
-            request,
-            sink,
-        )
-    }
-
-    fn handle_inner(
-        &self,
-        id: Option<&str>,
-        pre: Option<&CancelToken>,
+        reservation: Option<&Reservation>,
         request: Request,
         sink: &mut ResponseSink<'_>,
     ) -> io::Result<()> {
@@ -477,25 +416,17 @@ impl EvalService {
                 workloads,
                 policies,
             } => match self.select_designs(&policies) {
-                Ok(designs) => match self.claim(id, pre) {
-                    Ok(claim) => self.run_sweep(claim, &workloads, designs, sink),
-                    Err(message) => sink(Response::Error { message }),
-                },
+                Ok(designs) => self.run_sweep(reservation, &workloads, designs, sink),
                 Err(message) => sink(Response::Error { message }),
             },
             Request::GridSweep { workloads, grid } => match grid.to_grid() {
                 Ok(grid) => {
-                    // Validate the workload selection and reserve the
-                    // request id before touching shared state: a rejected
-                    // request must not leave grid entries behind in the
-                    // session registry.
+                    // Validate the workload selection before touching
+                    // shared state: a rejected request must not leave grid
+                    // entries behind in the session registry.
                     if let Err(message) = self.select_workloads(&workloads) {
                         return sink(Response::Error { message });
                     }
-                    let claim = match self.claim(id, pre) {
-                        Ok(claim) => claim,
-                        Err(message) => return sink(Response::Error { message }),
-                    };
                     let expansion = grid.expand();
                     let designs = expansion.designs().to_vec();
                     // Grid cells become first-class registry entries: later
@@ -508,7 +439,7 @@ impl EvalService {
                             message: conflict.to_string(),
                         });
                     }
-                    self.run_sweep(claim, &workloads, designs, sink)
+                    self.run_sweep(reservation, &workloads, designs, sink)
                 }
                 Err(message) => sink(Response::Error { message }),
             },
@@ -530,11 +461,11 @@ impl EvalService {
                 match self.select_workloads(&workloads) {
                     Ok(selected) => {
                         // The frontier experiment is the one streamed
-                        // experiment: it reserves the request id (so
+                        // experiment: it honors the reservation's token (so
                         // `Cancel` can prune it mid-rung) and emits
                         // `Progress` lines before its terminal reply.
                         if name == "frontier" {
-                            return self.run_frontier(id, pre, selected, sink);
+                            return self.run_frontier(reservation, selected, sink);
                         }
                         // A per-request session over the shared store: the
                         // experiment reuses every analysis any request has
@@ -567,37 +498,6 @@ impl EvalService {
                     }
                     Err(message) => sink(Response::Error { message }),
                 }
-            }
-            Request::SnapshotShard { shard } => {
-                let shards = self.store.shard_count();
-                if shard >= shards {
-                    sink(Response::Error {
-                        message: format!(
-                            "shard {shard} out of range; this store has {shards} shard(s)"
-                        ),
-                    })
-                } else {
-                    sink(Response::ShardSnapshot {
-                        shard,
-                        shards,
-                        snapshot: self.store.snapshot_shard(shard),
-                    })
-                }
-            }
-            Request::AbsorbSnapshot { snapshot } => {
-                let received = snapshot.entries.len();
-                let absorbed = self.store.absorb(snapshot);
-                // Absorbed analyses don't fire the journal's insert
-                // observer (they weren't run here), so persist them by
-                // compacting — the compacted snapshot is the whole store.
-                if absorbed > 0 {
-                    if let Some(journal) = &self.journal {
-                        if let Err(e) = journal.compact(&self.store) {
-                            eprintln!("cassandra-server: absorbed snapshot not journaled: {e}");
-                        }
-                    }
-                }
-                sink(Response::Absorbed { received, absorbed })
             }
             Request::Cancel { id: target } => {
                 let token = lock(&self.cancels).get(&target).cloned();
@@ -679,42 +579,6 @@ impl EvalService {
             .collect()
     }
 
-    /// Claims `id`'s slot in the in-flight table for concurrent
-    /// cancellation. With a dispatch-time token (`pre`, from
-    /// [`EvalService::reserve`]) the id is already registered and the
-    /// claim merely adopts the token; otherwise the id is reserved here
-    /// and the returned claim deregisters it on drop. Performed *before*
-    /// any shared-state mutation, so a duplicate-id rejection leaves no
-    /// residue behind.
-    fn claim<'a>(
-        &'a self,
-        id: Option<&'a str>,
-        pre: Option<&CancelToken>,
-    ) -> Result<RequestClaim<'a>, String> {
-        if let Some(token) = pre {
-            return Ok(RequestClaim {
-                service: self,
-                id,
-                token: token.clone(),
-                owned: false,
-            });
-        }
-        let token = CancelToken::new();
-        if let Some(id) = id {
-            let mut cancels = lock(&self.cancels);
-            if cancels.contains_key(id) {
-                return Err(format!("request id `{id}` is already in flight"));
-            }
-            cancels.insert(id.to_string(), token.clone());
-        }
-        Ok(RequestClaim {
-            service: self,
-            id,
-            token,
-            owned: true,
-        })
-    }
-
     /// Runs workloads × designs against the shared store, streaming each
     /// record as its cell (and every earlier cell) completes, then the
     /// closing summary — or `Cancelled`, with nothing further, when the
@@ -722,7 +586,7 @@ impl EvalService {
     /// the sweep simulates.
     fn run_sweep(
         &self,
-        claim: RequestClaim<'_>,
+        reservation: Option<&Reservation>,
         workload_names: &[String],
         designs: Vec<DesignPoint>,
         sink: &mut ResponseSink<'_>,
@@ -739,13 +603,14 @@ impl EvalService {
 
         let mut streamed: Vec<EvalRecord> = Vec::new();
         let mut sink_error: Option<io::Error> = None;
+        let token = cancel_token(reservation);
         let executor = SweepExecutor::new(&self.store);
         // One matrix cell per record: each record is chased by a Progress
         // line (monotone cells_done, constant cells_total) so pipelined
         // clients can make backpressure and cancel decisions mid-sweep.
         let cells_total = workloads.len() * designs.len();
         let mut cells_done = 0usize;
-        let outcome = executor.sweep_stream(&workloads, &designs, &claim.token, |record| {
+        let outcome = executor.sweep_stream(&workloads, &designs, &token, |record| {
             let emitted = sink(Response::Record(record.clone())).and_then(|()| {
                 cells_done += 1;
                 sink(Response::Progress {
@@ -779,9 +644,7 @@ impl EvalService {
                 };
                 sink(Response::Done(summary))
             }
-            Ok(SweepOutcome::Cancelled) => sink(Response::Cancelled {
-                id: claim.id.unwrap_or_default().to_string(),
-            }),
+            Ok(SweepOutcome::Cancelled) => sink(cancelled(reservation)),
             Err(e) => sink(Response::Error {
                 message: format!("evaluation failed: {e}"),
             }),
@@ -795,15 +658,11 @@ impl EvalService {
     /// session's policy registry, so a cancelled run leaves no residue.
     fn run_frontier(
         &self,
-        id: Option<&str>,
-        pre: Option<&CancelToken>,
+        reservation: Option<&Reservation>,
         workloads: Vec<Workload>,
         sink: &mut ResponseSink<'_>,
     ) -> io::Result<()> {
-        let claim = match self.claim(id, pre) {
-            Ok(claim) => claim,
-            Err(message) => return sink(Response::Error { message }),
-        };
+        let token = cancel_token(reservation);
         let mut ev = Evaluator::builder()
             .workloads(workloads.clone())
             .store(Arc::clone(&self.store))
@@ -817,7 +676,7 @@ impl EvalService {
                 &workloads,
                 &frontier::standard_grid(),
                 Some(AdaptiveSearch::default()),
-                &claim.token,
+                &token,
                 move |p| {
                     if sink_error.is_none() {
                         if let Err(e) = sink(Response::Progress {
@@ -845,13 +704,24 @@ impl EvalService {
                     report,
                 })
             }
-            Ok(None) => sink(Response::Cancelled {
-                id: claim.id.unwrap_or_default().to_string(),
-            }),
+            Ok(None) => sink(cancelled(reservation)),
             Err(e) => sink(Response::Error {
                 message: format!("experiment failed: {e}"),
             }),
         }
+    }
+}
+
+/// The token a heavy request runs under: its reservation's, or a fresh
+/// one nothing can raise when the request carried no id.
+fn cancel_token(reservation: Option<&Reservation>) -> CancelToken {
+    reservation.map_or_else(CancelToken::new, |r| r.token.clone())
+}
+
+/// The terminal line of a cancelled stream, naming the reserved id.
+fn cancelled(reservation: Option<&Reservation>) -> Response {
+    Response::Cancelled {
+        id: reservation.map_or("", Reservation::id).to_string(),
     }
 }
 
@@ -878,6 +748,19 @@ fn resolve_spec(spec: &WorkloadSpec) -> Result<Workload, String> {
             if *size > MAX_KERNEL_SIZE {
                 return Err(format!(
                     "kernel size {size} exceeds the limit of {MAX_KERNEL_SIZE}"
+                ));
+            }
+            // The block-cipher builders assert on partial blocks; reject
+            // those sizes here rather than panic the serving thread.
+            let block: u64 = match family.as_str() {
+                "chacha20" => 64,
+                "aes128" | "aes" | "poly1305" => 16,
+                _ => 1,
+            };
+            if block > 1 && (*size == 0 || *size % block != 0) {
+                return Err(format!(
+                    "kernel family `{family}` needs a size that is a positive \
+                     multiple of {block}, got {size}"
                 ));
             }
             let size = (*size as usize).max(1);
@@ -913,13 +796,9 @@ mod tests {
     use cassandra_cpu::config::DefenseMode;
 
     fn collect(service: &EvalService, request: Request) -> Vec<Response> {
-        collect_tagged(service, None, request)
-    }
-
-    fn collect_tagged(service: &EvalService, id: Option<&str>, request: Request) -> Vec<Response> {
         let mut out = Vec::new();
         service
-            .handle_tagged(id, request, &mut |r| {
+            .handle(None, request, &mut |r| {
                 out.push(r);
                 Ok(())
             })
@@ -1095,20 +974,39 @@ mod tests {
     #[test]
     fn oversized_kernel_submit_is_rejected() {
         let service = EvalService::new();
-        let responses = collect(
-            &service,
-            Request::Submit {
-                spec: WorkloadSpec::Kernel {
-                    family: "chacha20".to_string(),
-                    size: u64::MAX,
-                    name: None,
+        let submit = |family: &str, size: u64| {
+            collect(
+                &service,
+                Request::Submit {
+                    spec: WorkloadSpec::Kernel {
+                        family: family.to_string(),
+                        size,
+                        name: None,
+                    },
                 },
-            },
-        );
+            )
+        };
+        let responses = submit("chacha20", u64::MAX);
         assert!(
             matches!(&responses[0], Response::Error { message } if message.contains("limit")),
             "{responses:?}"
         );
+        // Sizes the block-cipher builders would assert on are errors too.
+        for (family, size) in [
+            ("chacha20", 200),
+            ("chacha20", 0),
+            ("aes128", 24),
+            ("aes128", 0),
+            ("poly1305", 8),
+            ("poly1305", 0),
+        ] {
+            let responses = submit(family, size);
+            assert!(
+                matches!(&responses[..], [Response::Error { message }]
+                    if message.contains("positive multiple")),
+                "{family} {size}: {responses:?}"
+            );
+        }
         assert!(service.workload_names().is_empty());
     }
 
@@ -1200,7 +1098,7 @@ mod tests {
 
     #[test]
     fn duplicate_id_grid_sweep_leaves_no_registry_residue() {
-        let service = EvalService::new();
+        let service = Arc::new(EvalService::new());
         collect(
             &service,
             Request::Submit {
@@ -1212,11 +1110,11 @@ mod tests {
             },
         );
         let before = service.policies().len();
-        let service_ref = &service;
+        let reservation = service.reserve("dup").unwrap();
         let mut probed = false;
         service
-            .handle_tagged(
-                Some("dup"),
+            .handle(
+                Some(&reservation),
                 Request::Sweep {
                     workloads: Vec::new(),
                     policies: vec!["Cassandra".to_string(), "Fence".to_string()],
@@ -1225,37 +1123,23 @@ mod tests {
                     if matches!(r, Response::Record(_)) && !probed {
                         probed = true;
                         // While `dup` is in flight, a GridSweep reusing the
-                        // id is rejected…
-                        let responses = collect_tagged(
-                            service_ref,
-                            Some("dup"),
-                            Request::GridSweep {
-                                workloads: Vec::new(),
-                                grid: GridSpec {
-                                    defenses: vec!["Cassandra".to_string()],
-                                    tournament_thresholds: Vec::new(),
-                                    btu_partitions: Vec::new(),
-                                    btu_entries: vec![64],
-                                    miss_penalties: Vec::new(),
-                                    redirect_penalties: Vec::new(),
-                                },
-                            },
-                        );
+                        // id is rejected at reservation…
+                        let message = service.reserve("dup").err();
                         assert!(
-                            matches!(&responses[0], Response::Error { message }
-                                if message.contains("already in flight")),
-                            "{responses:?}"
+                            message
+                                .as_deref()
+                                .is_some_and(|m| m.contains("already in flight")),
+                            "{message:?}"
                         );
-                        // …and must not leave its expansion in the shared
-                        // registry.
-                        assert_eq!(service_ref.policies().len(), before);
-                        assert!(service_ref.policies().get("Cassandra+btu64").is_none());
+                        // …and leaves the shared registry unchanged.
+                        assert_eq!(service.policies().len(), before);
+                        assert!(service.policies().get("Cassandra+btu64").is_none());
                     }
                     Ok(())
                 },
             )
             .unwrap();
-        assert!(probed, "the rejected grid must have been probed mid-sweep");
+        assert!(probed, "the duplicate id must have been probed mid-sweep");
         assert_eq!(service.policies().len(), before);
     }
 
@@ -1329,7 +1213,7 @@ mod tests {
 
     #[test]
     fn pre_cancelled_sweep_terminates_with_cancelled_and_no_records() {
-        let service = EvalService::new();
+        let service = Arc::new(EvalService::new());
         collect(
             &service,
             Request::Submit {
@@ -1341,14 +1225,15 @@ mod tests {
             },
         );
         // Cancel the id from inside the sink on the first response the
-        // sweep emits — deterministic without a second thread: the sweep
-        // registers its token before evaluating anything, so cancelling on
+        // sweep emits — deterministic without a second thread: the id is
+        // reserved before the sweep evaluates anything, so cancelling on
         // the first record stops the stream immediately after it.
         let service_ref = &service;
+        let reservation = service.reserve("s1").unwrap();
         let mut responses = Vec::new();
         service_ref
-            .handle_tagged(
-                Some("s1"),
+            .handle(
+                Some(&reservation),
                 Request::Sweep {
                     workloads: Vec::new(),
                     policies: Vec::new(),
@@ -1388,7 +1273,8 @@ mod tests {
             }),
             "cancelled sweeps terminate with Cancelled, not Done"
         );
-        // The id is free again afterwards.
+        // The id is free again once the reservation drops.
+        drop(reservation);
         let responses = collect(
             &service,
             Request::Cancel {

@@ -3,10 +3,13 @@
 
 use cassandra_core::eval::{EvalRecord, Evaluator};
 use cassandra_kernels::suite;
+use cassandra_server::protocol::MAX_REQUEST_LINE;
 use cassandra_server::{
     serve, Client, EvalService, GridSpec, Request, Response, SweepSummary, WorkloadSpec,
     PROTOCOL_VERSION,
 };
+use std::io::{BufRead, BufReader, Write};
+use std::net::TcpStream;
 use std::time::Duration;
 
 fn start() -> (cassandra_server::ServerHandle, Client) {
@@ -484,90 +487,61 @@ fn consolidation_experiment_runs_over_the_wire() {
     assert!(report.contains("HitRate"));
 }
 
-/// Two server processes split a workload set by exchanging shard
-/// snapshots over the wire: every shard of a warmed server absorbed into
-/// a cold one makes the cold server's sweep pure cache hits.
+/// A raw connection to `handle`, with a read timeout so a server that
+/// never answers fails the test instead of hanging it.
+fn raw_connect(handle: &cassandra_server::ServerHandle) -> (TcpStream, BufReader<TcpStream>) {
+    let stream = TcpStream::connect(handle.addr()).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let reader = BufReader::new(stream.try_clone().unwrap());
+    (stream, reader)
+}
+
+/// A request split inside a multi-byte character, with a pause longer
+/// than the server's read poll between the halves, is still read whole.
 #[test]
-fn shard_snapshots_round_trip_between_two_servers() {
-    let (_warm_handle, mut warm) = start();
-    submit_quick_pair(&mut warm);
-    let sweep = Request::Sweep {
-        workloads: Vec::new(),
-        policies: vec!["Cassandra".to_string()],
-    };
-    let (_, summary) = split_stream(warm.request(&sweep).unwrap());
-    assert_eq!(summary.cache.misses, 2, "warm server analyzes once");
+fn request_split_mid_character_across_a_pause_is_answered() {
+    let (handle, _client) = start();
+    let (mut stream, mut reader) = raw_connect(&handle);
+    let line = "{\"Submit\":{\"spec\":{\"Suite\":{\"name\":\"wörk\"}}}}\n".as_bytes();
+    // Cut between the two bytes of `ö`.
+    let cut = line.iter().position(|&b| b == 0xc3).unwrap() + 1;
+    stream.write_all(&line[..cut]).unwrap();
+    stream.flush().unwrap();
+    std::thread::sleep(Duration::from_millis(150));
+    stream.write_all(&line[cut..]).unwrap();
 
-    let (_cold_handle, mut cold) = start();
-    submit_quick_pair(&mut cold);
-
-    // Walk every shard of the warm server and absorb it into the cold one.
-    // The shard count comes from the first response, so the client needs
-    // no out-of-band knowledge of the server's sharding.
-    let mut shard = 0;
-    let mut shards = 1;
-    let mut transferred = 0usize;
-    let mut absorbed_total = 0usize;
-    while shard < shards {
-        let responses = warm.request(&Request::SnapshotShard { shard }).unwrap();
-        let [Response::ShardSnapshot {
-            shard: echoed,
-            shards: total,
-            snapshot,
-        }] = responses.as_slice()
-        else {
-            panic!("expected ShardSnapshot, got {responses:?}");
-        };
-        assert_eq!(*echoed, shard);
-        shards = *total;
-        transferred += snapshot.entries.len();
-        let responses = cold
-            .request(&Request::AbsorbSnapshot {
-                snapshot: snapshot.clone(),
-            })
-            .unwrap();
-        let [Response::Absorbed { received, absorbed }] = responses.as_slice() else {
-            panic!("expected Absorbed, got {responses:?}");
-        };
-        assert_eq!(*received, snapshot.entries.len());
-        assert_eq!(*absorbed, *received, "the cold store had none of these");
-        absorbed_total += absorbed;
-        shard += 1;
-    }
-    assert_eq!(transferred, 2, "both analyses travelled");
-    assert_eq!(absorbed_total, 2);
-
-    // The cold server now serves the same sweep without analyzing.
-    let (records, summary) = split_stream(cold.request(&sweep).unwrap());
-    assert_eq!(
-        summary.cache.misses, 0,
-        "absorbed shards: {:?}",
-        summary.cache
-    );
-    assert!(records.iter().all(|r| r.timing.analysis_cached));
-
-    // Re-absorbing is idempotent, and out-of-range shards are an error,
-    // not a panic.
-    let responses = cold.request(&Request::SnapshotShard { shard: 0 }).unwrap();
-    let [Response::ShardSnapshot { snapshot, .. }] = responses.as_slice() else {
-        panic!("expected ShardSnapshot, got {responses:?}");
-    };
-    let responses = warm
-        .request(&Request::AbsorbSnapshot {
-            snapshot: snapshot.clone(),
-        })
-        .unwrap();
-    let [Response::Absorbed { absorbed, .. }] = responses.as_slice() else {
-        panic!("expected Absorbed, got {responses:?}");
-    };
-    assert_eq!(*absorbed, 0, "the warm server already has every entry");
-
-    let responses = warm
-        .request(&Request::SnapshotShard { shard: shards })
-        .unwrap();
+    let mut reply = String::new();
+    let read = reader.read_line(&mut reply).unwrap();
+    assert_ne!(read, 0, "the server dropped the connection");
+    let (_, response) = cassandra_server::protocol::decode_response(&reply).unwrap();
     assert!(
-        matches!(&responses[0], Response::Error { message } if message.contains("out of range")),
-        "{responses:?}"
+        matches!(&response, Response::Error { message } if message.contains("`wörk`")),
+        "{reply}"
+    );
+}
+
+/// A request line over the cap gets one `Error`, then the server closes
+/// the connection.
+#[test]
+fn overlong_request_line_gets_an_error_then_eof() {
+    let (handle, _client) = start();
+    let (mut stream, mut reader) = raw_connect(&handle);
+    stream.write_all(&vec![b'a'; MAX_REQUEST_LINE + 1]).unwrap();
+
+    let mut reply = String::new();
+    reader.read_line(&mut reply).unwrap();
+    let (_, response) = cassandra_server::protocol::decode_response(&reply).unwrap();
+    assert!(
+        matches!(&response, Response::Error { message } if message.contains("exceeds")),
+        "{reply}"
+    );
+    reply.clear();
+    assert_eq!(
+        reader.read_line(&mut reply).unwrap(),
+        0,
+        "then EOF: {reply}"
     );
 }
 

@@ -10,8 +10,6 @@
 //!     serve [--addr HOST:PORT] [--threads N] [--cache-file PATH] [--smoke]
 //! cargo run --release --example full_evaluation -- \
 //!     connect [--addr HOST:PORT] [REQUEST-JSON ...]
-//! cargo run --release --example full_evaluation -- \
-//!     shard-sync --from HOST:PORT --to HOST:PORT
 //! ```
 //!
 //! `EXPERIMENT` is a registry name (`table1`, `fig7`, `fig8`, `fig9`, `q3`,
@@ -42,7 +40,7 @@
 //! `serve` runs the evaluation service (see `docs/PROTOCOL.md`): one
 //! long-lived session whose memoized analyses are shared across every
 //! client request, with tagged requests pipelined — even two sweeps on
-//! one connection interleave their streams (protocol v3). `--threads`
+//! one connection interleave their streams (protocol v4). `--threads`
 //! sizes the shared request worker pool; when omitted it is auto-sized
 //! from `std::thread::available_parallelism` and the choice is logged at
 //! startup. `--cache-file PATH` journals the analysis store: replayed on
@@ -51,13 +49,10 @@
 //! self-contained concurrent round trip (spawn on an ephemeral port, two
 //! overlapping tagged sweeps multiplexed on ONE connection while a second
 //! connection pings mid-sweep, a static Lint of the submitted workloads,
-//! a `consolidation` Experiment over the wire, a `shard-sync` round trip
-//! into a second server process, clean shutdown) — CI uses it. `connect`
-//! sends newline-delimited JSON requests (from the command line or stdin)
-//! and prints each response line. `shard-sync` copies every analysis
-//! shard from the `--from` server into the `--to` server over the wire
-//! (`SnapshotShard`/`AbsorbSnapshot`), so a fleet of server processes can
-//! split a workload set and then pool their analyses.
+//! a `consolidation` Experiment and a streamed `frontier` search over the
+//! wire, clean shutdown) — CI uses it. `connect` sends newline-delimited
+//! JSON requests (from the command line or stdin) and prints each
+//! response line.
 
 use cassandra::core::experiments::quick_workloads;
 use cassandra::core::frontier::AdaptiveSearch;
@@ -80,8 +75,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut smoke = false;
     let mut adaptive = false;
     let mut cache_file: Option<String> = None;
-    let mut sync_from: Option<String> = None;
-    let mut sync_to: Option<String> = None;
     let mut positional: Vec<String> = Vec::new();
     let mut iter = args.iter();
     while let Some(arg) = iter.next() {
@@ -117,18 +110,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                     .ok_or("--threads requires a worker count")?
                     .parse()?,
             );
-        } else if arg == "--from" {
-            sync_from = Some(
-                iter.next()
-                    .ok_or("--from requires a HOST:PORT value")?
-                    .clone(),
-            );
-        } else if arg == "--to" {
-            sync_to = Some(
-                iter.next()
-                    .ok_or("--to requires a HOST:PORT value")?
-                    .clone(),
-            );
         } else if arg == "--smoke" {
             smoke = true;
         } else if arg == "--adaptive" {
@@ -151,11 +132,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     match experiment.as_str() {
         "serve" => return run_server(&addr, threads, smoke, cache_file.as_deref()),
         "connect" => return run_client(&addr, &positional[1..]),
-        "shard-sync" => {
-            let from = sync_from.ok_or("shard-sync requires --from HOST:PORT")?;
-            let to = sync_to.ok_or("shard-sync requires --to HOST:PORT")?;
-            return run_shard_sync(&from, &to);
-        }
         _ => {}
     }
 
@@ -273,11 +249,10 @@ fn run_server(
             service.store().len()
         );
     }
-    let shards = service.store().shard_count();
     let handle = serve(bind_addr, service, threads)?;
     println!(
-        "cassandra-server listening on {} ({threads} workers via {sized}, \
-         {shards} store shards); protocol: docs/PROTOCOL.md",
+        "cassandra-server listening on {} ({threads} workers via {sized}); \
+         protocol: docs/PROTOCOL.md",
         handle.addr(),
     );
     if smoke {
@@ -291,8 +266,8 @@ fn run_server(
 /// The CI smoke run: two overlapping id-tagged sweeps multiplexed on ONE
 /// connection (protocol v3 pipelining) while a second connection pings
 /// mid-sweep — asserting interleaved streams, the session's cache
-/// metadata, a static Lint of the submitted workloads, a `shard-sync`
-/// round trip into a second server process, and a clean shutdown.
+/// metadata, a static Lint of the submitted workloads, a `consolidation`
+/// Experiment, a streamed `frontier` search, and a clean shutdown.
 fn smoke_round_trip(addr: std::net::SocketAddr) -> Result<(), Box<dyn std::error::Error>> {
     use std::time::Instant;
 
@@ -444,63 +419,7 @@ fn smoke_round_trip(addr: std::net::SocketAddr) -> Result<(), Box<dyn std::error
         result.frontier.len()
     );
 
-    // Shard-sync round trip: a second, cold server process absorbs every
-    // analysis shard from this one over the wire.
-    let peer_handle = serve("127.0.0.1:0", EvalService::new(), 2)?;
-    let mut peer = Client::connect(peer_handle.addr())?;
-    let (transferred, absorbed) = sync_shards(&mut prober, &mut peer)?;
-    println!("smoke: shard-sync moved {transferred} analyses ({absorbed} new at the peer)");
-    if transferred == 0 || absorbed != transferred {
-        return Err("smoke shard-sync absorbed nothing at the cold peer".into());
-    }
-    peer.request(&Request::Shutdown)?;
-    peer_handle.join();
-
     prober.request(&Request::Shutdown)?;
-    Ok(())
-}
-
-/// Copies every analysis shard of the `from` server into the `to` server
-/// over the wire; returns `(entries transferred, entries new at to)`.
-fn sync_shards(
-    from: &mut Client,
-    to: &mut Client,
-) -> Result<(usize, usize), Box<dyn std::error::Error>> {
-    let mut shard = 0;
-    let mut shards = 1;
-    let mut transferred = 0usize;
-    let mut absorbed_total = 0usize;
-    while shard < shards {
-        let responses = from.request(&Request::SnapshotShard { shard })?;
-        let Some(Response::ShardSnapshot {
-            shards: total,
-            snapshot,
-            ..
-        }) = responses.last()
-        else {
-            return Err(format!("SnapshotShard {shard} failed: {responses:?}").into());
-        };
-        shards = *total;
-        transferred += snapshot.entries.len();
-        let responses = to.request(&Request::AbsorbSnapshot {
-            snapshot: snapshot.clone(),
-        })?;
-        let Some(Response::Absorbed { absorbed, .. }) = responses.last() else {
-            return Err(format!("AbsorbSnapshot of shard {shard} failed: {responses:?}").into());
-        };
-        absorbed_total += absorbed;
-        shard += 1;
-    }
-    Ok((transferred, absorbed_total))
-}
-
-/// `shard-sync`: pool the analyses of two running servers by copying every
-/// shard of `--from` into `--to`.
-fn run_shard_sync(from: &str, to: &str) -> Result<(), Box<dyn std::error::Error>> {
-    let mut from = Client::connect(from)?;
-    let mut to = Client::connect(to)?;
-    let (transferred, absorbed) = sync_shards(&mut from, &mut to)?;
-    println!("shard-sync: {transferred} analyses transferred, {absorbed} new at the target");
     Ok(())
 }
 
