@@ -1539,15 +1539,20 @@ mod tests {
             .unwrap();
         assert!(timing.analysis_cached);
         assert_eq!(warmed.stats(), CacheStats { hits: 1, misses: 0 });
+    }
 
-        // A multi-program snapshot is ordered by fingerprint and absorbs
-        // whole into a fresh store.
-        let many = AnalysisStore::new();
-        for w in [
+    #[test]
+    fn shard_snapshots_union_to_the_full_snapshot() {
+        // One store analyzes every program; each of three partial stores
+        // analyzes one. The partial snapshots, absorbed into a fresh store,
+        // rebuild exactly the full snapshot.
+        let workloads = [
             suite::chacha20_workload(64),
             suite::sha256_workload(96),
             suite::des_workload(4),
-        ] {
+        ];
+        let many = AnalysisStore::new();
+        for w in &workloads {
             many.entry(&w.kernel.program, w.kernel.step_limit).unwrap();
         }
         let full = many.snapshot();
@@ -1556,6 +1561,26 @@ mod tests {
             .entries
             .windows(2)
             .all(|pair| pair[0].fingerprint < pair[1].fingerprint));
+
+        let union = AnalysisStore::new();
+        let absorbed: usize = workloads
+            .iter()
+            .map(|w| {
+                let part = AnalysisStore::new();
+                part.entry(&w.kernel.program, w.kernel.step_limit).unwrap();
+                union.absorb(part.snapshot())
+            })
+            .sum();
+        assert_eq!(absorbed, 3);
+        let mut rebuilt = union.snapshot();
+        // Wall-clock timings differ between runs; the analyses must not.
+        for (r, f) in rebuilt.entries.iter_mut().zip(&full.entries) {
+            r.elapsed = f.elapsed;
+            r.analysis.bundle.timing = f.analysis.bundle.timing;
+        }
+        assert_eq!(rebuilt, full);
+
+        // The full snapshot also absorbs whole into a fresh store.
         let fresh = AnalysisStore::new();
         assert_eq!(fresh.absorb(full.clone()), 3);
         assert_eq!(fresh.snapshot(), full);
