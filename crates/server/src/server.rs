@@ -327,31 +327,45 @@ impl StreamHandle {
     /// an abandoned sweep stops simulating instead of streaming into the
     /// void.
     fn push(&self, frame: String) -> io::Result<()> {
+        self.push_all([frame])
+    }
+
+    /// Enqueues response lines in order, holding the state lock between
+    /// them (it is released only to wait for queue space), so the writer
+    /// finds them together and sends them in one socket write.
+    ///
+    /// # Errors
+    ///
+    /// As [`push`](Self::push).
+    fn push_all(&self, frames: impl IntoIterator<Item = String>) -> io::Result<()> {
         let mut state = lock(&self.mux.state);
-        loop {
-            if state.dead {
-                return Err(io::Error::new(
-                    io::ErrorKind::BrokenPipe,
-                    "connection writer closed",
-                ));
+        for frame in frames {
+            loop {
+                if state.dead {
+                    return Err(io::Error::new(
+                        io::ErrorKind::BrokenPipe,
+                        "connection writer closed",
+                    ));
+                }
+                let Some(stream) = state.streams.iter_mut().find(|s| s.token == self.token) else {
+                    return Err(io::Error::new(
+                        io::ErrorKind::BrokenPipe,
+                        "response stream closed",
+                    ));
+                };
+                if stream.queue.len() < STREAM_QUEUE_CAP {
+                    stream.queue.push_back(frame);
+                    self.mux.frames.notify_all();
+                    break;
+                }
+                state = self
+                    .mux
+                    .space
+                    .wait(state)
+                    .unwrap_or_else(PoisonError::into_inner);
             }
-            let Some(stream) = state.streams.iter_mut().find(|s| s.token == self.token) else {
-                return Err(io::Error::new(
-                    io::ErrorKind::BrokenPipe,
-                    "response stream closed",
-                ));
-            };
-            if stream.queue.len() < STREAM_QUEUE_CAP {
-                stream.queue.push_back(frame);
-                self.mux.frames.notify_all();
-                return Ok(());
-            }
-            state = self
-                .mux
-                .space
-                .wait(state)
-                .unwrap_or_else(PoisonError::into_inner);
         }
+        Ok(())
     }
 }
 
@@ -611,8 +625,17 @@ fn serve_line(
     // streaming ahead of it on the same connection).
     if runs_inline(&request) {
         let is_shutdown = matches!(request, Request::Shutdown);
-        let mut sink = |response: Response| handle.push(encode_frame(id.as_deref(), response));
+        // The reply is queued whole. Pushed line by line, the writer could
+        // wake between lines and send the first alone; the rest (`Submit`'s
+        // `Submitted` after its `Progress`) would then wait under Nagle's
+        // algorithm for the client's delayed ACK, or not, by thread timing.
+        let mut frames = Vec::new();
+        let mut sink = |response: Response| {
+            frames.push(encode_frame(id.as_deref(), response));
+            Ok(())
+        };
         service.handle(None, request, &mut sink)?;
+        handle.push_all(frames)?;
         if is_shutdown {
             shutdown.store(true, Ordering::Relaxed);
         }
