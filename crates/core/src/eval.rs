@@ -60,6 +60,7 @@ use cassandra_isa::program::Program;
 use cassandra_kernels::workload::{Workload, WorkloadGroup};
 use cassandra_trace::fingerprint::program_fingerprint;
 use cassandra_trace::genproc::generate_traces;
+use cassandra_trace::stats::TraceSummary;
 use serde::{Deserialize, Serialize};
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
@@ -1072,16 +1073,19 @@ impl Evaluator {
 
     // ------------------------------------------------------------ analysis
 
-    /// Runs Algorithm 2 once, without touching any session cache — the
-    /// one-shot primitive behind [`crate::analyze_program`].
+    /// Runs Algorithm 2 once, without touching any session cache, and keeps
+    /// its replay form (the `TraceBundle` is dropped) — the one-shot
+    /// primitive behind [`crate::analyze_program`].
     ///
     /// # Errors
     ///
     /// Propagates profiling-run errors from Algorithm 2.
     pub fn analyze_once(program: &Program, step_limit: u64) -> Result<AnalysisBundle, IsaError> {
-        let bundle = generate_traces(program, None, step_limit)?;
-        let encoded = EncodedTraces::from_bundle(program, &bundle);
-        Ok(AnalysisBundle { bundle, encoded })
+        let traces = generate_traces(program, None, step_limit)?;
+        Ok(AnalysisBundle {
+            summary: TraceSummary::from_bundle(&traces),
+            encoded: EncodedTraces::from_bundle(program, &traces),
+        })
     }
 
     /// The memoized analysis of an arbitrary program.
@@ -1504,11 +1508,17 @@ mod tests {
         // truncating when the budget runs out, so any sufficient budget
         // produces the identical bundle…
         let w = suite::des_workload(4);
-        let exact = Evaluator::analyze_once(&w.kernel.program, w.kernel.step_limit).unwrap();
-        let generous =
-            Evaluator::analyze_once(&w.kernel.program, w.kernel.step_limit * 16).unwrap();
-        assert_eq!(exact.encoded, generous.encoded);
-        assert_eq!(exact.bundle.branches, generous.bundle.branches);
+        let (program, limit) = (&w.kernel.program, w.kernel.step_limit);
+        let mut exact = Evaluator::analyze_once(program, limit).unwrap();
+        let generous = Evaluator::analyze_once(program, limit * 16).unwrap();
+        // Wall-clock timings differ between runs; the replay form must not.
+        exact.summary.timing = generous.summary.timing;
+        assert_eq!(exact, generous);
+        // The same holds for the full Algorithm 2 output behind it.
+        assert_eq!(
+            generate_traces(program, None, limit).unwrap().branches,
+            generate_traces(program, None, limit * 16).unwrap().branches
+        );
         // …and an insufficient budget is a hard error, never a bundle.
         let err = Evaluator::analyze_once(&w.kernel.program, 1_000).unwrap_err();
         assert!(matches!(
@@ -1576,7 +1586,7 @@ mod tests {
         // Wall-clock timings differ between runs; the analyses must not.
         for (r, f) in rebuilt.entries.iter_mut().zip(&full.entries) {
             r.elapsed = f.elapsed;
-            r.analysis.bundle.timing = f.analysis.bundle.timing;
+            r.analysis.summary.timing = f.analysis.summary.timing;
         }
         assert_eq!(rebuilt, full);
 

@@ -66,7 +66,7 @@ pub fn table1_with(ev: &mut Evaluator, workloads: &[Workload]) -> Result<Table1R
     let mut rows = Vec::new();
     for w in workloads {
         let analysis = ev.analysis(w)?;
-        let mut row = BranchAnalysisRow::from_bundle(&analysis.bundle);
+        let mut row = analysis.branch_row();
         row.program = w.name.clone();
         rows.push(Table1Row {
             group: w.group,
@@ -523,14 +523,14 @@ pub fn trace_generation_timing_with(
     let mut rows = Vec::new();
     for w in workloads {
         let analysis = ev.analysis(w)?;
-        let t = analysis.bundle.timing;
+        let t = analysis.summary.timing;
         rows.push(TraceGenRow {
             workload: w.name.clone(),
             detect: t.detect,
             collect: t.collect,
             vanilla: t.vanilla,
             kmers: t.kmers,
-            branches: analysis.bundle.analyzed_branches(),
+            branches: analysis.analyzed_branches(),
         });
     }
     Ok(rows)

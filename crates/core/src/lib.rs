@@ -98,7 +98,7 @@ use cassandra_cpu::pipeline::SimOutcome;
 use cassandra_isa::error::IsaError;
 use cassandra_isa::program::Program;
 use cassandra_kernels::workload::Workload;
-use cassandra_trace::genproc::TraceBundle;
+use cassandra_trace::stats::{BranchAnalysisRow, TraceSummary};
 use serde::{Deserialize, Serialize};
 
 pub use consolidation::{consolidation, consolidation_with, ConsolidationResult};
@@ -115,15 +115,19 @@ pub use registry::{Experiment, ExperimentOutput, ExperimentRegistry};
 /// Default profiling step budget for trace generation.
 pub const ANALYSIS_STEP_LIMIT: u64 = 200_000_000;
 
-/// The result of the software side of Cassandra for one program: the
-/// compressed per-branch traces plus their hardware encoding.
+/// The result of the software side of Cassandra for one program, in the
+/// form it is replayed from: the hardware encoding of the traces and hints
+/// that a Branch Trace Unit is built from, plus the Table 1 summary of the
+/// Algorithm 2 run. The vanilla and k-mers traces themselves are dropped
+/// once both are built; [`cassandra_trace::genproc::generate_traces`]
+/// still returns them whole.
 ///
 /// Serializable so an [`eval::AnalysisStore`] can snapshot its contents for
 /// warm-starts (see [`eval::AnalysisSnapshot`]).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct AnalysisBundle {
-    /// Output of the trace-generation procedure (Algorithm 2).
-    pub bundle: TraceBundle,
+    /// Program name, §7.5 timing and per-branch trace sizes (Table 1).
+    pub summary: TraceSummary,
     /// Hardware encoding of the traces and hints (§5.2).
     pub encoded: EncodedTraces,
 }
@@ -132,6 +136,16 @@ impl AnalysisBundle {
     /// Builds a fresh Branch Trace Unit pre-loaded with these traces.
     pub fn make_btu(&self, config: &CpuConfig) -> BranchTraceUnit {
         BranchTraceUnit::new(config.btu, self.encoded.clone())
+    }
+
+    /// Number of crypto branches that were analyzed (appeared in profiling).
+    pub fn analyzed_branches(&self) -> usize {
+        self.encoded.hints.len()
+    }
+
+    /// This program's Table 1 row.
+    pub fn branch_row(&self) -> BranchAnalysisRow {
+        BranchAnalysisRow::from_summary(&self.summary, &self.encoded.hints)
     }
 }
 
@@ -203,7 +217,7 @@ mod tests {
     fn analyze_and_simulate_chacha20_under_all_designs() {
         let workload = suite::chacha20_workload(64);
         let analysis = analyze_workload(&workload).unwrap();
-        assert!(analysis.bundle.analyzed_branches() > 0);
+        assert!(analysis.analyzed_branches() > 0);
         let base_cfg = CpuConfig::golden_cove_like();
         let base = simulate_workload(&workload, &analysis, &base_cfg).unwrap();
         assert!(base.halted);

@@ -198,7 +198,7 @@ impl IntoIterator for PolicyRegistry {
 /// let grid = GridSweep::over([DefenseMode::Tournament])
 ///     .tournament_thresholds([2, 8])
 ///     .btu_entries([8, 16]);
-/// assert_eq!(grid.len(), 4);
+/// assert_eq!(grid.len(), Some(4));
 ///
 /// let registry = grid.expand();
 /// assert_eq!(
@@ -271,17 +271,20 @@ impl GridSweep {
         self
     }
 
-    /// Number of grid cells (before same-label collapsing).
-    pub fn len(&self) -> usize {
-        fn axis(len: usize) -> usize {
-            len.max(1)
-        }
-        self.defenses.len()
-            * axis(self.tournament_thresholds.len())
-            * axis(self.btu_partitions.len())
-            * axis(self.btu_entries.len())
-            * axis(self.miss_penalties.len())
-            * axis(self.redirect_penalties.len())
+    /// Number of grid cells (before same-label collapsing), or `None` when
+    /// the product of the axis lengths overflows `usize`.
+    pub fn len(&self) -> Option<usize> {
+        [
+            self.tournament_thresholds.len(),
+            self.btu_partitions.len(),
+            self.btu_entries.len(),
+            self.miss_penalties.len(),
+            self.redirect_penalties.len(),
+        ]
+        .into_iter()
+        .try_fold(self.defenses.len(), |cells, axis| {
+            cells.checked_mul(axis.max(1))
+        })
     }
 
     /// True if the grid has no base defense (and therefore expands to
@@ -305,7 +308,7 @@ impl GridSweep {
         let misses = axis(&self.miss_penalties);
         let redirects = axis(&self.redirect_penalties);
 
-        let mut points = Vec::with_capacity(self.len());
+        let mut points = Vec::with_capacity(self.len().unwrap_or(0));
         for &defense in &self.defenses {
             for &thr in &thresholds {
                 for &part in &partitions {
@@ -454,7 +457,7 @@ mod tests {
         let grid = GridSweep::over([DefenseMode::Cassandra, DefenseMode::Tournament])
             .miss_penalties([10, 20, 40])
             .redirect_penalties([6, 12]);
-        assert_eq!(grid.len(), 12);
+        assert_eq!(grid.len(), Some(12));
         let points = grid.design_points();
         assert_eq!(points.len(), 12);
         // Defense-major, then miss penalty, then redirect penalty.
@@ -474,7 +477,7 @@ mod tests {
         // (2) resolves to the registered baseline config: both cells share
         // one label and the expansion dedupes them.
         let grid = GridSweep::over([DefenseMode::CassandraPartitioned]).btu_partitions([2, 4]);
-        assert_eq!(grid.len(), 2);
+        assert_eq!(grid.len(), Some(2));
         let registry = grid.expand();
         assert_eq!(
             registry.labels(),
@@ -491,7 +494,7 @@ mod tests {
     fn empty_grid_expands_to_nothing() {
         let grid = GridSweep::default().tournament_thresholds([1, 2, 3]);
         assert!(grid.is_empty());
-        assert_eq!(grid.len(), 0);
+        assert_eq!(grid.len(), Some(0));
         assert!(grid.expand().is_empty());
     }
 

@@ -1,9 +1,9 @@
 //! A small blocking client for the wire protocol, used by the `connect`
 //! subcommand of the example driver and by the loopback tests.
 
-use crate::protocol::{self, Request, RequestEnvelope, Response};
+use crate::protocol::{self, Request, RequestEnvelope, Response, MAX_RESPONSE_LINE};
 use std::collections::BTreeMap;
-use std::io::{self, BufRead, BufReader, Write};
+use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 
 /// One client connection. Requests are synchronous: send a line, then read
@@ -84,15 +84,23 @@ impl Client {
     /// # Errors
     ///
     /// `UnexpectedEof` when the server hung up, `InvalidData` on an
-    /// unparseable response, and propagated socket errors otherwise.
+    /// unparseable response or one longer than [`MAX_RESPONSE_LINE`], and
+    /// propagated socket errors otherwise.
     pub fn recv_tagged(&mut self) -> io::Result<(Option<String>, Response)> {
         let mut line = String::new();
         loop {
             line.clear();
-            if self.reader.read_line(&mut line)? == 0 {
+            let cap = MAX_RESPONSE_LINE as u64;
+            if self.reader.by_ref().take(cap).read_line(&mut line)? == 0 {
                 return Err(io::Error::new(
                     io::ErrorKind::UnexpectedEof,
                     "server closed the connection",
+                ));
+            }
+            if line.len() == MAX_RESPONSE_LINE && !line.ends_with('\n') {
+                return Err(io::Error::new(
+                    io::ErrorKind::InvalidData,
+                    format!("response line exceeds {MAX_RESPONSE_LINE} bytes"),
                 ));
             }
             if !line.trim().is_empty() {

@@ -28,6 +28,7 @@
 //!
 //! A request line is at most [`MAX_REQUEST_LINE`] bytes, newline included;
 //! a longer line is answered with one `Error` and the connection closes.
+//! The client reads response lines of up to [`MAX_RESPONSE_LINE`] bytes.
 //!
 //! Wire-level strings name things the way the CLI does: defense design
 //! points by their [`DefenseMode::label`] (`"Cassandra-part"`, not the Rust
@@ -55,6 +56,12 @@ pub const PROTOCOL_VERSION: u32 = 4;
 /// terminating newline. The largest legitimate request (a `GridSweep` or a
 /// `Sweep` naming many workloads) is a few KiB.
 pub const MAX_REQUEST_LINE: usize = 1 << 20;
+
+/// Longest response line [`crate::Client`] reads, in bytes including the
+/// terminating newline. The largest reply the test suites and the smoke
+/// run produce is about 13 KB (a 96-record `Done` report); a full-suite
+/// `sweep` experiment is about 0.5 MB.
+pub const MAX_RESPONSE_LINE: usize = 16 << 20;
 
 /// How a [`Request::Submit`] names the workload to ingest.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -540,7 +547,11 @@ mod tests {
             grid.defenses,
             [DefenseMode::CassandraPartitioned, DefenseMode::Tournament]
         );
-        assert_eq!(grid.len(), 4, "2 defenses x 1 threshold x 2 partitions");
+        assert_eq!(
+            grid.len(),
+            Some(4),
+            "2 defenses x 1 threshold x 2 partitions"
+        );
     }
 
     #[test]

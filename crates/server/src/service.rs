@@ -421,6 +421,14 @@ impl EvalService {
             },
             Request::GridSweep { workloads, grid } => match grid.to_grid() {
                 Ok(grid) => {
+                    // Bound the expansion before building it: every cell
+                    // is a registered design point and a simulation per
+                    // workload.
+                    if grid.len().is_none_or(|cells| cells > MAX_GRID_CELLS) {
+                        return sink(Response::Error {
+                            message: format!("grid expands to more than {MAX_GRID_CELLS} cells"),
+                        });
+                    }
                     // Validate the workload selection before touching
                     // shared state: a rejected request must not leave grid
                     // entries behind in the session registry.
@@ -731,6 +739,10 @@ fn cancelled(reservation: Option<&Reservation>) -> Response {
 /// long-lived server (and lose its warmed analysis cache).
 const MAX_KERNEL_SIZE: u64 = 1 << 20;
 
+/// Upper bound on the cells one `GridSweep` may expand to (the product of
+/// its axis lengths, counted before same-label collapsing).
+const MAX_GRID_CELLS: usize = 1 << 10;
+
 /// Builds the workload a [`WorkloadSpec`] names.
 fn resolve_spec(spec: &WorkloadSpec) -> Result<Workload, String> {
     match spec {
@@ -1036,6 +1048,56 @@ mod tests {
         // …and must leave no grid cells behind in the shared registry.
         assert_eq!(service.policies().len(), before);
         assert!(service.policies().get("Cassandra+btu8").is_none());
+    }
+
+    #[test]
+    fn oversized_grid_sweep_is_rejected_before_expansion() {
+        let service = EvalService::new();
+        collect(
+            &service,
+            Request::Submit {
+                spec: WorkloadSpec::Kernel {
+                    family: "des".to_string(),
+                    size: 4,
+                    name: None,
+                },
+            },
+        );
+        let before = service.policies();
+        let axis: Vec<u64> = (0..1 << 13).collect();
+        let overflowing = GridSpec {
+            defenses: vec!["Cassandra".to_string()],
+            tournament_thresholds: (0..1 << 13).collect(),
+            btu_partitions: (0..1 << 13).collect(),
+            btu_entries: (0..1 << 13).collect(),
+            miss_penalties: axis.clone(),
+            redirect_penalties: axis,
+        };
+        let just_over = GridSpec {
+            defenses: vec!["Cassandra".to_string()],
+            tournament_thresholds: Vec::new(),
+            btu_partitions: Vec::new(),
+            btu_entries: Vec::new(),
+            miss_penalties: (0..=MAX_GRID_CELLS as u64).collect(),
+            redirect_penalties: Vec::new(),
+        };
+        assert_eq!(overflowing.to_grid().unwrap().len(), None);
+        assert_eq!(just_over.to_grid().unwrap().len(), Some(MAX_GRID_CELLS + 1));
+        for grid in [overflowing, just_over] {
+            let responses = collect(
+                &service,
+                Request::GridSweep {
+                    workloads: Vec::new(),
+                    grid,
+                },
+            );
+            assert!(
+                matches!(&responses[..], [Response::Error { message }]
+                    if message.contains("cells")),
+                "{responses:?}"
+            );
+            assert_eq!(service.policies(), before);
+        }
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! Incremental cache-journal integration tests: completed analyses are
 //! appended to `--cache-file` as they happen, so an *aborted* server (no
 //! clean `Shutdown`) still restarts warm; a corrupt journal tail keeps the
-//! valid prefix, and a garbage-only journal boots cold without panicking.
+//! valid prefix, and a garbage-only or old-format journal boots cold
+//! without panicking.
 
 use cassandra_server::{serve, Client, EvalService, Request, Response, WorkloadSpec};
 use std::io::Write;
@@ -242,5 +243,30 @@ fn garbage_journal_boots_cold_without_panicking() {
     // The service still works (and journals fresh analyses) on top of it.
     let (_, misses) = lifetime(&path, false);
     assert_eq!(misses, 2, "cold start after a garbage journal");
+    let _ = std::fs::remove_file(&path);
+}
+
+/// A journal written by an older server, whose entries carried the whole
+/// Algorithm 2 output (cache-journal format v3, captured from a live
+/// session), no longer parses: the server boots cold with the
+/// corrupt-journal warning, rewrites the file, and journals on top of it.
+#[test]
+fn old_format_journal_boots_cold_and_is_rewritten() {
+    let path = journal_path("v3");
+    let old = include_str!("fixtures/cache_journal_v3.jsonl");
+    assert!(old.contains("\"bundle\":{\"program_name\""), "a v3 entry");
+    std::fs::write(&path, old).unwrap();
+
+    let service = EvalService::new().with_cache_file(&path);
+    assert!(service.store().is_empty(), "a v3 entry must not replay");
+    let rewritten = std::fs::read_to_string(&path).unwrap();
+    assert_eq!(rewritten, "{\"entries\":[]}\n", "replay rewrites the file");
+    drop(service);
+
+    let (_, misses) = lifetime(&path, false);
+    assert_eq!(misses, 2, "cold start over the old journal");
+    let (hits, misses) = lifetime(&path, false);
+    assert_eq!(misses, 0, "appends after the rewrite survive a restart");
+    assert_eq!(hits, 2);
     let _ = std::fs::remove_file(&path);
 }

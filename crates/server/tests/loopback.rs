@@ -3,13 +3,13 @@
 
 use cassandra_core::eval::{EvalRecord, Evaluator};
 use cassandra_kernels::suite;
-use cassandra_server::protocol::MAX_REQUEST_LINE;
+use cassandra_server::protocol::{MAX_REQUEST_LINE, MAX_RESPONSE_LINE};
 use cassandra_server::{
     serve, Client, EvalService, GridSpec, Request, Response, SweepSummary, WorkloadSpec,
     PROTOCOL_VERSION,
 };
 use std::io::{BufRead, BufReader, Write};
-use std::net::TcpStream;
+use std::net::{TcpListener, TcpStream};
 use std::time::Duration;
 
 fn start() -> (cassandra_server::ServerHandle, Client) {
@@ -543,6 +543,26 @@ fn overlong_request_line_gets_an_error_then_eof() {
         0,
         "then EOF: {reply}"
     );
+}
+
+/// The client bounds response lines too: a peer that sends more than the
+/// cap without a newline gets `InvalidData`, not an ever-growing buffer.
+#[test]
+fn overlong_response_line_is_invalid_data() {
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let peer = std::thread::spawn(move || {
+        let (mut stream, _) = listener.accept().unwrap();
+        // The client hangs up once it has read the cap; a write error after
+        // that is expected.
+        let _ = stream.write_all(&vec![b'a'; MAX_RESPONSE_LINE + 1]);
+    });
+    let mut client = Client::connect(addr).unwrap();
+    let err = client.recv().unwrap_err();
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
+    assert!(err.to_string().contains("exceeds"), "{err}");
+    drop(client);
+    peer.join().unwrap();
 }
 
 #[test]

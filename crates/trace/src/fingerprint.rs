@@ -1,18 +1,12 @@
-//! Stable content fingerprints for programs and analysis bundles.
+//! Stable content fingerprints for programs.
 //!
 //! The evaluation session API in `cassandra-core` memoizes Algorithm-2
 //! analyses per program: two workloads built from the same kernel with the
-//! same inputs share one [`TraceBundle`]. The cache key is the
+//! same inputs share one analysis. The cache key is the
 //! [`program_fingerprint`] — a 64-bit hash of the complete program content
 //! (text, labels, data image and security annotations), so any input or code
 //! change produces a different key.
-//!
-//! [`bundle_fingerprint`] hashes the *semantic* content of an analysis
-//! result (the hints and the expanded per-branch traces, not the internal
-//! compression structure), so two bundles compare equal exactly when the BTU
-//! would replay identical sequences from them.
 
-use crate::genproc::TraceBundle;
 use cassandra_isa::program::Program;
 use std::hash::{Hash, Hasher};
 
@@ -105,27 +99,9 @@ pub fn program_fingerprint(program: &Program) -> u64 {
     hasher.finish()
 }
 
-/// A 64-bit hash of an analysis bundle's replay-relevant content: the
-/// program name, every branch hint, and the expanded target sequence of
-/// every stored trace.
-pub fn bundle_fingerprint(bundle: &TraceBundle) -> u64 {
-    let mut hasher = FxHasher::default();
-    bundle.program_name.hash(&mut hasher);
-    for (pc, hint) in &bundle.hints.hints {
-        pc.hash(&mut hasher);
-        hint.hash(&mut hasher);
-    }
-    for (pc, data) in &bundle.branches {
-        pc.hash(&mut hasher);
-        data.kmers.expand().hash(&mut hasher);
-    }
-    hasher.finish()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::genproc::generate_traces;
     use cassandra_isa::builder::ProgramBuilder;
     use cassandra_isa::reg::{A0, ZERO};
 
@@ -155,16 +131,5 @@ mod tests {
         assert_ne!(program_fingerprint(&a), program_fingerprint(&b));
         let c = counting_loop("renamed", 10);
         assert_ne!(program_fingerprint(&a), program_fingerprint(&c));
-    }
-
-    #[test]
-    fn bundle_fingerprint_tracks_trace_content() {
-        let p10 = counting_loop("loop", 10);
-        let p11 = counting_loop("loop", 11);
-        let b10a = generate_traces(&p10, None, 100_000).unwrap();
-        let b10b = generate_traces(&p10, None, 100_000).unwrap();
-        let b11 = generate_traces(&p11, None, 100_000).unwrap();
-        assert_eq!(bundle_fingerprint(&b10a), bundle_fingerprint(&b10b));
-        assert_ne!(bundle_fingerprint(&b10a), bundle_fingerprint(&b11));
     }
 }

@@ -83,12 +83,6 @@ impl TraceBundle {
     pub fn hint_for(&self, pc: usize) -> Option<BranchHint> {
         self.hints.hint(pc)
     }
-
-    /// A 64-bit hash of this bundle's replay-relevant content (see
-    /// [`crate::fingerprint::bundle_fingerprint`]).
-    pub fn fingerprint(&self) -> u64 {
-        crate::fingerprint::bundle_fingerprint(self)
-    }
 }
 
 /// Runs Algorithm 2 on `program`.

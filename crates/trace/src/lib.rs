@@ -43,8 +43,9 @@ pub mod stats;
 pub mod vanilla;
 
 pub use collect::{collect_raw_traces, RawTraces};
-pub use fingerprint::{bundle_fingerprint, program_fingerprint};
+pub use fingerprint::program_fingerprint;
 pub use genproc::{generate_traces, TraceBundle};
 pub use hints::{BranchHint, BranchHints};
 pub use kmers::{KmersTrace, PatternSet};
+pub use stats::{BranchSummary, TraceSummary};
 pub use vanilla::{VanillaElement, VanillaTrace};

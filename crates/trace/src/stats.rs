@@ -4,9 +4,62 @@
 //! (single-target branches are excluded, as in the paper): the average and
 //! maximum vanilla-trace size, the average and maximum k-mers trace size
 //! (trace + pattern set), and the resulting compression rates.
+//!
+//! Those statistics need only each branch's two sizes, so a
+//! [`TraceSummary`] keeps exactly that much of a [`TraceBundle`] (plus the
+//! §7.5 timing): an analysis store holds the summary and the BTU encoding,
+//! and drops the vanilla and k-mers traces once both are built.
 
-use crate::genproc::TraceBundle;
+use crate::genproc::{GenTiming, TraceBundle};
+use crate::hints::BranchHints;
+use cassandra_isa::instr::BranchKind;
 use serde::{Deserialize, Serialize};
+
+/// The Table-1 view of one stored branch trace.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub struct BranchSummary {
+    /// Branch PC.
+    pub pc: usize,
+    /// Branch classification.
+    pub kind: BranchKind,
+    /// Vanilla (RLE) trace size in elements.
+    pub vanilla_len: usize,
+    /// k-mers representation size (trace + pattern set) in elements.
+    pub kmers_size: usize,
+}
+
+/// What Table 1 and the §7.5 timing read of one Algorithm 2 run: the
+/// program name, the step timing and the two trace sizes of every branch
+/// with a stored trace, in PC order.
+#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+pub struct TraceSummary {
+    /// Name of the analyzed program.
+    pub program_name: String,
+    /// Timing breakdown of the generation steps.
+    pub timing: GenTiming,
+    /// One entry per multi-target branch with a stored trace, by PC.
+    pub branches: Vec<BranchSummary>,
+}
+
+impl TraceSummary {
+    /// Summarizes an Algorithm 2 result.
+    pub fn from_bundle(bundle: &TraceBundle) -> Self {
+        TraceSummary {
+            program_name: bundle.program_name.clone(),
+            timing: bundle.timing,
+            branches: bundle
+                .branches
+                .values()
+                .map(|data| BranchSummary {
+                    pc: data.pc,
+                    kind: data.kind,
+                    vanilla_len: data.vanilla.len(),
+                    kmers_size: data.kmers.total_size(),
+                })
+                .collect(),
+        }
+    }
+}
 
 /// One row of the Table-1 style branch analysis.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -34,12 +87,17 @@ pub struct BranchAnalysisRow {
 impl BranchAnalysisRow {
     /// Computes the row for one analyzed program.
     pub fn from_bundle(bundle: &TraceBundle) -> Self {
+        Self::from_summary(&TraceSummary::from_bundle(bundle), &bundle.hints)
+    }
+
+    /// Computes the row from a program's summary and its branch hints.
+    pub fn from_summary(summary: &TraceSummary, hints: &BranchHints) -> Self {
         let mut vanilla_sizes: Vec<usize> = Vec::new();
         let mut kmers_sizes: Vec<usize> = Vec::new();
         let mut rates: Vec<f64> = Vec::new();
-        for data in bundle.branches.values() {
-            let v = data.vanilla.len();
-            let k = data.kmers.total_size().max(1);
+        for branch in &summary.branches {
+            let v = branch.vanilla_len;
+            let k = branch.kmers_size.max(1);
             vanilla_sizes.push(v);
             kmers_sizes.push(k);
             rates.push(v as f64 / k as f64);
@@ -59,9 +117,9 @@ impl BranchAnalysisRow {
             }
         };
         BranchAnalysisRow {
-            program: bundle.program_name.clone(),
-            multi_target_branches: bundle.branches.len(),
-            single_target_branches: bundle.hints.single_target_count(),
+            program: summary.program_name.clone(),
+            multi_target_branches: summary.branches.len(),
+            single_target_branches: hints.single_target_count(),
             vanilla_avg: avg(&vanilla_sizes),
             vanilla_max: vanilla_sizes.iter().copied().max().unwrap_or(0),
             kmers_avg: avg(&kmers_sizes),

@@ -46,10 +46,6 @@ impl VanillaTrace {
                 }),
             }
         }
-        // An analysis store keeps its traces for the life of the server;
-        // the growth slack of the pushes above was up to a quarter of a
-        // stored analysis.
-        elements.shrink_to_fit();
         VanillaTrace { elements }
     }
 

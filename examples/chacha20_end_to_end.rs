@@ -27,12 +27,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Analyze its branches and inspect the compression.
     let analysis = analyze_program(&kernel.program, kernel.step_limit)?;
     println!("\nper-branch trace compression:");
-    for (pc, data) in &analysis.bundle.branches {
+    for branch in &analysis.summary.branches {
         println!(
-            "  branch @{pc:<4} vanilla {:>5} elements   k-mers {:>3} elements   ({}x)",
-            data.vanilla.len(),
-            data.kmers.total_size(),
-            data.vanilla.len() / data.kmers.total_size().max(1)
+            "  branch @{:<4} vanilla {:>5} elements   k-mers {:>3} elements   ({}x)",
+            branch.pc,
+            branch.vanilla_len,
+            branch.kmers_size,
+            branch.vanilla_len / branch.kmers_size.max(1)
         );
     }
 

@@ -21,15 +21,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let analysis = analyze_workload(&workload)?;
     println!(
         "branch analysis: {} branches analyzed ({} single-target, {} with compressed traces)",
-        analysis.bundle.analyzed_branches(),
-        analysis.bundle.hints.single_target_count(),
-        analysis.bundle.hints.multi_target_count(),
+        analysis.analyzed_branches(),
+        analysis.encoded.hints.single_target_count(),
+        analysis.encoded.hints.multi_target_count(),
     );
-    for (pc, data) in &analysis.bundle.branches {
+    for branch in &analysis.summary.branches {
         println!(
-            "  branch @{pc}: vanilla {} elements -> k-mers {} elements",
-            data.vanilla.len(),
-            data.kmers.total_size()
+            "  branch @{}: vanilla {} elements -> k-mers {} elements",
+            branch.pc, branch.vanilla_len, branch.kmers_size
         );
     }
 

@@ -8,6 +8,8 @@ use cassandra::core::registry::{Fig8Experiment, Q4Experiment, SweepExperiment};
 use cassandra::core::security;
 use cassandra::kernels::suite;
 use cassandra::prelude::*;
+use cassandra::trace::genproc::generate_traces;
+use cassandra::trace::stats::BranchAnalysisRow;
 use common::quick_workloads;
 
 /// The headline cache property: a full multi-experiment evaluation analyzes
@@ -219,12 +221,71 @@ fn free_function_shims_match_the_session() {
     assert_eq!(record.stats, legacy.stats);
     assert!(record.timing.analysis_cached, "second use hits the cache");
 
-    // The shim's bundle and the session's cached bundle are semantically
-    // identical: same replay-relevant content fingerprint.
+    // The shim's analysis and the session's cached one are identical in
+    // full replay form, once the wall-clock timing is normalised.
     let session_analysis = session.analysis(&w).unwrap();
+    let mut legacy_analysis = legacy_analysis;
+    legacy_analysis.summary.timing = session_analysis.summary.timing;
     assert_eq!(
-        legacy_analysis.bundle.fingerprint(),
-        session_analysis.bundle.fingerprint(),
+        legacy_analysis, *session_analysis,
         "one-shot and session analyses must replay the same traces"
+    );
+}
+
+/// A store keeps each analysis as the BTU encoding plus a Table 1 summary;
+/// for every paper program, the row rebuilt from that stored form (also
+/// after a journal round trip) equals the row of the full Algorithm 2
+/// output, f64 compression rates included, and so does the §7.5 branch
+/// count.
+#[test]
+fn stored_summaries_reproduce_table1_for_the_paper_suite() {
+    let store = AnalysisStore::new();
+    let suite = suite::full_suite();
+    assert_eq!(suite.len(), 21);
+    let mut expected = Vec::new();
+    for w in &suite {
+        let kernel = &w.kernel;
+        let traces = generate_traces(&kernel.program, None, kernel.step_limit).unwrap();
+        let (analysis, _) = store.entry(&kernel.program, kernel.step_limit).unwrap();
+        assert_eq!(analysis.analyzed_branches(), traces.analyzed_branches());
+        let sizes: Vec<_> = traces
+            .branches
+            .values()
+            .map(|d| (d.pc, d.kind, d.vanilla.len(), d.kmers.total_size()))
+            .collect();
+        let stored: Vec<_> = analysis
+            .summary
+            .branches
+            .iter()
+            .map(|b| (b.pc, b.kind, b.vanilla_len, b.kmers_size))
+            .collect();
+        assert_eq!(stored, sizes, "{}", w.name);
+        expected.push(BranchAnalysisRow::from_bundle(&traces));
+    }
+    let json = serde_json::to_string(&store.snapshot()).unwrap();
+    let replayed = AnalysisStore::new();
+    replayed.absorb(serde_json::from_str(&json).unwrap());
+    for from_store in [&store, &replayed] {
+        for (w, want) in suite.iter().zip(&expected) {
+            let kernel = &w.kernel;
+            let (analysis, _) = from_store
+                .entry(&kernel.program, kernel.step_limit)
+                .unwrap();
+            let row = analysis.branch_row();
+            assert_eq!(&row, want, "{}", w.name);
+            for (got, want) in [
+                (row.vanilla_avg, want.vanilla_avg),
+                (row.kmers_avg, want.kmers_avg),
+                (row.compression_avg, want.compression_avg),
+                (row.compression_max, want.compression_max),
+            ] {
+                assert_eq!(got.to_bits(), want.to_bits(), "{}", w.name);
+            }
+        }
+    }
+    assert_eq!(
+        replayed.stats().misses,
+        0,
+        "the replayed store never re-analyzes"
     );
 }
