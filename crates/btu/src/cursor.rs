@@ -5,7 +5,7 @@
 //! execution at a time, wrapping around at the End-of-Trace marker exactly as
 //! the hardware rotates / re-streams the trace (§5.3).
 
-use crate::encode::EncodedBranchTrace;
+use crate::encode::BranchTrace;
 use serde::{Deserialize, Serialize};
 
 /// A position inside an encoded trace.
@@ -51,7 +51,7 @@ impl TraceCursor {
     /// Returns the target PC of the next branch execution and advances the
     /// cursor. Returns `None` only for traces with no elements.
     #[inline]
-    pub fn next_target(&mut self, trace: &EncodedBranchTrace) -> Option<usize> {
+    pub fn next_target(&mut self, trace: BranchTrace<'_>) -> Option<usize> {
         if trace.trace.is_empty() {
             return None;
         }
@@ -61,8 +61,7 @@ impl TraceCursor {
             *pos = TracePosition::default();
         }
         let te = &trace.trace[pos.trace_index];
-        let pattern = &trace.patterns
-            [te.pattern_index as usize..(te.pattern_index as usize + te.pattern_size as usize)];
+        let pattern = trace.pattern(te);
         if pattern.is_empty() {
             return None;
         }
@@ -101,13 +100,14 @@ impl Default for TraceCursor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::encode::EncodedBranchTrace;
     use cassandra_trace::kmers::{compress, KmersConfig};
     use cassandra_trace::vanilla::VanillaTrace;
 
     fn encode(pc: usize, targets: &[usize]) -> EncodedBranchTrace {
         let vanilla = VanillaTrace::from_targets(targets);
         let kmers = compress(&vanilla, &KmersConfig::default());
-        EncodedBranchTrace::from_kmers(pc, &kmers, true)
+        EncodedBranchTrace::from_kmers(pc, &kmers)
     }
 
     #[test]
@@ -116,7 +116,7 @@ mod tests {
         let enc = encode(4, &targets);
         let mut cursor = TraceCursor::new();
         let replay: Vec<usize> = (0..targets.len())
-            .map(|_| cursor.next_target(&enc).unwrap())
+            .map(|_| cursor.next_target(enc.as_trace()).unwrap())
             .collect();
         assert_eq!(replay, targets);
     }
@@ -128,7 +128,7 @@ mod tests {
         let mut cursor = TraceCursor::new();
         let mut replay = Vec::new();
         for _ in 0..9 {
-            replay.push(cursor.next_target(&enc).unwrap());
+            replay.push(cursor.next_target(enc.as_trace()).unwrap());
         }
         assert_eq!(replay, vec![1, 1, 9, 1, 1, 9, 1, 1, 9]);
     }
@@ -138,12 +138,16 @@ mod tests {
         let targets = vec![1, 1, 1, 1, 7];
         let enc = encode(6, &targets);
         let mut cursor = TraceCursor::new();
-        cursor.next_target(&enc);
-        cursor.next_target(&enc);
+        cursor.next_target(enc.as_trace());
+        cursor.next_target(enc.as_trace());
         let checkpoint = cursor.position();
-        let after_two: Vec<usize> = (0..3).map(|_| cursor.next_target(&enc).unwrap()).collect();
+        let after_two: Vec<usize> = (0..3)
+            .map(|_| cursor.next_target(enc.as_trace()).unwrap())
+            .collect();
         cursor.restore(checkpoint);
-        let replayed: Vec<usize> = (0..3).map(|_| cursor.next_target(&enc).unwrap()).collect();
+        let replayed: Vec<usize> = (0..3)
+            .map(|_| cursor.next_target(enc.as_trace()).unwrap())
+            .collect();
         assert_eq!(after_two, replayed);
     }
 
@@ -151,6 +155,6 @@ mod tests {
     fn empty_trace_yields_none() {
         let enc = EncodedBranchTrace::default();
         let mut cursor = TraceCursor::new();
-        assert_eq!(cursor.next_target(&enc), None);
+        assert_eq!(cursor.next_target(enc.as_trace()), None);
     }
 }

@@ -6,6 +6,9 @@
 //!   4-bit size), carries the total number of branch executions covered by
 //!   one iteration of the pattern (16-bit pattern counter) and how many times
 //!   the pattern repeats before advancing (8-bit trace counter): 32 bits.
+//!   The hardware streams a longer pattern set in 16-element windows, so the
+//!   model carries the index and size at full width while its storage
+//!   accounting keeps the 32-bit hardware element.
 //! * A **checkpoint element** records the committed position within the
 //!   trace so evictions, interrupts and squashes can restore it.
 
@@ -49,10 +52,11 @@ impl PatternElement {
 /// One trace element referencing a pattern from the pattern set.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct TraceElement {
-    /// Index of the pattern's first element in the pattern set (4-bit).
-    pub pattern_index: u8,
-    /// Number of pattern elements forming the pattern (4-bit).
-    pub pattern_size: u8,
+    /// Index of the pattern's first element in the branch's pattern set
+    /// (4-bit in hardware, within the streamed window).
+    pub pattern_index: u32,
+    /// Number of pattern elements forming the pattern (4-bit in hardware).
+    pub pattern_size: u32,
     /// Total branch executions covered by one iteration of the pattern
     /// (sum of the repetitions of its elements, 16-bit).
     pub pattern_counter: u16,

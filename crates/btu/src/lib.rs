@@ -50,5 +50,5 @@ pub mod encode;
 pub mod unit;
 
 pub use element::{CheckpointElement, PatternElement, TraceElement};
-pub use encode::{EncodedBranchTrace, EncodedTraces};
+pub use encode::{BranchTrace, EncodedBranchTrace, EncodedTraces, TraceSizes};
 pub use unit::{BranchTraceUnit, BtuConfig, BtuLookup, BtuStats};

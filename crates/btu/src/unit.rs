@@ -4,11 +4,13 @@
 
 use crate::cursor::TraceCursor;
 use crate::element::{entry_storage_bits, ELEMENTS_PER_ENTRY};
-use crate::encode::{EncodedBranchTrace, EncodedTraces};
+use crate::encode::EncodedTraces;
 use cassandra_trace::hints::BranchHint;
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
-/// Sentinel in the PC → slot table for branches without an encoded trace.
+/// Sentinel in the PC → slot table for PCs that are not multi-target
+/// branches.
 const NO_SLOT: u32 = u32::MAX;
 
 /// Configuration of the BTU.
@@ -136,7 +138,7 @@ pub struct BtuLookup {
     pub extra_latency: u64,
 }
 
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 struct BranchState {
     /// Speculative fetch-side cursor.
     fetch: TraceCursor,
@@ -152,57 +154,47 @@ struct Partition {
     resident: Vec<usize>,
 }
 
-/// One program's dense replay tables: the hint LUT, the PC → slot table and
-/// the per-slot cursors/traces. A single-tenant BTU holds exactly one image
-/// (the construction image); multi-tenant consolidation registers one per
+/// One program's replay state: its shared encoded traces plus this unit's
+/// own PC-indexed tables (the hint LUT and the PC → slot table) and
+/// per-slot cursors. A single-tenant BTU holds exactly one image (the
+/// construction image); multi-tenant consolidation registers one per
 /// context ([`BranchTraceUnit::register_context`]) because distinct
 /// programs' branch PCs overlap.
 #[derive(Debug, Clone)]
 struct TraceImage {
-    encoded: EncodedTraces,
-    /// PC-indexed hint LUT mirroring `encoded.hints`.
+    /// The program's traces, shared with the analysis they came from; slot
+    /// `k` replays its `k`-th multi-target branch.
+    encoded: Arc<EncodedTraces>,
+    /// PC-indexed hint LUT mirroring `encoded`'s hints.
     hint_of: Vec<Option<BranchHint>>,
-    /// PC-indexed slot table: `NO_SLOT` for PCs without an encoded trace.
+    /// PC-indexed slot table: `NO_SLOT` for PCs that are not multi-target
+    /// branches.
     slot_of: Vec<u32>,
     /// Per-slot replay state; conceptually the Checkpoint Table backed by
     /// the trace data pages, so it survives evictions, flushes and partition
     /// reassignments.
     slots: Vec<BranchState>,
-    /// Per-slot encoded trace, cloned out of `encoded` in slot order so a
-    /// lookup advances its cursor without touching the trace map.
-    slot_traces: Vec<EncodedBranchTrace>,
 }
 
 impl TraceImage {
-    fn new(encoded: EncodedTraces) -> Self {
-        let table_len = encoded
-            .hints
-            .hints
-            .keys()
-            .chain(encoded.traces.keys())
-            .max()
-            .map_or(0, |&max_pc| max_pc + 1);
+    fn new(encoded: Arc<EncodedTraces>) -> Self {
+        // Hints come in PC order, so the last one bounds the tables.
+        let table_len = encoded.hints().last().map_or(0, |(max_pc, _)| max_pc + 1);
         let mut hint_of = vec![None; table_len];
-        for (&pc, &hint) in &encoded.hints.hints {
-            hint_of[pc] = Some(hint);
-        }
         let mut slot_of = vec![NO_SLOT; table_len];
-        let mut slots = Vec::with_capacity(encoded.traces.len());
-        let mut slot_traces = Vec::with_capacity(encoded.traces.len());
-        for (&pc, trace) in &encoded.traces {
-            slot_of[pc] = slots.len() as u32;
-            slots.push(BranchState {
-                fetch: TraceCursor::new(),
-                committed: TraceCursor::new(),
-            });
-            slot_traces.push(trace.clone());
+        let mut slots = 0;
+        for (pc, hint) in encoded.hints() {
+            hint_of[pc] = Some(hint);
+            if let BranchHint::MultiTarget { .. } = hint {
+                slot_of[pc] = slots;
+                slots += 1;
+            }
         }
         TraceImage {
-            encoded,
             hint_of,
             slot_of,
-            slots,
-            slot_traces,
+            slots: vec![BranchState::default(); slots as usize],
+            encoded,
         }
     }
 }
@@ -212,9 +204,10 @@ impl TraceImage {
 /// Per-branch structures are slot-indexed dense tables built once at
 /// construction rather than tree maps: branch PCs are small instruction
 /// indices, so a PC-indexed LUT answers the hint in O(1), and each
-/// multi-target branch gets a slot holding its replay cursors next to a
-/// clone of its encoded trace. Fetch, commit and the squash scan touch only
-/// these flat arrays — the hot per-branch path does no tree walks.
+/// multi-target branch gets a slot holding its replay cursors, which read
+/// the branch's elements straight out of the shared [`EncodedTraces`].
+/// Fetch, commit and the squash scan touch only flat arrays — the hot
+/// per-branch path does no tree walks and construction copies no trace.
 #[derive(Debug, Clone)]
 pub struct BranchTraceUnit {
     config: BtuConfig,
@@ -245,11 +238,12 @@ pub struct BranchTraceUnit {
 }
 
 impl BranchTraceUnit {
-    /// Creates a BTU for a program's encoded traces.
-    pub fn new(config: BtuConfig, encoded: EncodedTraces) -> Self {
+    /// Creates a BTU for a program's encoded traces, sharing them rather
+    /// than copying when handed an `Arc`.
+    pub fn new(config: BtuConfig, encoded: impl Into<Arc<EncodedTraces>>) -> Self {
         BranchTraceUnit {
             config,
-            images: vec![TraceImage::new(encoded)],
+            images: vec![TraceImage::new(encoded.into())],
             context_images: Vec::new(),
             active_image: 0,
             active_context: None,
@@ -267,8 +261,8 @@ impl BranchTraceUnit {
     /// one image per context. Re-registering a context replaces its image
     /// (fresh cursors). Contexts without a registered image are served by
     /// the construction image, preserving the single-program behavior.
-    pub fn register_context(&mut self, context: u64, encoded: EncodedTraces) {
-        let image = TraceImage::new(encoded);
+    pub fn register_context(&mut self, context: u64, encoded: impl Into<Arc<EncodedTraces>>) {
+        let image = TraceImage::new(encoded.into());
         if let Some(idx) = self
             .context_images
             .iter()
@@ -379,7 +373,7 @@ impl BranchTraceUnit {
 
     /// The hint of an analyzed crypto branch, answered from the dense LUT.
     ///
-    /// Equivalent to `encoded().hint(pc)` without the tree lookup; frontends
+    /// Equivalent to `encoded().hint(pc)` without the binary search; frontends
     /// probe this once per fetched branch.
     #[inline]
     pub fn hint(&self, pc: usize) -> Option<BranchHint> {
@@ -611,20 +605,14 @@ impl BranchTraceUnit {
             Some(BranchHint::MultiTarget { .. }) => {
                 let (hit, extra_latency) = self.touch_entry(pc);
                 let image = &mut self.images[self.active_image];
-                let slot = image.slot_of.get(pc).copied().unwrap_or(NO_SLOT);
-                if slot == NO_SLOT {
-                    // Hinted as multi-target but the trace is unavailable:
-                    // behave like a stall (defensive; not expected).
+                // Every multi-target branch has a slot (`TraceImage::new`).
+                let slot = image.slot_of[pc] as usize;
+                let trace = image.encoded.trace_at(slot, pc);
+                let next_pc = image.slots[slot].fetch.next_target(trace);
+                if next_pc.is_none() {
+                    // An empty trace: nothing to replay, so fetch stalls.
                     self.stats.stall_lookups += 1;
-                    return BtuLookup {
-                        next_pc: None,
-                        hit: false,
-                        needs_stall: true,
-                        extra_latency,
-                    };
                 }
-                let trace = &image.slot_traces[slot as usize];
-                let next_pc = image.slots[slot as usize].fetch.next_target(trace);
                 BtuLookup {
                     next_pc,
                     hit,
@@ -643,11 +631,9 @@ impl BranchTraceUnit {
         }
         self.stats.commits += 1;
         let image = &mut self.images[self.active_image];
-        let slot = image.slot_of.get(pc).copied().unwrap_or(NO_SLOT);
-        if slot != NO_SLOT {
-            let trace = &image.slot_traces[slot as usize];
-            let _ = image.slots[slot as usize].committed.next_target(trace);
-        }
+        let slot = image.slot_of[pc] as usize;
+        let trace = image.encoded.trace_at(slot, pc);
+        let _ = image.slots[slot].committed.next_target(trace);
     }
 
     /// Squash recovery (§5.3): undo all speculative fetch-side progress, for

@@ -27,6 +27,7 @@ use cassandra_isa::error::IsaError;
 use cassandra_kernels::workload::Workload;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Default tenant count of the standard registry experiment (the smallest
 /// mix the acceptance bar calls "consolidated").
@@ -138,7 +139,7 @@ pub fn consolidation_with(
             .zip(&analyses)
             .map(|(w, a)| Tenant {
                 program: &w.kernel.program,
-                traces: Some(a.encoded.clone()),
+                traces: Some(Arc::clone(&a.encoded)),
             })
             .collect();
         let btu = defense.uses_btu().then(|| analyses[0].make_btu(&cfg));

@@ -489,9 +489,9 @@ impl AnalysisStore {
     /// Serializes the store's contents for a later warm-start. Entries are
     /// ordered by fingerprint, so equal stores snapshot identically. The
     /// read lock is held only while the entries' `Arc`s are copied out;
-    /// the deep clone of every bundle runs after it is released, so a
-    /// journal compaction delays a fresh insert by an `Arc` copy per
-    /// entry, not by a copy of the whole store. Static
+    /// every bundle is cloned (its summary copied, its encoding shared)
+    /// after it is released, so a journal compaction delays a fresh insert
+    /// by an `Arc` copy per entry, not by a copy of the whole store. Static
     /// lint reports are not snapshotted — recomputing them is
     /// milliseconds, unlike Algorithm-2 profiling runs.
     pub fn snapshot(&self) -> AnalysisSnapshot {
@@ -1084,7 +1084,7 @@ impl Evaluator {
         let traces = generate_traces(program, None, step_limit)?;
         Ok(AnalysisBundle {
             summary: TraceSummary::from_bundle(&traces),
-            encoded: EncodedTraces::from_bundle(program, &traces),
+            encoded: Arc::new(EncodedTraces::from_bundle(program, &traces)),
         })
     }
 

@@ -100,6 +100,7 @@ use cassandra_isa::program::Program;
 use cassandra_kernels::workload::Workload;
 use cassandra_trace::stats::{BranchAnalysisRow, TraceSummary};
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 pub use consolidation::{consolidation, consolidation_with, ConsolidationResult};
 pub use eval::{
@@ -116,36 +117,45 @@ pub use registry::{Experiment, ExperimentOutput, ExperimentRegistry};
 pub const ANALYSIS_STEP_LIMIT: u64 = 200_000_000;
 
 /// The result of the software side of Cassandra for one program, in the
-/// form it is replayed from: the hardware encoding of the traces and hints
-/// that a Branch Trace Unit is built from, plus the Table 1 summary of the
-/// Algorithm 2 run. The vanilla and k-mers traces themselves are dropped
-/// once both are built; [`cassandra_trace::genproc::generate_traces`]
-/// still returns them whole.
+/// form it is replayed from: the flat hardware encoding of the traces and
+/// hints, which every Branch Trace Unit built from this analysis shares,
+/// plus the program name and timing of the Algorithm 2 run. The encoding
+/// also keeps each branch's two Table 1 sizes. The vanilla and k-mers
+/// traces themselves are dropped once it is built;
+/// [`cassandra_trace::genproc::generate_traces`] still returns them whole.
 ///
 /// Serializable so an [`eval::AnalysisStore`] can snapshot its contents for
 /// warm-starts (see [`eval::AnalysisSnapshot`]).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct AnalysisBundle {
-    /// Program name, §7.5 timing and per-branch trace sizes (Table 1).
+    /// Program name and §7.5 timing.
     pub summary: TraceSummary,
-    /// Hardware encoding of the traces and hints (§5.2).
-    pub encoded: EncodedTraces,
+    /// Hardware encoding of the traces and hints (§5.2), with each
+    /// branch's Table 1 sizes.
+    pub encoded: Arc<EncodedTraces>,
 }
 
 impl AnalysisBundle {
-    /// Builds a fresh Branch Trace Unit pre-loaded with these traces.
+    /// Builds a fresh Branch Trace Unit replaying these traces; the unit
+    /// shares the encoding instead of copying it.
     pub fn make_btu(&self, config: &CpuConfig) -> BranchTraceUnit {
-        BranchTraceUnit::new(config.btu, self.encoded.clone())
+        BranchTraceUnit::new(config.btu, Arc::clone(&self.encoded))
     }
 
     /// Number of crypto branches that were analyzed (appeared in profiling).
     pub fn analyzed_branches(&self) -> usize {
-        self.encoded.hints.len()
+        self.encoded.analyzed_branches()
     }
 
     /// This program's Table 1 row.
     pub fn branch_row(&self) -> BranchAnalysisRow {
-        BranchAnalysisRow::from_summary(&self.summary, &self.encoded.hints)
+        BranchAnalysisRow::from_sizes(
+            &self.summary.program_name,
+            self.encoded
+                .trace_sizes()
+                .map(|t| (t.vanilla_len, t.kmers_size)),
+            self.encoded.single_target_count(),
+        )
     }
 }
 

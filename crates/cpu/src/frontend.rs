@@ -206,7 +206,7 @@ pub trait BranchSource: fmt::Debug {
     fn register_btu_context(
         &mut self,
         _context: u64,
-        _encoded: cassandra_btu::encode::EncodedTraces,
+        _encoded: std::sync::Arc<cassandra_btu::encode::EncodedTraces>,
     ) {
     }
 
@@ -418,7 +418,7 @@ impl BranchSource for BtuSource {
     fn register_btu_context(
         &mut self,
         context: u64,
-        encoded: cassandra_btu::encode::EncodedTraces,
+        encoded: std::sync::Arc<cassandra_btu::encode::EncodedTraces>,
     ) {
         if let Some(btu) = &mut self.btu {
             btu.register_context(context, encoded);
@@ -683,7 +683,7 @@ impl BranchSource for TournamentSource {
     fn register_btu_context(
         &mut self,
         context: u64,
-        encoded: cassandra_btu::encode::EncodedTraces,
+        encoded: std::sync::Arc<cassandra_btu::encode::EncodedTraces>,
     ) {
         if let Some(btu) = &mut self.btu {
             btu.register_context(context, encoded);

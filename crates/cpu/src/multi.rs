@@ -27,6 +27,7 @@ use cassandra_btu::encode::EncodedTraces;
 use cassandra_btu::unit::{BranchTraceUnit, ContextBtuStats, VictimPolicy};
 use cassandra_isa::error::IsaError;
 use cassandra_isa::program::Program;
+use std::sync::Arc;
 
 /// Scheduling quantum (committed instructions per turn) when the
 /// configuration does not specify a flush interval.
@@ -69,7 +70,7 @@ pub struct Tenant<'p> {
     /// The tenant's program.
     pub program: &'p Program,
     /// The tenant's own BTU traces, registered under its context id.
-    pub traces: Option<EncodedTraces>,
+    pub traces: Option<Arc<EncodedTraces>>,
 }
 
 /// One tenant's slice of a consolidated run's outcome.
@@ -168,7 +169,7 @@ impl<'p> MultiTenantSimulator<'p> {
         for (context, tenant) in tenants.iter().enumerate() {
             if let Some(traces) = &tenant.traces {
                 sim.frontend_mut()
-                    .register_btu_context(context as u64, traces.clone());
+                    .register_btu_context(context as u64, Arc::clone(traces));
             }
         }
         if policy == SwitchPolicy::WorkingSet {
@@ -362,7 +363,7 @@ mod tests {
             .iter()
             .map(|p| Tenant {
                 program: p,
-                traces: Some(encoded_for(p)),
+                traces: Some(Arc::new(encoded_for(p))),
             })
             .collect()
     }

@@ -246,27 +246,44 @@ fn garbage_journal_boots_cold_without_panicking() {
     let _ = std::fs::remove_file(&path);
 }
 
-/// A journal written by an older server, whose entries carried the whole
-/// Algorithm 2 output (cache-journal format v3, captured from a live
-/// session), no longer parses: the server boots cold with the
-/// corrupt-journal warning, rewrites the file, and journals on top of it.
+/// Journals written by older servers no longer parse: v3 entries carried
+/// the whole Algorithm 2 output, and v4 entries held the encoding in
+/// per-branch maps beside a per-branch summary (both captured from live
+/// sessions). The server boots cold with the corrupt-journal warning,
+/// rewrites the file, and journals on top of it.
 #[test]
 fn old_format_journal_boots_cold_and_is_rewritten() {
-    let path = journal_path("v3");
-    let old = include_str!("fixtures/cache_journal_v3.jsonl");
-    assert!(old.contains("\"bundle\":{\"program_name\""), "a v3 entry");
-    std::fs::write(&path, old).unwrap();
+    for (version, old, marker) in [
+        (
+            "v3",
+            include_str!("fixtures/cache_journal_v3.jsonl"),
+            "\"bundle\":{\"program_name\"",
+        ),
+        (
+            "v4",
+            include_str!("fixtures/cache_journal_v4.jsonl"),
+            "\"encoded\":{\"traces\":{",
+        ),
+    ] {
+        let path = journal_path(version);
+        assert!(old.contains(marker), "a {version} entry");
+        assert_eq!(old.lines().count(), 1, "a one-line {version} journal");
+        std::fs::write(&path, old).unwrap();
 
-    let service = EvalService::new().with_cache_file(&path);
-    assert!(service.store().is_empty(), "a v3 entry must not replay");
-    let rewritten = std::fs::read_to_string(&path).unwrap();
-    assert_eq!(rewritten, "{\"entries\":[]}\n", "replay rewrites the file");
-    drop(service);
+        let service = EvalService::new().with_cache_file(&path);
+        assert!(
+            service.store().is_empty(),
+            "a {version} entry must not replay"
+        );
+        let rewritten = std::fs::read_to_string(&path).unwrap();
+        assert_eq!(rewritten, "{\"entries\":[]}\n", "replay rewrites the file");
+        drop(service);
 
-    let (_, misses) = lifetime(&path, false);
-    assert_eq!(misses, 2, "cold start over the old journal");
-    let (hits, misses) = lifetime(&path, false);
-    assert_eq!(misses, 0, "appends after the rewrite survive a restart");
-    assert_eq!(hits, 2);
-    let _ = std::fs::remove_file(&path);
+        let (_, misses) = lifetime(&path, false);
+        assert_eq!(misses, 2, "cold start over the {version} journal");
+        let (hits, misses) = lifetime(&path, false);
+        assert_eq!(misses, 0, "appends after the rewrite survive a restart");
+        assert_eq!(hits, 2);
+        let _ = std::fs::remove_file(&path);
+    }
 }

@@ -47,5 +47,5 @@ pub use fingerprint::program_fingerprint;
 pub use genproc::{generate_traces, TraceBundle};
 pub use hints::{BranchHint, BranchHints};
 pub use kmers::{KmersTrace, PatternSet};
-pub use stats::{BranchSummary, TraceSummary};
+pub use stats::TraceSummary;
 pub use vanilla::{VanillaElement, VanillaTrace};

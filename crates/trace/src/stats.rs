@@ -5,40 +5,22 @@
 //! maximum vanilla-trace size, the average and maximum k-mers trace size
 //! (trace + pattern set), and the resulting compression rates.
 //!
-//! Those statistics need only each branch's two sizes, so a
-//! [`TraceSummary`] keeps exactly that much of a [`TraceBundle`] (plus the
-//! §7.5 timing): an analysis store holds the summary and the BTU encoding,
-//! and drops the vanilla and k-mers traces once both are built.
+//! Those statistics need only each branch's two sizes. An analysis store
+//! keeps them beside the branch's BTU encoding and keeps a [`TraceSummary`]
+//! (program name and §7.5 timing) of the rest, dropping the vanilla and
+//! k-mers traces once the encoding is built.
 
 use crate::genproc::{GenTiming, TraceBundle};
-use crate::hints::BranchHints;
-use cassandra_isa::instr::BranchKind;
 use serde::{Deserialize, Serialize};
 
-/// The Table-1 view of one stored branch trace.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct BranchSummary {
-    /// Branch PC.
-    pub pc: usize,
-    /// Branch classification.
-    pub kind: BranchKind,
-    /// Vanilla (RLE) trace size in elements.
-    pub vanilla_len: usize,
-    /// k-mers representation size (trace + pattern set) in elements.
-    pub kmers_size: usize,
-}
-
-/// What Table 1 and the §7.5 timing read of one Algorithm 2 run: the
-/// program name, the step timing and the two trace sizes of every branch
-/// with a stored trace, in PC order.
+/// What an analysis store keeps of one Algorithm 2 run besides the BTU
+/// encoding: the program name and the step timing.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct TraceSummary {
     /// Name of the analyzed program.
     pub program_name: String,
     /// Timing breakdown of the generation steps.
     pub timing: GenTiming,
-    /// One entry per multi-target branch with a stored trace, by PC.
-    pub branches: Vec<BranchSummary>,
 }
 
 impl TraceSummary {
@@ -47,16 +29,6 @@ impl TraceSummary {
         TraceSummary {
             program_name: bundle.program_name.clone(),
             timing: bundle.timing,
-            branches: bundle
-                .branches
-                .values()
-                .map(|data| BranchSummary {
-                    pc: data.pc,
-                    kind: data.kind,
-                    vanilla_len: data.vanilla.len(),
-                    kmers_size: data.kmers.total_size(),
-                })
-                .collect(),
         }
     }
 }
@@ -87,17 +59,29 @@ pub struct BranchAnalysisRow {
 impl BranchAnalysisRow {
     /// Computes the row for one analyzed program.
     pub fn from_bundle(bundle: &TraceBundle) -> Self {
-        Self::from_summary(&TraceSummary::from_bundle(bundle), &bundle.hints)
+        Self::from_sizes(
+            &bundle.program_name,
+            bundle
+                .branches
+                .values()
+                .map(|data| (data.vanilla.len(), data.kmers.total_size())),
+            bundle.hints.single_target_count(),
+        )
     }
 
-    /// Computes the row from a program's summary and its branch hints.
-    pub fn from_summary(summary: &TraceSummary, hints: &BranchHints) -> Self {
+    /// Computes the row from the `(vanilla length, k-mers size)` of every
+    /// multi-target branch with a stored trace, in PC order, and the number
+    /// of single-target branches.
+    pub fn from_sizes(
+        program: &str,
+        sizes: impl IntoIterator<Item = (usize, usize)>,
+        single_target_branches: usize,
+    ) -> Self {
         let mut vanilla_sizes: Vec<usize> = Vec::new();
         let mut kmers_sizes: Vec<usize> = Vec::new();
         let mut rates: Vec<f64> = Vec::new();
-        for branch in &summary.branches {
-            let v = branch.vanilla_len;
-            let k = branch.kmers_size.max(1);
+        for (v, k) in sizes {
+            let k = k.max(1);
             vanilla_sizes.push(v);
             kmers_sizes.push(k);
             rates.push(v as f64 / k as f64);
@@ -117,9 +101,9 @@ impl BranchAnalysisRow {
             }
         };
         BranchAnalysisRow {
-            program: summary.program_name.clone(),
-            multi_target_branches: summary.branches.len(),
-            single_target_branches: hints.single_target_count(),
+            program: program.to_string(),
+            multi_target_branches: vanilla_sizes.len(),
+            single_target_branches,
             vanilla_avg: avg(&vanilla_sizes),
             vanilla_max: vanilla_sizes.iter().copied().max().unwrap_or(0),
             kmers_avg: avg(&kmers_sizes),

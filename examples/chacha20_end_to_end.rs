@@ -27,7 +27,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Analyze its branches and inspect the compression.
     let analysis = analyze_program(&kernel.program, kernel.step_limit)?;
     println!("\nper-branch trace compression:");
-    for branch in &analysis.summary.branches {
+    for branch in analysis.encoded.trace_sizes() {
         println!(
             "  branch @{:<4} vanilla {:>5} elements   k-mers {:>3} elements   ({}x)",
             branch.pc,

@@ -22,10 +22,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!(
         "branch analysis: {} branches analyzed ({} single-target, {} with compressed traces)",
         analysis.analyzed_branches(),
-        analysis.encoded.hints.single_target_count(),
-        analysis.encoded.hints.multi_target_count(),
+        analysis.encoded.single_target_count(),
+        analysis.encoded.multi_target_count(),
     );
-    for branch in &analysis.summary.branches {
+    for branch in analysis.encoded.trace_sizes() {
         println!(
             "  branch @{}: vanilla {} elements -> k-mers {} elements",
             branch.pc, branch.vanilla_len, branch.kmers_size

@@ -31,6 +31,25 @@ pub fn quick_workloads() -> Vec<Workload> {
     ]
 }
 
+/// The four kernel families a server is sent as fresh `Submit`s, each at
+/// several input sizes up to 2 KiB: the store-footprint sample.
+pub fn submit_sample() -> Vec<Workload> {
+    let mut sample = Vec::new();
+    for size in [64, 640, 1280, 2048] {
+        sample.push(suite::chacha20_workload(size));
+    }
+    for size in [16, 512, 1024, 2048] {
+        sample.push(suite::poly1305_workload(size));
+    }
+    for size in [1, 100, 1000, 2048] {
+        sample.push(suite::sha256_workload(size));
+    }
+    for size in [1, 64, 128, 256] {
+        sample.push(suite::des_workload(size));
+    }
+    sample
+}
+
 /// A deterministically seeded nested-loop crypto program: `outer` iterations
 /// of an inner loop whose trip count varies per builder call. Used by the
 /// property tests to generate arbitrarily many distinct multi-target branch

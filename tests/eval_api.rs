@@ -232,8 +232,9 @@ fn free_function_shims_match_the_session() {
     );
 }
 
-/// A store keeps each analysis as the BTU encoding plus a Table 1 summary;
-/// for every paper program, the row rebuilt from that stored form (also
+/// A store keeps each analysis as the BTU encoding, whose trace records
+/// carry each branch's Table 1 sizes; for every paper program, the row
+/// rebuilt from that stored form (also
 /// after a journal round trip) equals the row of the full Algorithm 2
 /// output, f64 compression rates included, and so does the §7.5 branch
 /// count.
@@ -251,13 +252,12 @@ fn stored_summaries_reproduce_table1_for_the_paper_suite() {
         let sizes: Vec<_> = traces
             .branches
             .values()
-            .map(|d| (d.pc, d.kind, d.vanilla.len(), d.kmers.total_size()))
+            .map(|d| (d.pc, d.vanilla.len(), d.kmers.total_size()))
             .collect();
         let stored: Vec<_> = analysis
-            .summary
-            .branches
-            .iter()
-            .map(|b| (b.pc, b.kind, b.vanilla_len, b.kmers_size))
+            .encoded
+            .trace_sizes()
+            .map(|b| (b.pc, b.vanilla_len, b.kmers_size))
             .collect();
         assert_eq!(stored, sizes, "{}", w.name);
         expected.push(BranchAnalysisRow::from_bundle(&traces));

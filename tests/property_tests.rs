@@ -72,12 +72,16 @@ fn btu_encoding_and_cursor_replay_the_trace() {
         let branch_pc = rng.range(0, 512) as usize;
         let vanilla = VanillaTrace::from_targets(&targets);
         let kmers = compress(&vanilla, &KmersConfig::default());
-        let encoded = EncodedBranchTrace::from_kmers(branch_pc, &kmers, true);
-        assert_eq!(encoded.expand_targets(), targets, "seed {seed}");
+        let encoded = EncodedBranchTrace::from_kmers(branch_pc, &kmers);
+        assert_eq!(encoded.as_trace().expand_targets(), targets, "seed {seed}");
 
         let mut cursor = TraceCursor::new();
         let replay: Vec<usize> = (0..targets.len())
-            .map(|_| cursor.next_target(&encoded).expect("trace has elements"))
+            .map(|_| {
+                cursor
+                    .next_target(encoded.as_trace())
+                    .expect("trace has elements")
+            })
             .collect();
         assert_eq!(replay, targets, "seed {seed}");
     }
@@ -90,7 +94,7 @@ fn pattern_repetitions_fit_hardware() {
         let targets = target_sequence(&mut Rng::new(seed));
         let vanilla = VanillaTrace::from_targets(&targets);
         let kmers = compress(&vanilla, &KmersConfig::default());
-        let encoded = EncodedBranchTrace::from_kmers(100, &kmers, true);
+        let encoded = EncodedBranchTrace::from_kmers(100, &kmers);
         for p in &encoded.patterns {
             assert!(u64::from(p.repetitions) <= 255, "seed {seed}");
         }
