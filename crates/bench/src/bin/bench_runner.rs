@@ -1,6 +1,6 @@
 //! `bench-runner` — the simulator-throughput CLI behind `BENCH_<pr>.json`.
 //!
-//! Three subcommands:
+//! Four subcommands:
 //!
 //! * `run --suite smoke|paper [--out FILE]` — time the suite across the
 //!   representative policies and emit one `Measurement` as JSON (stdout or
@@ -12,11 +12,6 @@
 //!   validate the committed trajectory's schema, re-run the suite and fail
 //!   (exit 1) if current throughput regressed more than the allowed
 //!   fraction below the committed `after` cells/sec. This is the CI gate.
-//! * `frontier --suite smoke|paper [--out FILE]` — time the exhaustive and
-//!   the successive-halving frontier search over the standard grid and emit
-//!   both `FrontierThroughput` reports as JSON. Informational (not part of
-//!   the committed trajectory schema); the summary prints the full-suite
-//!   cells the halving saved.
 //! * `server [--clients 1,4,8] [--repeat N] [--before-addr HOST:PORT]
 //!   [--out FILE]` — time end-to-end wire throughput against an in-process
 //!   server at each client count; with `--before-addr` (an externally
@@ -28,9 +23,9 @@
 //!   client count.
 
 use cassandra_bench::{
-    guarded_speedup, measure_frontier, measure_server_suite, measure_suite_best,
-    validate_trajectory, BenchTrajectory, Measurement, ServerMeasurement, ServerSuiteTrajectory,
-    SuiteTrajectory, REPRESENTATIVE_POLICIES, SERVER_SUITE_CLIENTS, TRAJECTORY_SCHEMA,
+    guarded_speedup, measure_server_suite, measure_suite_best, validate_trajectory,
+    BenchTrajectory, Measurement, ServerMeasurement, ServerSuiteTrajectory, SuiteTrajectory,
+    REPRESENTATIVE_POLICIES, SERVER_SUITE_CLIENTS, TRAJECTORY_SCHEMA,
 };
 use std::process::ExitCode;
 
@@ -47,7 +42,6 @@ fn usage() -> ! {
          [--server FILE] --out FILE\n  \
          bench-runner check --against FILE [--suite smoke|paper|server] \
          [--max-regression 0.25]\n  \
-         bench-runner frontier --suite smoke|paper [--out FILE]\n  \
          bench-runner server [--clients 1,4,8] [--repeat N] \
          [--before-addr HOST:PORT] [--out FILE]"
     );
@@ -327,43 +321,6 @@ fn cmd_server(mut args: Vec<String>) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-fn cmd_frontier(mut args: Vec<String>) -> ExitCode {
-    let suite = take_flag(&mut args, "--suite").unwrap_or_else(|| usage());
-    let out = take_flag(&mut args, "--out");
-    if !args.is_empty() {
-        usage();
-    }
-    let exhaustive = measure_frontier(&suite, false);
-    let adaptive = measure_frontier(&suite, true);
-    for report in [&exhaustive, &adaptive] {
-        eprintln!(
-            "{} frontier ({}): {} sims in {:.3}s — {:.1} sims/s, {}/{} full-suite cells, \
-             {} Pareto points",
-            report.suite,
-            if report.adaptive {
-                "successive halving"
-            } else {
-                "exhaustive"
-            },
-            report.simulations,
-            report.wall_seconds,
-            report.sims_per_sec,
-            report.cells_simulated_full,
-            report.grid_cells,
-            report.frontier_points
-        );
-    }
-    eprintln!(
-        "halving saved {} full-suite cells ({} -> {})",
-        exhaustive.cells_simulated_full - adaptive.cells_simulated_full,
-        exhaustive.cells_simulated_full,
-        adaptive.cells_simulated_full
-    );
-    let text = serde_json::to_string(&[&exhaustive, &adaptive]).expect("serializable reports");
-    write_or_print(out.as_deref(), &text);
-    ExitCode::SUCCESS
-}
-
 fn main() -> ExitCode {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
     if args.is_empty() {
@@ -374,7 +331,6 @@ fn main() -> ExitCode {
         "run" => cmd_run(args),
         "emit" => cmd_emit(args),
         "check" => cmd_check(args),
-        "frontier" => cmd_frontier(args),
         "server" => cmd_server(args),
         _ => usage(),
     }

@@ -1,10 +1,9 @@
 //! The throughput bench harness behind `bench-runner` and the committed
 //! `BENCH_*.json` perf trajectory.
 //!
-//! The criterion benches under `benches/` regenerate the paper's tables and
-//! figures; this library measures something different — **simulator
-//! throughput**: how many (workload × policy) sweep cells per second and how
-//! many simulated cycles per second the core sustains. Every downstream
+//! This library measures **simulator throughput**: how many (workload ×
+//! policy) sweep cells per second and how many simulated cycles per second
+//! the core sustains. Every downstream
 //! layer (grid sweeps, the evaluation service, frontier search) multiplies
 //! the cost of one `Simulator` tick loop, so this number is the repo's
 //! primary performance metric and is tracked PR-over-PR in `BENCH_<pr>.json`
@@ -27,8 +26,7 @@
 //! tournament hybrid). Analyses are warmed before the clock starts: the
 //! bench times *simulation* throughput, not Algorithm-2 trace generation.
 
-use cassandra_core::eval::{CancelToken, DesignPoint, Evaluator};
-use cassandra_core::frontier::{frontier_with, standard_grid, AdaptiveSearch};
+use cassandra_core::eval::{DesignPoint, Evaluator};
 use cassandra_core::policies::PolicyRegistry;
 use cassandra_kernels::suite;
 use cassandra_kernels::workload::Workload;
@@ -268,69 +266,6 @@ pub fn measure_suite_best(suite_name: &str, repeats: u32) -> Measurement {
     best.expect("at least one run")
 }
 
-/// Throughput of one frontier search over a suite: how many simulation
-/// cells per second the search sustains, and how many full-suite cells the
-/// adaptive strategy saved. Reported by `bench-runner frontier`; not part
-/// of the committed [`BenchTrajectory`] schema.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct FrontierThroughput {
-    /// Suite name (`smoke` or `paper`).
-    pub suite: String,
-    /// True for the successive-halving search, false for exhaustive.
-    pub adaptive: bool,
-    /// Distinct grid cells scored.
-    pub grid_cells: usize,
-    /// Cells simulated on the full workload group.
-    pub cells_simulated_full: usize,
-    /// Total workload simulations performed (baseline runs included).
-    pub simulations: usize,
-    /// Pareto points found.
-    pub frontier_points: usize,
-    /// Wall-clock seconds for the search (analyses pre-warmed).
-    pub wall_seconds: f64,
-    /// Simulations per second — the frontier-throughput metric.
-    pub sims_per_sec: f64,
-}
-
-/// Times one frontier search (exhaustive or successive-halving) over the
-/// standard grid and `suite_name`'s workloads. Analyses and the security
-/// probes' gadget analyses are warmed by an untimed first run, so the wall
-/// clock measures search throughput, not Algorithm 2.
-///
-/// # Panics
-///
-/// Panics if the search fails — a bench run on a broken engine has no
-/// meaningful result.
-pub fn measure_frontier(suite_name: &str, adaptive: bool) -> FrontierThroughput {
-    let workloads = suite_workloads(suite_name);
-    let grid = standard_grid();
-    let search = adaptive.then(AdaptiveSearch::default);
-    let cancel = CancelToken::new();
-    let mut session = Evaluator::new();
-    // Warm analyses (workloads + the security probes' gadget matrix).
-    frontier_with(&mut session, &workloads, &grid, search, &cancel, |_| {})
-        .unwrap_or_else(|e| panic!("frontier warm-up failed: {e:?}"))
-        .expect("not cancelled");
-    let mut counted = 0usize;
-    let start = Instant::now();
-    let result = frontier_with(&mut session, &workloads, &grid, search, &cancel, |_| {
-        counted += 1;
-    })
-    .unwrap_or_else(|e| panic!("frontier search failed: {e:?}"))
-    .expect("not cancelled");
-    let wall = start.elapsed().as_secs_f64().max(f64::EPSILON);
-    FrontierThroughput {
-        suite: suite_name.to_string(),
-        adaptive,
-        grid_cells: result.cells_total,
-        cells_simulated_full: result.cells_simulated_full,
-        simulations: counted,
-        frontier_points: result.frontier.len(),
-        wall_seconds: wall,
-        sims_per_sec: per_second(counted as f64, wall),
-    }
-}
-
 /// Structural validation of a trajectory document: schema tag, policy list,
 /// suite naming and strictly positive throughput numbers. Returns every
 /// violation found (empty means valid).
@@ -440,30 +375,6 @@ mod tests {
         assert_eq!(back.cells, m.cells);
         assert!(back.cells_per_sec.is_finite() && back.cells_per_sec > 0.0);
         assert!(back.sim_cycles_per_sec.is_finite());
-    }
-
-    #[test]
-    fn frontier_bench_counts_simulations_and_pareto_points() {
-        let exhaustive = measure_frontier("smoke", false);
-        assert_eq!(exhaustive.suite, "smoke");
-        assert!(!exhaustive.adaptive);
-        assert_eq!(exhaustive.cells_simulated_full, exhaustive.grid_cells);
-        assert!(exhaustive.frontier_points > 0);
-        assert!(exhaustive.sims_per_sec > 0.0 && exhaustive.sims_per_sec.is_finite());
-
-        let adaptive = measure_frontier("smoke", true);
-        assert!(adaptive.adaptive);
-        assert!(
-            adaptive.cells_simulated_full < exhaustive.cells_simulated_full,
-            "halving must save full-suite cells"
-        );
-        assert!(adaptive.simulations < exhaustive.simulations);
-
-        // The report round-trips through its persisted JSON form.
-        let text = serde_json::to_string(&adaptive).unwrap();
-        let back: FrontierThroughput = serde_json::from_str(&text).unwrap();
-        assert_eq!(back.simulations, adaptive.simulations);
-        assert_eq!(back.frontier_points, adaptive.frontier_points);
     }
 
     #[test]

@@ -192,21 +192,6 @@ pub fn consolidation_with(
     Ok(result)
 }
 
-/// Runs the consolidation experiment on a one-shot session with the default
-/// mix size and quantum (shim; prefer [`consolidation_with`]).
-///
-/// # Errors
-///
-/// Propagates analysis or simulation errors.
-pub fn consolidation(workloads: &[Workload]) -> Result<ConsolidationResult, IsaError> {
-    consolidation_with(
-        &mut Evaluator::new(),
-        workloads,
-        CONSOLIDATION_TENANTS,
-        CONSOLIDATION_QUANTUM,
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

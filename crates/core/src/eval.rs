@@ -41,12 +41,11 @@
 //! [`EvaluatorBuilder::store`] share one `Arc<AnalysisStore>`, which is how
 //! the evaluation server lets N in-flight requests share one cache.
 //!
-//! With the `parallel` feature (enabled by default) sweeps simulate design
-//! points on all available cores using scoped threads; analysis stays
-//! serial (guarded per fingerprint) so the exactly-once property is
-//! trivially preserved. (The vendored offline toolchain has no `rayon`; the
-//! thread pool is a small `std::thread::scope` work queue with identical
-//! output ordering.)
+//! Sweeps simulate design points on all available cores using scoped
+//! threads; analysis stays serial (guarded per fingerprint) so the
+//! exactly-once property is trivially preserved. (The vendored offline
+//! toolchain has no `rayon`; the thread pool is a small
+//! `std::thread::scope` work queue with identical output ordering.)
 
 use crate::{AnalysisBundle, ANALYSIS_STEP_LIMIT};
 use cassandra_analysis::StaticReport;
@@ -217,6 +216,25 @@ fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
 struct StoreEntry {
     bundle: Arc<AnalysisBundle>,
     elapsed: Duration,
+    /// One past the largest analyzed branch PC: the length of the
+    /// PC-indexed tables every BTU built from `bundle` allocates.
+    pc_bound: usize,
+}
+
+impl StoreEntry {
+    fn new(bundle: Arc<AnalysisBundle>, elapsed: Duration) -> Self {
+        // Hints come in PC order, so the last one bounds the tables.
+        let pc_bound = bundle
+            .encoded
+            .hints()
+            .last()
+            .map_or(0, |(max_pc, _)| max_pc + 1);
+        StoreEntry {
+            bundle,
+            elapsed,
+            pc_bound,
+        }
+    }
 }
 
 /// Rendezvous point for threads requesting a fingerprint that is being
@@ -325,10 +343,10 @@ impl AnalysisStore {
         self.len() == 0
     }
 
-    fn lookup(&self, key: u64) -> Option<(Arc<AnalysisBundle>, Duration)> {
+    fn lookup(&self, key: u64) -> Option<(Arc<AnalysisBundle>, Duration, usize)> {
         self.read_entries()
             .get(&key)
-            .map(|e| (Arc::clone(&e.bundle), e.elapsed))
+            .map(|e| (Arc::clone(&e.bundle), e.elapsed, e.pc_bound))
     }
 
     fn notify_observer(&self, entry: &SnapshotEntry) {
@@ -354,6 +372,10 @@ impl AnalysisStore {
     /// any sufficient budget produces the identical bundle. The budget
     /// only gates whether a *cold* analysis completes.
     ///
+    /// An entry whose branch PCs lie past the end of `program` (a corrupt
+    /// or hostile journal line) is dropped and analyzed afresh as a miss:
+    /// replaying it would size every BTU's PC-indexed tables by that PC.
+    ///
     /// # Errors
     ///
     /// Propagates profiling-run errors from Algorithm 2. On error the
@@ -366,16 +388,25 @@ impl AnalysisStore {
     ) -> Result<(Arc<AnalysisBundle>, EvalTiming), IsaError> {
         let key = program_fingerprint(program);
         loop {
-            if let Some((bundle, elapsed)) = self.lookup(key) {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                return Ok((
-                    bundle,
-                    EvalTiming {
-                        analysis: elapsed,
-                        analysis_cached: true,
-                        simulate: Duration::ZERO,
-                    },
-                ));
+            if let Some((bundle, elapsed, pc_bound)) = self.lookup(key) {
+                if pc_bound <= program.len() {
+                    self.hits.fetch_add(1, Ordering::Relaxed);
+                    return Ok((
+                        bundle,
+                        EvalTiming {
+                            analysis: elapsed,
+                            analysis_cached: true,
+                            simulate: Duration::ZERO,
+                        },
+                    ));
+                }
+                let mut entries = self.write_entries();
+                if entries
+                    .get(&key)
+                    .is_some_and(|e| e.pc_bound > program.len())
+                {
+                    entries.remove(&key);
+                }
             }
             let role = {
                 let mut in_flight = lock(&self.in_flight);
@@ -413,13 +444,8 @@ impl AnalysisStore {
                     let start = Instant::now();
                     let analysis = Arc::new(Evaluator::analyze_once(program, step_limit)?);
                     let elapsed = start.elapsed();
-                    self.write_entries().insert(
-                        key,
-                        StoreEntry {
-                            bundle: Arc::clone(&analysis),
-                            elapsed,
-                        },
-                    );
+                    self.write_entries()
+                        .insert(key, StoreEntry::new(Arc::clone(&analysis), elapsed));
                     self.misses.fetch_add(1, Ordering::Relaxed);
                     drop(guard);
                     self.notify_observer(&SnapshotEntry {
@@ -523,10 +549,7 @@ impl AnalysisStore {
         let mut entries = self.write_entries();
         for entry in snapshot.entries {
             if let Entry::Vacant(v) = entries.entry(entry.fingerprint) {
-                v.insert(StoreEntry {
-                    bundle: Arc::new(entry.analysis),
-                    elapsed: entry.elapsed,
-                });
+                v.insert(StoreEntry::new(Arc::new(entry.analysis), entry.elapsed));
                 absorbed += 1;
             }
         }
@@ -593,8 +616,8 @@ impl<'a> SweepExecutor<'a> {
 
     /// Overrides the worker-thread count of streaming sweeps (default: all
     /// available cores, capped at the job count). `Some(1)` forces the
-    /// serial path; ignored when the `parallel` feature is disabled. Tests
-    /// use this to pin result determinism across thread counts.
+    /// serial path. Tests use this to pin result determinism across thread
+    /// counts.
     #[must_use]
     pub fn with_threads(mut self, threads: Option<usize>) -> Self {
         self.threads = threads;
@@ -634,8 +657,7 @@ impl<'a> SweepExecutor<'a> {
 
     /// Evaluates the full workload × design matrix, returning the records
     /// in matrix order (workload-major). Analyses run exactly once per
-    /// distinct program; simulations run in parallel when the `parallel`
-    /// feature is enabled.
+    /// distinct program; simulations run in parallel.
     ///
     /// # Errors
     ///
@@ -756,7 +778,6 @@ where
 /// Runs `run_one` over `jobs` on all available cores (or the explicit
 /// `threads` override), emitting results in job order as the completed
 /// prefix grows. Workers check `cancel` before every cell.
-#[cfg(feature = "parallel")]
 fn stream_jobs<J, R, F>(
     jobs: &[J],
     run_one: R,
@@ -785,7 +806,6 @@ where
 
 /// The multi-worker body of [`stream_jobs`], with an explicit thread count
 /// (separate so tests exercise it on any host).
-#[cfg(feature = "parallel")]
 fn stream_parallel<J, R, F>(
     jobs: &[J],
     run_one: R,
@@ -880,22 +900,6 @@ where
         return Ok(SweepOutcome::Cancelled);
     }
     Ok(SweepOutcome::Complete)
-}
-
-/// Serial fallback when the `parallel` feature is disabled.
-#[cfg(not(feature = "parallel"))]
-fn stream_jobs<J, R, F>(
-    jobs: &[J],
-    run_one: R,
-    cancel: &CancelToken,
-    emit: F,
-    _threads: Option<usize>,
-) -> Result<SweepOutcome, IsaError>
-where
-    R: Fn(&J) -> Result<EvalRecord, IsaError>,
-    F: FnMut(EvalRecord) -> bool,
-{
-    stream_serial(jobs, run_one, cancel, emit)
 }
 
 // ------------------------------------------------------------ evaluator
@@ -1020,8 +1024,7 @@ impl Default for Evaluator {
 
 impl Evaluator {
     /// An empty session (no preconfigured workloads or designs); useful for
-    /// one-shot evaluation and as the delegate of the deprecated-path free
-    /// functions in the crate root.
+    /// one-shot evaluation.
     pub fn new() -> Self {
         EvaluatorBuilder::default().build()
     }
@@ -1074,8 +1077,8 @@ impl Evaluator {
     // ------------------------------------------------------------ analysis
 
     /// Runs Algorithm 2 once, without touching any session cache, and keeps
-    /// its replay form (the `TraceBundle` is dropped) — the one-shot
-    /// primitive behind [`crate::analyze_program`].
+    /// its replay form (the `TraceBundle` is dropped) — the primitive
+    /// behind every store miss.
     ///
     /// # Errors
     ///
@@ -1127,8 +1130,7 @@ impl Evaluator {
     // ---------------------------------------------------------- simulation
 
     /// Simulates `program` under `config` with a caller-provided analysis;
-    /// the primitive behind both the session methods and the deprecated-path
-    /// free functions ([`crate::simulate_program`]).
+    /// the primitive behind the session methods and the sweep executors.
     ///
     /// # Errors
     ///
@@ -1181,8 +1183,7 @@ impl Evaluator {
 
     /// Evaluates the full workload × design matrix configured on this
     /// session, in matrix order (workload-major). Analyses run exactly once
-    /// per distinct program; simulations run in parallel when the
-    /// `parallel` feature is enabled.
+    /// per distinct program; simulations run in parallel.
     ///
     /// # Errors
     ///
@@ -1276,8 +1277,11 @@ mod tests {
         let mut ev = Evaluator::new();
         let record = ev.eval(&w, &design).unwrap();
 
-        let analysis = crate::analyze_workload(&w).unwrap();
-        let outcome = crate::simulate_workload(&w, &analysis, &design.config).unwrap();
+        let analysis = Evaluator::analyze_once(&w.kernel.program, w.kernel.step_limit).unwrap();
+        let mut cfg = design.config;
+        cfg.max_instructions = cfg.max_instructions.max(w.kernel.step_limit);
+        let outcome =
+            Evaluator::simulate_program(&w.kernel.program, Some(&analysis), &cfg).unwrap();
         assert_eq!(record.stats, outcome.stats);
     }
 
@@ -1418,7 +1422,6 @@ mod tests {
 
     /// A synthetic record for driving the emitter machinery without real
     /// simulations.
-    #[cfg(feature = "parallel")]
     fn dummy_record(i: usize) -> EvalRecord {
         EvalRecord {
             workload: i.to_string(),
@@ -1433,7 +1436,6 @@ mod tests {
 
     /// The parallel emitter must deliver records in job order even when
     /// cells complete out of order, on any host (thread count forced).
-    #[cfg(feature = "parallel")]
     #[test]
     fn parallel_emitter_preserves_job_order() {
         let jobs: Vec<usize> = (0..64).collect();
@@ -1462,7 +1464,6 @@ mod tests {
 
     /// Declining a record from the emit callback cancels the sweep: nothing
     /// further is emitted and workers stop picking up cells.
-    #[cfg(feature = "parallel")]
     #[test]
     fn parallel_emitter_stops_when_emit_declines() {
         let jobs: Vec<usize> = (0..64).collect();
@@ -1487,7 +1488,6 @@ mod tests {
 
     /// A failing cell aborts the sweep with its error, even with other
     /// cells in flight.
-    #[cfg(feature = "parallel")]
     #[test]
     fn parallel_emitter_propagates_cell_errors() {
         let jobs: Vec<usize> = (0..32).collect();

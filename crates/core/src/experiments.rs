@@ -1,19 +1,14 @@
 //! Experiment drivers that regenerate every table and figure of the paper's
 //! evaluation (§7) plus the discussion experiments (Q3, Q4).
 //!
-//! Each driver has two forms:
-//!
-//! * `*_with(&mut Evaluator, ..)` — the session form used by the
-//!   [`crate::registry`] experiments: analyses are shared through the
-//!   evaluator's memoization cache, so running several experiments over the
-//!   same suite analyzes each program exactly once;
-//! * a free function with the original stateless signature (`table1`,
-//!   `figure7`, …) — a **deprecated-path shim** that spins up a one-shot
-//!   [`Evaluator`] and delegates. Prefer the session form.
+//! Each driver is a `*_with(&mut Evaluator, ..)` function, the form the
+//! [`crate::registry`] experiments call: analyses are shared through the
+//! evaluator's memoization cache, so running several experiments over the
+//! same suite analyzes each program exactly once.
 //!
 //! Each driver takes the list of workloads to evaluate so that tests can use
-//! small inputs while the benches and the `full_evaluation` example use the
-//! paper-sized suite from [`cassandra_kernels::suite::full_suite`].
+//! small inputs while the `full_evaluation` example uses the paper-sized
+//! suite from [`cassandra_kernels::suite::full_suite`].
 
 use crate::eval::Evaluator;
 use cassandra_cpu::config::{CpuConfig, DefenseMode};
@@ -75,16 +70,6 @@ pub fn table1_with(ev: &mut Evaluator, workloads: &[Workload]) -> Result<Table1R
     }
     let all = summary_row(&rows.iter().map(|r| r.row.clone()).collect::<Vec<_>>());
     Ok(Table1Result { rows, all })
-}
-
-/// Regenerates Table 1 for the given workloads (one-shot shim; prefer
-/// [`table1_with`]).
-///
-/// # Errors
-///
-/// Propagates analysis errors.
-pub fn table1(workloads: &[Workload]) -> Result<Table1Result, IsaError> {
-    table1_with(&mut Evaluator::new(), workloads)
 }
 
 // ---------------------------------------------------------------- Figure 7
@@ -176,16 +161,6 @@ pub fn figure7_with(
     Ok(Fig7Result { rows, geomean })
 }
 
-/// Regenerates Figure 7 for the given workloads and designs (one-shot shim;
-/// prefer [`figure7_with`]).
-///
-/// # Errors
-///
-/// Propagates analysis or simulation errors.
-pub fn figure7(workloads: &[Workload], designs: &[DefenseMode]) -> Result<Fig7Result, IsaError> {
-    figure7_with(&mut Evaluator::new(), workloads, designs)
-}
-
 // ---------------------------------------------------------------- Figure 8
 
 /// One point of Figure 8: a sandbox/crypto mix under one crypto variant.
@@ -241,15 +216,6 @@ pub fn figure8_with(ev: &mut Evaluator, scale: u32) -> Result<Vec<Fig8Point>, Is
         }
     }
     Ok(points)
-}
-
-/// Regenerates Figure 8 (one-shot shim; prefer [`figure8_with`]).
-///
-/// # Errors
-///
-/// Propagates analysis or simulation errors.
-pub fn figure8(scale: u32) -> Result<Vec<Fig8Point>, IsaError> {
-    figure8_with(&mut Evaluator::new(), scale)
 }
 
 // ---------------------------------------------------------------- Figure 9
@@ -312,15 +278,6 @@ pub fn figure9_with(ev: &mut Evaluator, workloads: &[Workload]) -> Result<Fig9Re
     })
 }
 
-/// Regenerates Figure 9 (one-shot shim; prefer [`figure9_with`]).
-///
-/// # Errors
-///
-/// Propagates analysis or simulation errors.
-pub fn figure9(workloads: &[Workload]) -> Result<Fig9Result, IsaError> {
-    figure9_with(&mut Evaluator::new(), workloads)
-}
-
 // ----------------------------------------- Q3: restricted-frontend variants
 
 /// The restricted-frontend variants the Q3 experiment compares against full
@@ -381,20 +338,6 @@ pub fn q3_with(
         }
     }
     Ok(rows)
-}
-
-/// The paper's original Q3 shape — Cassandra-lite only — on a one-shot
-/// session (deprecated-path shim; prefer [`q3_with`]).
-///
-/// # Errors
-///
-/// Propagates analysis or simulation errors.
-pub fn q3_cassandra_lite(workloads: &[Workload]) -> Result<Vec<Q3Row>, IsaError> {
-    q3_with(
-        &mut Evaluator::new(),
-        workloads,
-        &[DefenseMode::CassandraLite],
-    )
 }
 
 // ----------------------------------------------- Q4: context-switch pricing
@@ -473,23 +416,6 @@ pub fn q4_with(
     })
 }
 
-/// Regenerates the Q4 experiment: context switches every `flush_interval`
-/// committed instructions (modelling a 250 Hz timer), priced as whole-BTU
-/// flushes and as partition reassignments over [`Q4_PARTITION_CONTEXTS`]
-/// contexts (one-shot shim; prefer [`q4_with`]).
-///
-/// # Errors
-///
-/// Propagates analysis or simulation errors.
-pub fn q4_btu_flush(workloads: &[Workload], flush_interval: u64) -> Result<Q4Result, IsaError> {
-    q4_with(
-        &mut Evaluator::new(),
-        workloads,
-        flush_interval,
-        Q4_PARTITION_CONTEXTS,
-    )
-}
-
 // --------------------------------------------------- §7.5: trace generation
 
 /// Per-workload trace-generation timing (the paper's §7.5).
@@ -536,16 +462,6 @@ pub fn trace_generation_timing_with(
     Ok(rows)
 }
 
-/// Measures the trace-generation procedure for each workload (one-shot shim;
-/// prefer [`trace_generation_timing_with`]).
-///
-/// # Errors
-///
-/// Propagates analysis errors.
-pub fn trace_generation_timing(workloads: &[Workload]) -> Result<Vec<TraceGenRow>, IsaError> {
-    trace_generation_timing_with(&mut Evaluator::new(), workloads)
-}
-
 /// A small subset of the suite used by tests and quick demos.
 pub fn quick_workloads() -> Vec<Workload> {
     vec![
@@ -562,7 +478,7 @@ mod tests {
 
     #[test]
     fn table1_quick_suite_compresses_traces() {
-        let result = table1(&quick_workloads()).unwrap();
+        let result = table1_with(&mut Evaluator::new(), &quick_workloads()).unwrap();
         assert_eq!(result.rows.len(), 4);
         assert!(result.all.compression_avg >= 1.0);
         assert!(result.all.vanilla_max >= result.all.kmers_max);
@@ -577,7 +493,7 @@ mod tests {
     #[test]
     fn figure7_quick_suite_shapes() {
         let workloads = vec![suite::chacha20_workload(128), suite::sha256_workload(128)];
-        let result = figure7(&workloads, &FIG7_DESIGNS).unwrap();
+        let result = figure7_with(&mut Evaluator::new(), &workloads, &FIG7_DESIGNS).unwrap();
         assert_eq!(result.rows.len(), 2);
         // The baseline normalises to 1.0 by construction.
         for row in &result.rows {
@@ -594,7 +510,7 @@ mod tests {
     #[test]
     fn figure9_reports_small_area_and_power_effects() {
         let workloads = vec![suite::chacha20_workload(64)];
-        let f9 = figure9(&workloads).unwrap();
+        let f9 = figure9_with(&mut Evaluator::new(), &workloads).unwrap();
         assert!(f9.area_overhead_pct > 0.0 && f9.area_overhead_pct < 3.0);
         assert!(
             f9.power_delta_pct < 1.0,
@@ -605,7 +521,12 @@ mod tests {
 
     #[test]
     fn q3_lite_is_not_faster_than_full_cassandra() {
-        let rows = q3_cassandra_lite(&[suite::sha256_workload(96)]).unwrap();
+        let rows = q3_with(
+            &mut Evaluator::new(),
+            &[suite::sha256_workload(96)],
+            &[DefenseMode::CassandraLite],
+        )
+        .unwrap();
         assert_eq!(rows.len(), 1);
         assert_eq!(rows[0].design, DefenseMode::CassandraLite.label());
         assert!(rows[0].slowdown_pct >= 0.0);
@@ -635,7 +556,13 @@ mod tests {
     #[test]
     fn q4_flush_costs_at_most_a_little() {
         let workloads = vec![suite::chacha20_workload(64)];
-        let q4 = q4_btu_flush(&workloads, 5_000).unwrap();
+        let q4 = q4_with(
+            &mut Evaluator::new(),
+            &workloads,
+            5_000,
+            Q4_PARTITION_CONTEXTS,
+        )
+        .unwrap();
         assert!(q4.speedup_with_flush_pct <= q4.speedup_no_flush_pct + 1e-9);
         assert_eq!(q4.partition_contexts, Q4_PARTITION_CONTEXTS);
     }
@@ -658,7 +585,8 @@ mod tests {
 
     #[test]
     fn trace_generation_timing_is_collected() {
-        let rows = trace_generation_timing(&[suite::des_workload(4)]).unwrap();
+        let rows =
+            trace_generation_timing_with(&mut Evaluator::new(), &[suite::des_workload(4)]).unwrap();
         assert_eq!(rows.len(), 1);
         assert!(rows[0].branches > 0);
     }

@@ -13,7 +13,7 @@
 //! analysis cache. The session runs the paper's Algorithm 2 **once per
 //! distinct program** — memoized by content fingerprint — no matter how many
 //! design points, sweeps or experiments consume the result, and sweeps the
-//! design matrix in parallel when the `parallel` feature (default) is on.
+//! design matrix in parallel.
 //!
 //! Under the facade, the session is two composable layers (see
 //! [`eval`]): a thread-safe [`eval::AnalysisStore`] (exactly-once analysis
@@ -56,30 +56,6 @@
 //! # Ok(())
 //! # }
 //! ```
-//!
-//! ## Deprecated path: the stateless free functions
-//!
-//! [`analyze_workload`] / [`analyze_program`] / [`simulate_workload`] /
-//! [`simulate_program`] predate the session API. They are kept as thin
-//! shims delegating to a one-shot [`eval::Evaluator`] so existing code
-//! keeps compiling, but they re-derive the analysis on every call — new
-//! code should hold an `Evaluator` instead. They may be removed in a future
-//! major version.
-//!
-//! ```
-//! use cassandra_core::{analyze_workload, simulate_workload};
-//! use cassandra_cpu::config::{CpuConfig, DefenseMode};
-//! use cassandra_kernels::suite;
-//!
-//! # fn main() -> Result<(), cassandra_isa::error::IsaError> {
-//! let workload = suite::chacha20_workload(64);
-//! let analysis = analyze_workload(&workload)?;
-//! let cfg = CpuConfig::golden_cove_like().with_defense(DefenseMode::Cassandra);
-//! let outcome = simulate_workload(&workload, &analysis, &cfg)?;
-//! assert_eq!(outcome.stats.mispredictions, 0);
-//! # Ok(())
-//! # }
-//! ```
 
 pub mod consolidation;
 pub mod eval;
@@ -94,15 +70,11 @@ pub mod security;
 use cassandra_btu::encode::EncodedTraces;
 use cassandra_btu::unit::BranchTraceUnit;
 use cassandra_cpu::config::CpuConfig;
-use cassandra_cpu::pipeline::SimOutcome;
-use cassandra_isa::error::IsaError;
-use cassandra_isa::program::Program;
-use cassandra_kernels::workload::Workload;
 use cassandra_trace::stats::{BranchAnalysisRow, TraceSummary};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
-pub use consolidation::{consolidation, consolidation_with, ConsolidationResult};
+pub use consolidation::{consolidation_with, ConsolidationResult};
 pub use eval::{
     AnalysisSnapshot, AnalysisStore, CancelToken, DesignPoint, EvalRecord, Evaluator,
     SweepExecutor, SweepOutcome,
@@ -159,64 +131,6 @@ impl AnalysisBundle {
     }
 }
 
-/// Runs the branch analysis (Algorithm 2) on an arbitrary program.
-///
-/// Deprecated path: delegates to [`Evaluator::analyze_once`]; prefer a
-/// session's [`Evaluator::analyze_program`], which memoizes.
-///
-/// # Errors
-///
-/// Propagates profiling-run errors (step budget, malformed program).
-pub fn analyze_program(program: &Program, step_limit: u64) -> Result<AnalysisBundle, IsaError> {
-    Evaluator::analyze_once(program, step_limit)
-}
-
-/// Runs the branch analysis on a workload's kernel.
-///
-/// Deprecated path: delegates to a one-shot [`Evaluator`]; prefer
-/// [`Evaluator::analysis`], which memoizes.
-///
-/// # Errors
-///
-/// Propagates profiling-run errors.
-pub fn analyze_workload(workload: &Workload) -> Result<AnalysisBundle, IsaError> {
-    analyze_program(&workload.kernel.program, workload.kernel.step_limit)
-}
-
-/// Simulates an arbitrary program under `config`, loading `analysis` traces
-/// into a BTU when the configured defense uses one.
-///
-/// Deprecated path: thin shim over [`Evaluator::simulate_program`].
-///
-/// # Errors
-///
-/// Propagates simulation errors.
-pub fn simulate_program(
-    program: &Program,
-    analysis: Option<&AnalysisBundle>,
-    config: &CpuConfig,
-) -> Result<SimOutcome, IsaError> {
-    Evaluator::simulate_program(program, analysis, config)
-}
-
-/// Simulates a workload's kernel under `config`.
-///
-/// Deprecated path: prefer [`Evaluator::simulate_cached`] or
-/// [`Evaluator::eval`], which reuse cached analyses.
-///
-/// # Errors
-///
-/// Propagates simulation errors.
-pub fn simulate_workload(
-    workload: &Workload,
-    analysis: &AnalysisBundle,
-    config: &CpuConfig,
-) -> Result<SimOutcome, IsaError> {
-    let mut cfg = *config;
-    cfg.max_instructions = cfg.max_instructions.max(workload.kernel.step_limit);
-    simulate_program(&workload.kernel.program, Some(analysis), &cfg)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -226,10 +140,11 @@ mod tests {
     #[test]
     fn analyze_and_simulate_chacha20_under_all_designs() {
         let workload = suite::chacha20_workload(64);
-        let analysis = analyze_workload(&workload).unwrap();
+        let mut ev = Evaluator::new();
+        let analysis = ev.analysis(&workload).unwrap();
         assert!(analysis.analyzed_branches() > 0);
         let base_cfg = CpuConfig::golden_cove_like();
-        let base = simulate_workload(&workload, &analysis, &base_cfg).unwrap();
+        let base = ev.simulate_cached(&workload, &base_cfg).unwrap();
         assert!(base.halted);
         for defense in [
             DefenseMode::Cassandra,
@@ -237,7 +152,7 @@ mod tests {
             DefenseMode::Spt,
         ] {
             let cfg = base_cfg.with_defense(defense);
-            let outcome = simulate_workload(&workload, &analysis, &cfg).unwrap();
+            let outcome = ev.simulate_cached(&workload, &cfg).unwrap();
             assert!(outcome.halted, "{defense:?}");
             assert_eq!(
                 outcome.stats.committed_instructions, base.stats.committed_instructions,
@@ -249,9 +164,8 @@ mod tests {
     #[test]
     fn cassandra_eliminates_crypto_mispredictions_on_a_real_kernel() {
         let workload = suite::sha256_workload(96);
-        let analysis = analyze_workload(&workload).unwrap();
         let cfg = CpuConfig::golden_cove_like().with_defense(DefenseMode::Cassandra);
-        let outcome = simulate_workload(&workload, &analysis, &cfg).unwrap();
+        let outcome = Evaluator::new().simulate_cached(&workload, &cfg).unwrap();
         assert_eq!(outcome.stats.mispredictions, 0);
         assert_eq!(outcome.stats.squashed_instructions, 0);
     }

@@ -815,12 +815,14 @@ pub fn render(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::eval::Evaluator;
     use crate::experiments::{self, quick_workloads, FIG7_DESIGNS};
     use cassandra_kernels::suite;
 
     #[test]
     fn table1_rendering_contains_programs_and_all_row() {
-        let result = experiments::table1(&quick_workloads()[..2]).unwrap();
+        let result =
+            experiments::table1_with(&mut Evaluator::new(), &quick_workloads()[..2]).unwrap();
         let text = format_table1(&result);
         assert!(text.contains("ChaCha20_ct"));
         assert!(text.contains("All"));
@@ -830,7 +832,8 @@ mod tests {
     #[test]
     fn fig7_rendering_contains_geomean() {
         let workloads = vec![suite::des_workload(8)];
-        let result = experiments::figure7(&workloads, &FIG7_DESIGNS).unwrap();
+        let result =
+            experiments::figure7_with(&mut Evaluator::new(), &workloads, &FIG7_DESIGNS).unwrap();
         let text = format_fig7(&result);
         assert!(text.contains("geomean"));
         assert!(text.contains("Cassandra speedup"));

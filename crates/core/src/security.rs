@@ -8,7 +8,6 @@
 //! access sequences.
 
 use crate::eval::Evaluator;
-use crate::{analyze_program, simulate_program, AnalysisBundle};
 use cassandra_cpu::config::{CpuConfig, DefenseMode};
 use cassandra_cpu::pipeline::SimOutcome;
 use cassandra_isa::error::IsaError;
@@ -47,25 +46,8 @@ impl LeakageObservation {
 const GADGET_STEP_LIMIT: u64 = 10_000_000;
 
 /// Runs a program under `config` and collects the attacker-visible traces.
-///
-/// # Errors
-///
-/// Propagates analysis or simulation errors.
-pub fn observe(program: &Program, config: &CpuConfig) -> Result<LeakageObservation, IsaError> {
-    let analysis: Option<AnalysisBundle> = if config.resolved_policy().frontend.uses_btu() {
-        Some(analyze_program(program, GADGET_STEP_LIMIT)?)
-    } else {
-        None
-    };
-    let outcome = simulate_program(program, analysis.as_ref(), config)?;
-    Ok(LeakageObservation {
-        contract: contract_trace(program, GADGET_STEP_LIMIT)?,
-        outcome,
-    })
-}
-
-/// [`observe`] through an evaluation session: the program's analysis is
-/// served from (and recorded in) the session cache.
+/// The program's analysis is served from (and recorded in) the session
+/// cache.
 ///
 /// # Errors
 ///
@@ -163,8 +145,9 @@ pub fn evaluate_scenario(
 ) -> Result<ScenarioVerdict, IsaError> {
     let g0 = build(0x0000_0000_0000_0000);
     let g1 = build(0xffff_ffff_ffff_ffff);
-    let o0 = observe(&g0.program, config)?;
-    let o1 = observe(&g1.program, config)?;
+    let mut ev = Evaluator::new();
+    let o0 = observe_with(&mut ev, &g0.program, config)?;
+    let o1 = observe_with(&mut ev, &g1.program, config)?;
     Ok(ScenarioVerdict::from_observations(name, &o0, &o1))
 }
 
@@ -180,8 +163,9 @@ pub fn check_contract_satisfaction(
     program_b: &Program,
     config: &CpuConfig,
 ) -> Result<bool, IsaError> {
-    let oa = observe(program_a, config)?;
-    let ob = observe(program_b, config)?;
+    let mut ev = Evaluator::new();
+    let oa = observe_with(&mut ev, program_a, config)?;
+    let ob = observe_with(&mut ev, program_b, config)?;
     if oa.contract != ob.contract {
         // Different contract traces: the premise is vacuous.
         return Ok(true);
@@ -275,15 +259,6 @@ pub fn security_sweep_with(
         }
     }
     Ok(SecurityMatrix { cells })
-}
-
-/// [`security_sweep_with`] on a one-shot session (deprecated-path shim).
-///
-/// # Errors
-///
-/// Propagates analysis or simulation errors.
-pub fn security_sweep(designs: &[DefenseMode]) -> Result<SecurityMatrix, IsaError> {
-    security_sweep_with(&mut Evaluator::new(), designs)
 }
 
 #[cfg(test)]

@@ -7,6 +7,7 @@
 use cassandra_server::{serve, Client, EvalService, Request, Response, WorkloadSpec};
 use std::io::Write;
 use std::path::{Path, PathBuf};
+use std::time::Duration;
 
 fn journal_path(tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!(
@@ -286,4 +287,70 @@ fn old_format_journal_boots_cold_and_is_rewritten() {
         assert_eq!(hits, 2);
         let _ = std::fs::remove_file(&path);
     }
+}
+
+/// The records and cache counters of a `Sweep` of the chacha20 kernel on a
+/// server booted from `path`; the handle is dropped without a `Shutdown`,
+/// so the journal keeps its appended lines.
+fn chacha20_sweep(path: &Path) -> (Vec<String>, u64) {
+    let service = EvalService::new().with_cache_file(path);
+    let handle = serve("127.0.0.1:0", service, 2).expect("bind loopback");
+    let mut client = Client::connect(handle.addr()).unwrap();
+    let spec = WorkloadSpec::Kernel {
+        family: "chacha20".to_string(),
+        size: 64,
+        name: None,
+    };
+    let responses = client.request(&Request::Submit { spec }).unwrap();
+    assert!(matches!(responses.last(), Some(Response::Submitted { .. })));
+    let mut records = Vec::new();
+    let mut misses = None;
+    for response in client.request(&sweep()).unwrap() {
+        match response {
+            Response::Record(mut record) => {
+                record.timing.analysis = Duration::ZERO;
+                record.timing.simulate = Duration::ZERO;
+                records.push(serde_json::to_string(&record).unwrap());
+            }
+            Response::Done(summary) => misses = Some(summary.cache.misses),
+            _ => {}
+        }
+    }
+    drop(handle);
+    (records, misses.expect("sweep stream must end with Done"))
+}
+
+/// A journal entry whose largest branch PC lies far past the end of its
+/// program would make every BTU built from it allocate PC-indexed tables
+/// of that size (about 48 GB here). The store drops such an entry at
+/// lookup and analyzes the program afresh, so the sweep streams the same
+/// records as a cold store.
+#[test]
+fn out_of_range_branch_pc_in_the_journal_is_reanalyzed() {
+    let path = journal_path("pc-range");
+    let _ = std::fs::remove_file(&path);
+
+    let (cold, misses) = chacha20_sweep(&path);
+    assert_eq!(misses, 1, "cold start analyzes the kernel");
+    assert!(!cold.is_empty());
+
+    // Rewrite the entry's last (largest) branch PC.
+    let journal = std::fs::read_to_string(&path).unwrap();
+    assert_eq!(journal.lines().count(), 1, "one appended entry:\n{journal}");
+    let branches = journal.find("\"branches\":[").expect("an encoded entry");
+    let end = branches + journal[branches..].find(']').unwrap();
+    let pc = branches + journal[branches..end].rfind("\"pc\":").expect("a branch") + 5;
+    let digits = journal[pc..].find(|c: char| !c.is_ascii_digit()).unwrap();
+    let tampered = format!("{}4000000000{}", &journal[..pc], &journal[pc + digits..]);
+    std::fs::write(&path, tampered).unwrap();
+    assert_eq!(
+        EvalService::new().with_cache_file(&path).store().len(),
+        1,
+        "the tampered entry passes the journal's own checks"
+    );
+
+    let (warm, misses) = chacha20_sweep(&path);
+    assert_eq!(misses, 1, "the tampered entry is analyzed again");
+    assert_eq!(warm, cold, "records match a cold store's");
+    let _ = std::fs::remove_file(&path);
 }

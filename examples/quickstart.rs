@@ -17,8 +17,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // 2. Run the paper's Algorithm 2: collect, compress and encode the
-    //    sequential branch traces.
-    let analysis = analyze_workload(&workload)?;
+    //    sequential branch traces. The session caches the result, so the
+    //    simulations below reuse it.
+    let mut session = Evaluator::new();
+    let analysis = session.analysis(&workload)?;
     println!(
         "branch analysis: {} branches analyzed ({} single-target, {} with compressed traces)",
         analysis.analyzed_branches(),
@@ -34,12 +36,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // 3. Simulate the unsafe baseline and Cassandra.
     let base_cfg = CpuConfig::golden_cove_like();
-    let baseline = simulate_workload(&workload, &analysis, &base_cfg)?;
-    let cassandra = simulate_workload(
-        &workload,
-        &analysis,
-        &base_cfg.with_defense(DefenseMode::Cassandra),
-    )?;
+    let baseline = session.simulate_cached(&workload, &base_cfg)?;
+    let cassandra =
+        session.simulate_cached(&workload, &base_cfg.with_defense(DefenseMode::Cassandra))?;
 
     println!("\n                         baseline      cassandra");
     println!(

@@ -7,14 +7,14 @@
 //! for every modelled defense — labels are parsed with
 //! `DefenseMode::from_str`, so nothing here hard-codes the variant list.
 
-use cassandra::core::security::observe;
+use cassandra::core::security::observe_with;
 use cassandra::kernels::gadgets::{scenario, BranchSite, LeakGadget};
 use cassandra::prelude::*;
 
-fn transient_trace(defense: DefenseMode, secret: u64) -> Vec<u64> {
+fn transient_trace(session: &mut Evaluator, defense: DefenseMode, secret: u64) -> Vec<u64> {
     let gadget = scenario(BranchSite::Crypto, LeakGadget::CryptoRegister, secret);
     let cfg = CpuConfig::golden_cove_like().with_defense(defense);
-    let obs = observe(&gadget.program, &cfg).expect("simulation succeeds");
+    let obs = observe_with(session, &gadget.program, &cfg).expect("simulation succeeds");
     obs.transient_accesses().to_vec()
 }
 
@@ -33,9 +33,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("Transient register leak (Figure 5a): the branch is never taken");
     println!("architecturally, but its taken path leaks a secret register.\n");
 
+    let mut session = Evaluator::new();
     for defense in defenses {
-        let t0 = transient_trace(defense, 0x0000_0000_0000_0000);
-        let t1 = transient_trace(defense, 0xffff_ffff_ffff_ffff);
+        let t0 = transient_trace(&mut session, defense, 0x0000_0000_0000_0000);
+        let t1 = transient_trace(&mut session, defense, 0xffff_ffff_ffff_ffff);
         println!("--- {} ---", defense.label());
         println!("transient accesses with secret bit 0: {t0:x?}");
         println!("transient accesses with secret bit 1: {t1:x?}");

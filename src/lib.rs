@@ -23,19 +23,6 @@
 //! assert!(records.iter().all(|r| r.stats.committed_instructions > 0));
 //! assert_eq!(session.cache_stats().misses, 1); // analyzed once, simulated twice
 //! ```
-//!
-//! ## Deprecated path: stateless free functions
-//!
-//! ```
-//! use cassandra::prelude::*;
-//!
-//! let workload = cassandra::kernels::suite::chacha20_workload(64);
-//! let bundle = analyze_workload(&workload).expect("trace analysis");
-//! let mut cfg = CpuConfig::golden_cove_like();
-//! cfg.defense = DefenseMode::Cassandra;
-//! let result = simulate_workload(&workload, &bundle, &cfg).expect("simulation");
-//! assert!(result.stats.committed_instructions > 0);
-//! ```
 
 pub use cassandra_analysis as analysis;
 pub use cassandra_btu as btu;
@@ -61,9 +48,7 @@ pub mod prelude {
     pub use cassandra_core::policies::{GridSweep, PolicyRegistry};
     pub use cassandra_core::registry::{Experiment, ExperimentOutput, ExperimentRegistry};
     pub use cassandra_core::report::{self, ReportFormat};
-    pub use cassandra_core::{
-        analyze_program, analyze_workload, simulate_program, simulate_workload, AnalysisBundle,
-    };
+    pub use cassandra_core::AnalysisBundle;
     pub use cassandra_cpu::config::{CpuConfig, DefenseMode};
     pub use cassandra_cpu::frontend::{BranchEvent, BranchSource, FetchOutcome, FrontendDecision};
     pub use cassandra_cpu::pipeline::SimOutcome;

@@ -1,5 +1,5 @@
 //! Integration tests for the evaluation session API: analysis caching,
-//! registry/legacy parity, and JSON round-trips.
+//! registry/driver parity, and JSON round-trips.
 
 mod common;
 
@@ -11,6 +11,7 @@ use cassandra::prelude::*;
 use cassandra::trace::genproc::generate_traces;
 use cassandra::trace::stats::BranchAnalysisRow;
 use common::quick_workloads;
+use std::time::Duration;
 
 /// The headline cache property: a full multi-experiment evaluation analyzes
 /// each distinct program exactly once, however many designs and experiments
@@ -45,8 +46,8 @@ fn full_registry_run_analyzes_each_program_exactly_once() {
     assert_eq!(session.cache_stats().misses, stats.misses);
 }
 
-/// The registry path must reproduce the legacy free-function drivers
-/// bit-for-bit (same structs, same floats) on a small suite.
+/// The registry path must reproduce the `*_with` drivers, each run on a
+/// fresh session, bit-for-bit (same structs, same floats) on a small suite.
 #[test]
 fn registry_outputs_match_legacy_free_functions() {
     let workloads = quick_workloads();
@@ -68,19 +69,25 @@ fn registry_outputs_match_legacy_free_functions() {
 
     assert_eq!(
         by_name("table1"),
-        ExperimentOutput::Table1(experiments::table1(&workloads).unwrap())
+        ExperimentOutput::Table1(
+            experiments::table1_with(&mut Evaluator::new(), &workloads).unwrap()
+        )
     );
     assert_eq!(
         by_name("fig7"),
-        ExperimentOutput::Fig7(experiments::figure7(&workloads, &FIG7_DESIGNS).unwrap())
+        ExperimentOutput::Fig7(
+            experiments::figure7_with(&mut Evaluator::new(), &workloads, &FIG7_DESIGNS).unwrap()
+        )
     );
     assert_eq!(
         by_name("fig8"),
-        ExperimentOutput::Fig8(experiments::figure8(2).unwrap())
+        ExperimentOutput::Fig8(experiments::figure8_with(&mut Evaluator::new(), 2).unwrap())
     );
     assert_eq!(
         by_name("fig9"),
-        ExperimentOutput::Fig9(experiments::figure9(&workloads).unwrap())
+        ExperimentOutput::Fig9(
+            experiments::figure9_with(&mut Evaluator::new(), &workloads).unwrap()
+        )
     );
     assert_eq!(
         by_name("q3"),
@@ -90,18 +97,32 @@ fn registry_outputs_match_legacy_free_functions() {
     );
     assert_eq!(
         by_name("q4"),
-        ExperimentOutput::Q4(experiments::q4_btu_flush(&workloads, 5_000).unwrap())
+        ExperimentOutput::Q4(
+            experiments::q4_with(
+                &mut Evaluator::new(),
+                &workloads,
+                5_000,
+                experiments::Q4_PARTITION_CONTEXTS
+            )
+            .unwrap()
+        )
     );
     // The registry's security default enumerates the full policy registry;
-    // the stateless driver reproduces it when handed the same design list.
+    // the driver reproduces it when handed the same design list.
     assert_eq!(
         by_name("security"),
         ExperimentOutput::Security(
-            security::security_sweep(&PolicyRegistry::standard().defenses()).unwrap()
+            security::security_sweep_with(
+                &mut Evaluator::new(),
+                &PolicyRegistry::standard().defenses()
+            )
+            .unwrap()
         )
     );
     // And the paper's two-design Table 2 is still a plain subset call.
-    let table2 = security::security_sweep(&security::SECURITY_SWEEP_DESIGNS).unwrap();
+    let table2 =
+        security::security_sweep_with(&mut Evaluator::new(), &security::SECURITY_SWEEP_DESIGNS)
+            .unwrap();
     assert_eq!(table2.cells.len(), 16);
 }
 
@@ -156,21 +177,9 @@ fn sweep_records_are_complete_and_ordered() {
     }
 }
 
-/// `Evaluator::sweep` output is pinned byte-for-byte (wall-times zeroed)
-/// against a committed golden fixture captured before the
-/// AnalysisStore/SweepExecutor split, so refactors of the evaluation layer
-/// cannot silently change a single record field. Regenerate with
-/// `BLESS_GOLDEN=1 cargo test --test eval_api sweep_matches`.
-#[test]
-fn sweep_matches_committed_golden_records() {
-    use std::time::Duration;
-
-    let mut session = Evaluator::builder()
-        .workloads([suite::chacha20_workload(64), suite::des_workload(4)])
-        .policies(&PolicyRegistry::standard())
-        .build();
-    let records = session.sweep().unwrap();
-    let lines: Vec<String> = records
+/// Each record's wire form with wall-clock times zeroed.
+fn zeroed_lines(records: &[EvalRecord]) -> Vec<String> {
+    records
         .iter()
         .map(|r| {
             let mut r = r.clone();
@@ -178,7 +187,40 @@ fn sweep_matches_committed_golden_records() {
             r.timing.simulate = Duration::ZERO;
             serde_json::to_string(&r).unwrap()
         })
-        .collect();
+        .collect()
+}
+
+/// The serial path and the scoped-thread workers stream identical records
+/// (wall-times zeroed) over the golden fixture's workloads and designs.
+#[test]
+fn serial_and_parallel_sweeps_stream_identical_records() {
+    let workloads = [suite::chacha20_workload(64), suite::des_workload(4)];
+    let designs = PolicyRegistry::standard().designs().to_vec();
+    let stream = |threads| {
+        let store = AnalysisStore::new();
+        let records = SweepExecutor::new(&store)
+            .with_threads(Some(threads))
+            .sweep_matrix(&workloads, &designs)
+            .unwrap();
+        zeroed_lines(&records)
+    };
+    let serial = stream(1);
+    assert_eq!(serial.len(), workloads.len() * designs.len());
+    assert_eq!(serial, stream(4));
+}
+
+/// `Evaluator::sweep` output is pinned byte-for-byte (wall-times zeroed)
+/// against a committed golden fixture captured before the
+/// AnalysisStore/SweepExecutor split, so refactors of the evaluation layer
+/// cannot silently change a single record field. Regenerate with
+/// `BLESS_GOLDEN=1 cargo test --test eval_api sweep_matches`.
+#[test]
+fn sweep_matches_committed_golden_records() {
+    let mut session = Evaluator::builder()
+        .workloads([suite::chacha20_workload(64), suite::des_workload(4)])
+        .policies(&PolicyRegistry::standard())
+        .build();
+    let lines = zeroed_lines(&session.sweep().unwrap());
 
     let golden_path = concat!(
         env!("CARGO_MANIFEST_DIR"),
@@ -203,15 +245,20 @@ fn sweep_matches_committed_golden_records() {
     }
 }
 
-/// The deprecated-path free functions and the session produce identical
+/// The uncached primitives (`Evaluator::analyze_once` and
+/// `Evaluator::simulate_program`) and the session produce identical
 /// simulation statistics.
 #[test]
 fn free_function_shims_match_the_session() {
     let w = suite::poly1305_workload(32);
     let cfg = CpuConfig::golden_cove_like().with_defense(DefenseMode::CassandraStl);
 
-    let legacy_analysis = analyze_workload(&w).unwrap();
-    let legacy = simulate_workload(&w, &legacy_analysis, &cfg).unwrap();
+    let legacy_analysis = Evaluator::analyze_once(&w.kernel.program, w.kernel.step_limit).unwrap();
+    let mut legacy_cfg = cfg;
+    legacy_cfg.max_instructions = legacy_cfg.max_instructions.max(w.kernel.step_limit);
+    let legacy =
+        Evaluator::simulate_program(&w.kernel.program, Some(&legacy_analysis), &legacy_cfg)
+            .unwrap();
 
     let mut session = Evaluator::new();
     let outcome = session.simulate_cached(&w, &cfg).unwrap();
@@ -221,7 +268,7 @@ fn free_function_shims_match_the_session() {
     assert_eq!(record.stats, legacy.stats);
     assert!(record.timing.analysis_cached, "second use hits the cache");
 
-    // The shim's analysis and the session's cached one are identical in
+    // The one-shot analysis and the session's cached one are identical in
     // full replay form, once the wall-clock timing is normalised.
     let session_analysis = session.analysis(&w).unwrap();
     let mut legacy_analysis = legacy_analysis;

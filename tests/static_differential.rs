@@ -115,7 +115,7 @@ fn every_dynamic_leak_is_statically_flagged_across_all_defenses() {
 
 /// Secret-differing builds of statically certified kernels: under every
 /// defense mode the attacker-visible access traces must be identical (the
-/// paper's empty-diff criterion), speculative execution included. AES rides
+/// paper's empty-diff condition), speculative execution included. AES rides
 /// along as the negative control — statically `arch-leak`, and dynamically
 /// its S-box accesses diverge even on hardware that blocks every transient
 /// channel.
