@@ -212,13 +212,24 @@ fn serial_and_parallel_sweeps_stream_identical_records() {
 /// `Evaluator::sweep` output is pinned byte-for-byte (wall-times zeroed)
 /// against a committed golden fixture captured before the
 /// AnalysisStore/SweepExecutor split, so refactors of the evaluation layer
-/// cannot silently change a single record field. Regenerate with
+/// cannot silently change a single record field. Besides the standard
+/// registry, every defense also runs with a periodic context switch every
+/// 500 committed instructions, once priced as a whole-unit flush and once
+/// as a partition switch between two contexts, so the frontend's flush and
+/// context-switch paths are pinned too. Regenerate with
 /// `BLESS_GOLDEN=1 cargo test --test eval_api sweep_matches`.
 #[test]
 fn sweep_matches_committed_golden_records() {
+    let switching = DefenseMode::ALL.into_iter().flat_map(|defense| {
+        let flushed = CpuConfig::golden_cove_like()
+            .with_defense(defense)
+            .with_btu_flush_interval(500);
+        [flushed, flushed.with_btu_switch_contexts(2)].map(DesignPoint::from_config)
+    });
     let mut session = Evaluator::builder()
         .workloads([suite::chacha20_workload(64), suite::des_workload(4)])
         .policies(&PolicyRegistry::standard())
+        .designs(switching)
         .build();
     let lines = zeroed_lines(&session.sweep().unwrap());
 
