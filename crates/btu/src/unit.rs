@@ -310,34 +310,12 @@ impl BranchTraceUnit {
         self.config
     }
 
-    /// Re-sizes the Trace Cache, evicting least-recently-used residents of
-    /// every partition if the new geometry is smaller. `0` models a unit
-    /// with no Trace Cache at all: every multi-target lookup streams its
-    /// trace from the data pages and pays the miss penalty (the
-    /// `Cassandra-noTC` scenario).
-    pub fn set_trace_cache_entries(&mut self, entries: usize) {
-        self.config.entries = entries;
-        for idx in 0..self.partitions.len() {
-            let capacity = self.partition_capacity(idx);
-            let partition = &mut self.partitions[idx];
-            while partition.resident.len() > capacity {
-                partition.resident.remove(0);
-                self.stats.evictions += 1;
-            }
-        }
-    }
-
-    /// Re-partitions the Trace Cache into `partitions` way-partitions
-    /// (clamped to at least one). Repartitioning is a reconfiguration: all
-    /// residency is evicted (the checkpoint state in the data pages
-    /// survives, exactly as for a flush) and the active context restarts on
-    /// partition 0.
-    pub fn set_partitions(&mut self, partitions: usize) {
-        let evicted: usize = self.partitions.iter().map(|p| p.resident.len()).sum();
-        self.stats.evictions += evicted as u64;
-        self.config.partitions = partitions.max(1);
-        self.partitions = vec![Partition::default(); self.config.partitions];
-        self.active = 0;
+    /// Serves lookups from `context`'s registered image (the construction
+    /// image when it registered none) without touching the partitions or
+    /// the counters: the context switch of a hint-only unit, which models no
+    /// residency to reassign (Cassandra-lite).
+    pub fn serve_image_of(&mut self, context: u64) {
+        self.active_image = self.image_of(context);
     }
 
     /// Accumulated statistics.
@@ -898,22 +876,6 @@ mod tests {
     }
 
     #[test]
-    fn shrinking_the_trace_cache_evicts_down_to_the_new_geometry() {
-        let program = nested_program();
-        let mut btu = btu_for(&program);
-        btu.fetch_lookup(3);
-        btu.fetch_lookup(5);
-        let evictions_before = btu.stats().evictions;
-        btu.set_trace_cache_entries(0);
-        assert_eq!(btu.config().entries, 0);
-        assert_eq!(btu.stats().evictions, evictions_before + 2);
-        // Subsequent lookups keep replaying, as cold misses.
-        let lookup = btu.fetch_lookup(3);
-        assert!(lookup.next_pc.is_some());
-        assert_eq!(lookup.extra_latency, btu.config().miss_penalty);
-    }
-
-    #[test]
     fn unknown_branches_stall() {
         let program = nested_program();
         let mut btu = btu_for(&program);
@@ -1331,23 +1293,5 @@ mod tests {
         btu.flush();
         assert_eq!(btu.partition_occupancy(), vec![0, 0]);
         assert_eq!(btu.stats().flushes, 1);
-    }
-
-    #[test]
-    fn set_partitions_repartitions_and_evicts() {
-        let program = nested_program();
-        let mut btu = btu_for(&program);
-        btu.fetch_lookup(3);
-        btu.fetch_lookup(5);
-        let before = btu.stats().evictions;
-        btu.set_partitions(2);
-        assert_eq!(btu.config().partitions, 2);
-        assert_eq!(btu.stats().evictions, before + 2);
-        assert_eq!(btu.partition_occupancy(), vec![0, 0]);
-        // Replay still works after repartitioning.
-        assert!(btu.fetch_lookup(3).next_pc.is_some());
-        // Clamped to at least one partition.
-        btu.set_partitions(0);
-        assert_eq!(btu.config().partitions, 1);
     }
 }

@@ -175,21 +175,22 @@ impl IntoIterator for PolicyRegistry {
 /// A sensitivity-sweep grid over the policy-parameterised knobs.
 ///
 /// Each axis is a list of values to sweep; an **empty axis means "keep the
-/// Table-3 baseline value"** and contributes exactly one (non-)setting, so
+/// defense's preset value"** and contributes exactly one (non-)setting, so
 /// the expansion size is the product of the non-empty axes times the number
 /// of base defenses. Expansion is deterministic: defenses vary slowest, then
 /// (in order) tournament threshold, BTU partitions, BTU entries, miss
 /// penalty and redirect penalty. Labels come from
 /// [`CpuConfig::design_label`], so every grid cell is self-describing
-/// (`Tournament+thr8+btu8`, `Cassandra+miss40+redir12`, …) and two cells
-/// that resolve to the same configuration collapse onto one registry entry.
+/// (`Tournament+btu8+thr8`, `Cassandra+redir12+miss40`, …) and two cells
+/// share a label exactly when their configurations are equal, so equal
+/// cells collapse onto one registry entry.
 ///
-/// The threshold and partition axes act through
-/// [`CpuConfig::with_tournament_threshold`] /
-/// [`CpuConfig::with_btu_partitions`]: they override the policy the defense
-/// derives, and are simply ignored by frontends that never read them (a
-/// `Fence` point with a tournament threshold prices identically to plain
-/// `Fence`).
+/// Every axis sets one plain [`CpuConfig`] field on top of
+/// `golden_cove_like().with_defense(defense)`, so an axis value overrides
+/// the defense's preset (`btu_entries: [8]` gives `Cassandra-noTC` an 8-entry
+/// Trace Cache) and a value equal to the preset collapses onto the defense's
+/// own label. Knobs a frontend never reads still label the cell (a `Fence`
+/// point with a tournament threshold prices identically to plain `Fence`).
 ///
 /// ```
 /// use cassandra_core::policies::GridSweep;
@@ -485,9 +486,52 @@ mod tests {
         );
         let baseline = registry.get("Cassandra-part").unwrap();
         assert_eq!(
-            baseline.config.resolved_policy(),
-            DefenseMode::CassandraPartitioned.policy()
+            *baseline,
+            DesignPoint::from_defense(DefenseMode::CassandraPartitioned)
         );
+        assert_eq!(
+            registry
+                .get("Cassandra-part+part4")
+                .unwrap()
+                .config
+                .btu
+                .partitions,
+            4
+        );
+    }
+
+    #[test]
+    fn grid_cells_share_a_label_exactly_when_their_configs_are_equal() {
+        let points = GridSweep::over(DefenseMode::ALL)
+            .btu_entries([0, 8])
+            .btu_partitions([1, 4])
+            .tournament_thresholds([2])
+            .design_points();
+        assert_eq!(points.len(), DefenseMode::ALL.len() * 4);
+        for a in &points {
+            for b in &points {
+                assert_eq!(
+                    a.label == b.label,
+                    a.config == b.config,
+                    "`{}` vs `{}`",
+                    a.label,
+                    b.label
+                );
+            }
+        }
+        // The label names the geometry that runs: an axis value overrides
+        // the defense's preset.
+        let no_tc = points
+            .iter()
+            .find(|p| p.label == "Cassandra-noTC+btu8+thr2+part4")
+            .expect("noTC cell with an 8-entry Trace Cache");
+        assert_eq!(no_tc.config.btu.entries, 8);
+        assert_eq!(no_tc.config.btu.partitions, 4);
+        let part = points
+            .iter()
+            .find(|p| p.label == "Cassandra-part+btu0+thr2+part1")
+            .expect("unpartitioned part cell");
+        assert_eq!(part.config.btu.partitions, 1);
     }
 
     #[test]

@@ -78,7 +78,10 @@ impl DefenseMode {
     pub const PARTITIONED_BTU_CONTEXTS: usize = 2;
 
     /// The structured mechanism description of this defense, resolved once
-    /// by the pipeline at construction.
+    /// by the pipeline at construction. The BTU geometry a defense presets
+    /// (`Cassandra-noTC`'s empty Trace Cache, `Cassandra-part`'s partitions)
+    /// is not part of the policy: [`CpuConfig::with_defense`] writes it into
+    /// [`CpuConfig::btu`].
     pub const fn policy(self) -> DefensePolicy {
         let base = DefensePolicy::baseline();
         match self {
@@ -94,13 +97,10 @@ impl DefenseMode {
                 base.with_frontend(FrontendKind::Btu).blocking_tainted()
             }
             DefenseMode::Fence => base.with_frontend(FrontendKind::Fence),
-            DefenseMode::CassandraNoTc => base
-                .with_frontend(FrontendKind::Btu)
-                .with_trace_cache_entries(0),
+            DefenseMode::CassandraNoTc | DefenseMode::CassandraPartitioned => {
+                base.with_frontend(FrontendKind::Btu)
+            }
             DefenseMode::Tournament => base.with_frontend(FrontendKind::Tournament),
-            DefenseMode::CassandraPartitioned => base
-                .with_frontend(FrontendKind::Btu)
-                .with_btu_partitions(Self::PARTITIONED_BTU_CONTEXTS),
         }
     }
 
@@ -232,15 +232,14 @@ pub struct CpuConfig {
     pub rsb_entries: usize,
     /// The defense configuration being simulated.
     pub defense: DefenseMode,
-    /// Optional per-configuration override of the policy derived from
-    /// `defense`. `None` (the default) resolves `defense.policy()` at
-    /// `Simulator::new`; sensitivity sweeps set this through the
-    /// [`CpuConfig::with_tournament_threshold`] /
-    /// [`CpuConfig::with_btu_partitions`] builders to vary policy knobs
-    /// without introducing a new [`DefenseMode`] per grid point.
-    pub policy_override: Option<DefensePolicy>,
-    /// BTU geometry (used by the Cassandra modes).
+    /// BTU geometry (used by the Cassandra modes). `entries` is the Trace
+    /// Cache size (`0` under `Cassandra-noTC`) and `partitions` its
+    /// per-context way split (`2` under `Cassandra-part`).
     pub btu: BtuConfig,
+    /// How many executions a crypto branch needs before the tournament
+    /// frontend trusts its BTU trace over the BPU (4; only the Tournament
+    /// defense reads it).
+    pub tournament_threshold: u32,
     /// If non-zero, a context switch happens every `btu_flush_interval`
     /// committed instructions (models the 250 Hz context-switch experiment,
     /// Q4). What a switch costs depends on `btu_switch_contexts`.
@@ -296,50 +295,57 @@ impl CpuConfig {
             btb_entries: 4096,
             rsb_entries: 32,
             defense: DefenseMode::UnsafeBaseline,
-            policy_override: None,
             btu: BtuConfig::default(),
+            tournament_threshold: 4,
             btu_flush_interval: 0,
             btu_switch_contexts: 0,
             max_instructions: 200_000_000,
         }
     }
 
-    /// The same configuration with a different defense. Clears any policy
-    /// override: the defense defines the policy unless a `with_*` policy
-    /// builder is applied *afterwards*.
+    /// The same configuration with a different defense and that defense's
+    /// preset BTU geometry: a Trace Cache of Table 3's 16 entries (none
+    /// under `Cassandra-noTC`) in one partition (two under
+    /// `Cassandra-part`). Builders applied *afterwards* override the preset.
     pub fn with_defense(mut self, defense: DefenseMode) -> Self {
+        let table3 = BtuConfig::default();
         self.defense = defense;
-        self.policy_override = None;
+        self.btu.entries = match defense {
+            DefenseMode::CassandraNoTc => 0,
+            _ => table3.entries,
+        };
+        self.btu.partitions = match defense {
+            DefenseMode::CassandraPartitioned => DefenseMode::PARTITIONED_BTU_CONTEXTS,
+            _ => table3.partitions,
+        };
         self
     }
 
-    /// The policy the pipeline will resolve at construction: the override if
-    /// one is set, otherwise the policy derived from the configured defense.
+    /// The policy the pipeline resolves at construction.
     pub fn resolved_policy(&self) -> DefensePolicy {
-        self.policy_override
-            .unwrap_or_else(|| self.defense.policy())
+        self.defense.policy()
     }
 
-    /// The same configuration with the tournament frontend's promotion
-    /// threshold overridden (how many executions a crypto branch needs
-    /// before its BTU trace is trusted over the BPU). Only read by
-    /// [`FrontendKind::Tournament`] sources; apply after
-    /// [`CpuConfig::with_defense`].
+    /// The same configuration with a different tournament promotion
+    /// threshold (how many executions a crypto branch needs before its BTU
+    /// trace is trusted over the BPU). Only read by
+    /// [`FrontendKind::Tournament`].
     pub fn with_tournament_threshold(mut self, threshold: u32) -> Self {
-        self.policy_override = Some(self.resolved_policy().with_tournament_threshold(threshold));
+        self.tournament_threshold = threshold;
         self
     }
 
     /// The same configuration with the BTU's Trace Cache ways split into
-    /// `partitions` per-context partitions (the Q4 partition-reassignment
-    /// model). Apply after [`CpuConfig::with_defense`].
+    /// `partitions` per-context partitions (at least one; the Q4
+    /// partition-reassignment model).
     pub fn with_btu_partitions(mut self, partitions: usize) -> Self {
-        self.policy_override = Some(self.resolved_policy().with_btu_partitions(partitions));
+        self.btu.partitions = partitions.max(1);
         self
     }
 
     /// The same configuration with a different BTU entry count (Pattern
-    /// Table / Trace Cache / Checkpoint Table entries).
+    /// Table / Trace Cache / Checkpoint Table entries; `0` leaves no Trace
+    /// Cache, as under `Cassandra-noTC`).
     pub fn with_btu_entries(mut self, entries: usize) -> Self {
         self.btu.entries = entries;
         self
@@ -393,51 +399,30 @@ impl CpuConfig {
         self
     }
 
-    /// A short label describing how this configuration differs from the
-    /// Table-3 baseline — used by design-point sweeps to name columns. Every
-    /// swept knob contributes its own suffix (`+flush`, `+ctx`, `+mem`,
-    /// `+redir`, `+btu`, `+miss`, `+thr`, `+part`, `+tc`), so grid-expanded
-    /// design points get distinct, self-describing labels.
+    /// A short label describing how this configuration differs from
+    /// `golden_cove_like().with_defense(defense)`, used by design-point
+    /// sweeps to name columns. Every knob contributes its own suffix, in the
+    /// order `+flush`, `+ctx`, `+mem`, `+redir`, `+btu`, `+miss`, `+thr`,
+    /// `+part`, so grid-expanded design points get distinct, self-describing
+    /// labels and a value equal to the defense's preset adds none.
     pub fn design_label(&self) -> String {
+        let preset = CpuConfig::golden_cove_like().with_defense(self.defense);
         let mut label = self.defense.label().to_string();
-        if self.btu_flush_interval != 0 {
-            label.push_str(&format!("+flush{}", self.btu_flush_interval));
-        }
-        if self.btu_switch_contexts != 0 {
-            label.push_str(&format!("+ctx{}", self.btu_switch_contexts));
-        }
-        let base = CpuConfig::golden_cove_like();
-        if self.memory_latency != base.memory_latency {
-            label.push_str(&format!("+mem{}", self.memory_latency));
-        }
-        if self.mispredict_redirect_penalty != base.mispredict_redirect_penalty {
-            label.push_str(&format!("+redir{}", self.mispredict_redirect_penalty));
-        }
-        if self.btu.entries != base.btu.entries {
-            label.push_str(&format!("+btu{}", self.btu.entries));
-        }
-        if self.btu.miss_penalty != base.btu.miss_penalty {
-            label.push_str(&format!("+miss{}", self.btu.miss_penalty));
-        }
-        if self.btu.partitions != base.btu.partitions {
-            label.push_str(&format!("+part{}", self.btu.partitions));
-        }
-        if let Some(over) = self.policy_override {
-            let derived = self.defense.policy();
-            if over.tournament_threshold != derived.tournament_threshold {
-                if let Some(t) = over.tournament_threshold {
-                    label.push_str(&format!("+thr{t}"));
-                }
-            }
-            if over.btu_partitions != derived.btu_partitions {
-                if let Some(p) = over.btu_partitions {
-                    label.push_str(&format!("+part{p}"));
-                }
-            }
-            if over.trace_cache_entries != derived.trace_cache_entries {
-                if let Some(e) = over.trace_cache_entries {
-                    label.push_str(&format!("+tc{e}"));
-                }
+        type Knob = fn(&CpuConfig) -> u64;
+        let knobs: [(&str, Knob); 8] = [
+            ("flush", |c| c.btu_flush_interval),
+            ("ctx", |c| c.btu_switch_contexts),
+            ("mem", |c| c.memory_latency),
+            ("redir", |c| c.mispredict_redirect_penalty),
+            ("btu", |c| c.btu.entries as u64),
+            ("miss", |c| c.btu.miss_penalty),
+            ("thr", |c| c.tournament_threshold.into()),
+            ("part", |c| c.btu.partitions as u64),
+        ];
+        for (suffix, knob) in knobs {
+            let value = knob(self);
+            if value != knob(&preset) {
+                label.push_str(&format!("+{suffix}{value}"));
             }
         }
         label
@@ -513,20 +498,29 @@ mod tests {
     fn policies_describe_the_new_scenarios() {
         use crate::policy::FrontendKind;
         assert_eq!(DefenseMode::Fence.policy().frontend, FrontendKind::Fence);
-        let no_tc = DefenseMode::CassandraNoTc.policy();
-        assert_eq!(no_tc.frontend, FrontendKind::Btu);
-        assert_eq!(no_tc.trace_cache_entries, Some(0));
         assert!(DefenseMode::CassandraStl.policy().frontend.uses_btu());
         assert!(!DefenseMode::CassandraStl.policy().stl_forwarding);
-        let tournament = DefenseMode::Tournament.policy();
-        assert_eq!(tournament.frontend, FrontendKind::Tournament);
-        assert_eq!(tournament.btu_partitions, None);
-        let partitioned = DefenseMode::CassandraPartitioned.policy();
-        assert_eq!(partitioned.frontend, FrontendKind::Btu);
         assert_eq!(
-            partitioned.btu_partitions,
-            Some(DefenseMode::PARTITIONED_BTU_CONTEXTS)
+            DefenseMode::Tournament.policy().frontend,
+            FrontendKind::Tournament
         );
+        // Cassandra-noTC and Cassandra-part are Cassandra's policy over the
+        // BTU geometry `with_defense` presets.
+        let preset = |d| CpuConfig::golden_cove_like().with_defense(d).btu;
+        for derived in [
+            DefenseMode::CassandraNoTc,
+            DefenseMode::CassandraPartitioned,
+        ] {
+            assert_eq!(derived.policy(), DefenseMode::Cassandra.policy());
+        }
+        assert_eq!(preset(DefenseMode::CassandraNoTc).entries, 0);
+        assert_eq!(preset(DefenseMode::CassandraNoTc).partitions, 1);
+        assert_eq!(
+            preset(DefenseMode::CassandraPartitioned).partitions,
+            DefenseMode::PARTITIONED_BTU_CONTEXTS
+        );
+        assert_eq!(preset(DefenseMode::CassandraPartitioned).entries, 16);
+        assert_eq!(preset(DefenseMode::Tournament), BtuConfig::default());
     }
 
     #[test]
@@ -545,23 +539,23 @@ mod tests {
     }
 
     #[test]
-    fn policy_override_builders_resolve_and_label() {
+    fn knob_builders_resolve_and_label() {
         let base = CpuConfig::golden_cove_like().with_defense(DefenseMode::Tournament);
         assert_eq!(base.resolved_policy(), DefenseMode::Tournament.policy());
         assert_eq!(base.design_label(), "Tournament");
 
         let cfg = base.with_tournament_threshold(8).with_btu_partitions(4);
-        let policy = cfg.resolved_policy();
-        assert_eq!(policy.tournament_threshold, Some(8));
-        assert_eq!(policy.btu_partitions, Some(4));
-        // Unrelated policy bits stay as the defense derived them.
-        assert_eq!(policy.frontend, DefenseMode::Tournament.policy().frontend);
+        assert_eq!(cfg.tournament_threshold, 8);
+        assert_eq!(cfg.btu.partitions, 4);
+        // The knobs are plain fields: the policy stays the defense's own.
+        assert_eq!(cfg.resolved_policy(), DefenseMode::Tournament.policy());
         assert_eq!(cfg.design_label(), "Tournament+thr8+part4");
 
-        // with_defense resets the override: the defense defines the policy.
+        // with_defense restores the defense's preset geometry; the threshold
+        // no defense presets keeps its value.
         let reset = cfg.with_defense(DefenseMode::Cassandra);
-        assert_eq!(reset.policy_override, None);
-        assert_eq!(reset.resolved_policy(), DefenseMode::Cassandra.policy());
+        assert_eq!(reset.btu, BtuConfig::default());
+        assert_eq!(reset.design_label(), "Cassandra+thr8");
     }
 
     #[test]
@@ -579,16 +573,33 @@ mod tests {
 
     #[test]
     fn override_matching_the_derived_policy_adds_no_suffix() {
-        // Cassandra-part derives btu_partitions = Some(2); overriding with
-        // the same count must not change the label (grid points collapse
-        // onto the registered baseline instead of duplicating it).
-        let cfg = CpuConfig::golden_cove_like()
-            .with_defense(DefenseMode::CassandraPartitioned)
-            .with_btu_partitions(DefenseMode::PARTITIONED_BTU_CONTEXTS);
-        assert_eq!(cfg.design_label(), "Cassandra-part");
+        // A value equal to the defense's preset must not change the label
+        // (grid points collapse onto the registered baseline instead of
+        // duplicating it): Cassandra-part presets 2 partitions, every
+        // defense presets threshold 4 and Cassandra-noTC an empty Trace
+        // Cache.
+        let part = CpuConfig::golden_cove_like().with_defense(DefenseMode::CassandraPartitioned);
         assert_eq!(
-            cfg.resolved_policy(),
-            DefenseMode::CassandraPartitioned.policy()
+            part.with_btu_partitions(DefenseMode::PARTITIONED_BTU_CONTEXTS),
+            part
+        );
+        assert_eq!(
+            part.with_btu_partitions(DefenseMode::PARTITIONED_BTU_CONTEXTS)
+                .design_label(),
+            "Cassandra-part"
+        );
+        let tournament = CpuConfig::golden_cove_like().with_defense(DefenseMode::Tournament);
+        assert_eq!(
+            tournament
+                .with_tournament_threshold(4)
+                .with_btu_partitions(1),
+            tournament
+        );
+        let no_tc = CpuConfig::golden_cove_like().with_defense(DefenseMode::CassandraNoTc);
+        assert_eq!(no_tc.with_btu_entries(0).design_label(), "Cassandra-noTC");
+        assert_eq!(
+            no_tc.with_btu_entries(16).design_label(),
+            "Cassandra-noTC+btu16"
         );
     }
 }

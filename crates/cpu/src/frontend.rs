@@ -1,80 +1,43 @@
-//! The pluggable branch-source layer.
+//! The frontend: what happens when a branch is fetched.
 //!
-//! A [`BranchSource`] is the frontend's answer to "what happens when a
-//! branch is fetched?". The pipeline core never looks at the configured
-//! [`crate::config::DefenseMode`]; it resolves the mode's
-//! [`crate::policy::DefensePolicy`] once at construction, builds the matching
-//! source with [`build_source`], and from then on only interprets
-//! [`FrontendDecision`]s. Adding a new frontend scenario means implementing
-//! this trait (or describing a policy that maps onto an existing source) —
-//! not editing the pipeline.
+//! One decision sits at each fetched branch, and [`Frontend::on_branch`]
+//! makes it by the configured [`FrontendKind`]:
 //!
-//! Five sources ship with the model:
+//! * `Bpu` — the speculative baseline: PHT/BTB/RSB predict every branch
+//!   (UnsafeBaseline, SPT, ProSpeCT);
+//! * `Btu` — full Cassandra: crypto branches replay the Branch Trace Unit's
+//!   trace, non-crypto branches use the BPU behind the crypto-range
+//!   integrity check (Cassandra, +STL, +ProSpeCT, -noTC and the
+//!   way-partitioned `Cassandra-part`, whose BTU geometry comes from
+//!   [`CpuConfig::btu`]);
+//! * `BtuLite` — Cassandra-lite: only single-target crypto hints are
+//!   honoured, every other crypto branch stalls fetch until it resolves;
+//! * `Fence` — the serializing lower bound: every branch stalls fetch until
+//!   it resolves, so nothing ever executes speculatively;
+//! * `Tournament` — per-PC confidence counters arbitrate each crypto branch
+//!   between BTU replay (hot branches that earned a trace) and the
+//!   speculative BPU (cold branches).
 //!
-//! * [`BpuSource`] — the speculative baseline: PHT/BTB/RSB predict every
-//!   branch (UnsafeBaseline, SPT, ProSpeCT);
-//! * [`BtuSource`] — full Cassandra: crypto branches are replayed from the
-//!   Branch Trace Unit, non-crypto branches use the BPU behind the
-//!   crypto-range integrity check (Cassandra, +STL, +ProSpeCT, -noTC, and
-//!   the way-partitioned `Cassandra-part` deployment);
-//! * [`LiteSource`] — Cassandra-lite: only single-target crypto hints are
-//!   honoured, every other crypto branch stalls fetch until resolve;
-//! * [`FenceSource`] — the serializing lower bound: every branch stalls
-//!   fetch until it resolves, so nothing ever executes speculatively;
-//! * [`TournamentSource`] — the hybrid tournament: per-PC confidence
-//!   counters arbitrate each crypto branch between BTU replay (hot branches
-//!   that earned a trace) and the speculative BPU (cold branches).
+//! The pipeline core never looks at the configured
+//! [`crate::config::DefenseMode`]; it builds one [`Frontend`] at
+//! construction and from then on only interprets [`FrontendDecision`]s.
 
 use crate::bpu::{BpuStats, BranchPredictionUnit};
 use crate::config::CpuConfig;
 use crate::policy::FrontendKind;
-use cassandra_btu::unit::{BranchTraceUnit, BtuStats, ContextBtuStats, VictimPolicy};
+use cassandra_btu::encode::EncodedTraces;
+use cassandra_btu::unit::{BranchTraceUnit, BtuLookup, BtuStats, ContextBtuStats, VictimPolicy};
 use cassandra_isa::instr::BranchKind;
 use cassandra_isa::program::Program;
 use cassandra_trace::hints::BranchHint;
-use std::fmt;
-
-/// The per-tenant slice of a source's frontend state, checkpointed and
-/// restored by the multi-tenant simulator on each context switch. The BPU
-/// (PHT counters, global history, BTB, RSB) is per-tenant architectural
-/// state; the BTU is deliberately *not* here — it is the shared, partitioned
-/// unit the tenants contend over.
-#[derive(Debug, Default)]
-pub struct TenantFrontendState {
-    /// The tenant's branch predictor, `None` until its first switch-out.
-    pub bpu: Option<BranchPredictionUnit>,
-}
-
-/// The per-program facts a frontend source keeps after construction: the
-/// crypto PC ranges (the integrity guard) and the text length (PC-indexed
-/// table sizing). Owned — sources carry no borrow of the program, so the
-/// multi-tenant simulator can retarget a source at the incoming tenant's
-/// program on each context switch.
-#[derive(Debug, Clone, Default)]
-pub struct ProgramProfile {
-    crypto_ranges: Vec<std::ops::Range<usize>>,
-    len: usize,
-}
-
-impl ProgramProfile {
-    /// Captures `program`'s crypto ranges and text length.
-    pub fn of(program: &Program) -> Self {
-        ProgramProfile {
-            crypto_ranges: program.crypto_ranges.clone(),
-            len: program.len(),
-        }
-    }
-
-    /// Whether instruction index `pc` lies inside a crypto range.
-    fn is_crypto_pc(&self, pc: usize) -> bool {
-        self.crypto_ranges.iter().any(|r| r.contains(&pc))
-    }
-}
+use std::collections::BTreeMap;
+use std::ops::Range;
+use std::sync::Arc;
 
 /// One branch reaching the frontend, together with its resolved outcome.
 ///
 /// The pipeline model is functional-directed: the architectural outcome of
-/// the branch is known when it is fetched, so sources receive prediction
+/// the branch is known when it is fetched, so the frontend receives prediction
 /// inputs and resolution feedback in one event and train themselves
 /// immediately.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -116,7 +79,7 @@ pub enum FetchOutcome {
     Stall,
 }
 
-/// A source's full decision for one branch.
+/// The frontend's full decision for one branch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FrontendDecision {
     /// What fetch does.
@@ -144,434 +107,252 @@ impl FrontendDecision {
     }
 }
 
-/// The pluggable frontend: decides fetch behaviour at branches and tracks
-/// the speculation state that must survive commits, squashes and flushes.
-pub trait BranchSource: fmt::Debug {
+/// The frontend of one simulated core: the program's crypto ranges, the
+/// BPU, the optional BTU and the tournament's confidence counters, driven by
+/// the configured [`FrontendKind`]. It decides fetch behaviour at branches
+/// and tracks the speculation state that must survive commits, squashes,
+/// flushes and context switches.
+#[derive(Debug)]
+pub struct Frontend {
+    kind: FrontendKind,
+    /// The running program's crypto PC ranges (the integrity guard).
+    crypto_ranges: Vec<Range<usize>>,
+    /// The running program's text length (sizes the confidence tables).
+    program_len: usize,
+    /// The branch predictor; `None` under `Fence`, which never predicts.
+    bpu: Option<BranchPredictionUnit>,
+    /// The trace unit; `None` for frontends that read no traces, or when no
+    /// traces were provided (every crypto branch then stalls, and no
+    /// tournament branch can be promoted).
+    btu: Option<BranchTraceUnit>,
+    /// The tournament's per-context confidence tables, keyed by application
+    /// context: each context's counters survive switches away and back,
+    /// exactly like its BTU partition's residency (a whole-unit flush drops
+    /// them all). Each table is dense, indexed by PC — crypto branches hit
+    /// it on every execution, so the counter must be one load away. Tables
+    /// grow on demand so a longer tenant program cannot index out of bounds.
+    confidence: BTreeMap<u64, Vec<u32>>,
+    active_context: u64,
+    threshold: u32,
+}
+
+impl Frontend {
+    /// The frontend `config`'s defense selects, for `program`. `btu` must be
+    /// built with `config.btu` (as `AnalysisBundle::make_btu` does); it is
+    /// dropped by frontends that read no traces.
+    pub fn new(program: &Program, config: &CpuConfig, btu: Option<BranchTraceUnit>) -> Self {
+        let kind = config.resolved_policy().frontend;
+        let btu = btu.filter(|_| kind.uses_btu());
+        if let Some(btu) = &btu {
+            debug_assert_eq!(
+                btu.config(),
+                config.btu,
+                "BTU geometry must match the config"
+            );
+        }
+        Frontend {
+            kind,
+            crypto_ranges: program.crypto_ranges.clone(),
+            program_len: program.len(),
+            bpu: (kind != FrontendKind::Fence).then(|| {
+                BranchPredictionUnit::new(
+                    config.pht_entries,
+                    config.btb_entries,
+                    config.rsb_entries,
+                )
+            }),
+            btu,
+            confidence: BTreeMap::new(),
+            active_context: 0,
+            threshold: config.tournament_threshold,
+        }
+    }
+
     /// Predicts and resolves one correct-path branch (the model is
     /// functional-directed, so both happen in one call): returns the fetch
     /// decision and applies any training/speculative-cursor updates.
-    fn on_branch(&mut self, event: &BranchEvent) -> FrontendDecision;
+    pub fn on_branch(&mut self, event: &BranchEvent) -> FrontendDecision {
+        match self.kind {
+            FrontendKind::Fence => FrontendDecision::speculative(FetchOutcome::Stall),
+            FrontendKind::Bpu => self.predict(event, false),
+            _ if !event.is_crypto => self.predict(event, true),
+            FrontendKind::Btu => {
+                let lookup = self.btu.as_mut().map(|btu| btu.fetch_lookup(event.pc));
+                FrontendDecision::replayed(replay_outcome(lookup, event))
+            }
+            FrontendKind::BtuLite => {
+                let hint = self.btu.as_ref().and_then(|btu| btu.hint(event.pc));
+                FrontendDecision::replayed(match hint {
+                    Some(BranchHint::SingleTarget { .. }) => {
+                        FetchOutcome::Proceed { extra_latency: 0 }
+                    }
+                    _ => FetchOutcome::Stall,
+                })
+            }
+            FrontendKind::Tournament => {
+                // The BTU tracks the branch from its first execution so that
+                // the replay position is correct at promotion time; the
+                // counter arbitrates which component steers fetch. A cold
+                // branch is predicted without the crypto-range guard: its
+                // targets live inside the range by construction.
+                let lookup = self.btu.as_mut().map(|btu| btu.fetch_lookup(event.pc));
+                let len = self.program_len.max(event.pc + 1);
+                let table = self.confidence.entry(self.active_context).or_default();
+                if table.len() < len {
+                    table.resize(len, 0);
+                }
+                let conf = &mut table[event.pc];
+                let hot = *conf >= self.threshold;
+                *conf = (*conf + 1).min(self.threshold);
+                if hot {
+                    FrontendDecision::replayed(replay_outcome(lookup, event))
+                } else {
+                    self.predict(event, false)
+                }
+            }
+        }
+    }
+
+    /// A BPU prediction with resolution feedback. With `guarded`,
+    /// predictions that would speculatively redirect fetch into a crypto PC
+    /// range become stalls (the Cassandra integrity check).
+    fn predict(&mut self, event: &BranchEvent, guarded: bool) -> FrontendDecision {
+        let bpu = self
+            .bpu
+            .as_mut()
+            .expect("every frontend but Fence predicts");
+        let prediction = bpu.predict(event.pc, event.kind, event.direct_target, event.fallthrough);
+        let outcome = match prediction.target {
+            Some(target) if guarded && self.crypto_ranges.iter().any(|r| r.contains(&target)) => {
+                FetchOutcome::Stall
+            }
+            Some(predicted) if predicted == event.actual_target => {
+                FetchOutcome::Proceed { extra_latency: 0 }
+            }
+            Some(predicted) => FetchOutcome::Mispredict {
+                wrong_target: predicted,
+            },
+            // No prediction available (BTB/RSB miss): wait for resolution.
+            None => FetchOutcome::Stall,
+        };
+        bpu.update(event.pc, event.kind, event.taken, event.actual_target);
+        FrontendDecision::speculative(outcome)
+    }
+
+    /// The BTU when this frontend replays traces through it; Cassandra-lite
+    /// only reads hint bytes and keeps no cursors.
+    fn replay_unit(&mut self) -> Option<&mut BranchTraceUnit> {
+        match self.kind {
+            FrontendKind::Btu | FrontendKind::Tournament => self.btu.as_mut(),
+            _ => None,
+        }
+    }
 
     /// The branch retired: commit architectural frontend state (the BTU's
     /// Checkpoint Table position). Called for every committed branch.
-    fn on_commit(&mut self, _event: &BranchEvent) {}
-
-    /// A wrong-path branch was fetched: advance speculative-only state (the
-    /// BTU's fetch cursor); it will be rolled back by [`on_squash`].
-    ///
-    /// [`on_squash`]: BranchSource::on_squash
-    fn on_wrong_path_branch(&mut self, _pc: usize, _is_crypto: bool) {}
-
-    /// A misprediction squash: roll speculative frontend state back to the
-    /// committed checkpoints.
-    fn on_squash(&mut self) {}
-
-    /// Whole-unit flush (context switch between crypto applications, Q4).
-    /// Returns true if the source had flushable state.
-    fn flush(&mut self) -> bool {
-        false
-    }
-
-    /// A context switch priced as a BTU partition reassignment instead of a
-    /// whole-unit flush (the Q4 partition variant): activate `context`'s
-    /// partition, leaving the other partitions' residency warm. Returns true
-    /// if the source had state to switch. Sources without partition support
-    /// fall back to their whole-unit [`flush`] — a context switch is never
-    /// cheaper than the flush-priced model just because a source ignores it.
-    ///
-    /// [`flush`]: BranchSource::flush
-    fn on_context_switch(&mut self, _context: u64) -> bool {
-        self.flush()
-    }
-
-    /// Retargets the source at the incoming tenant's program (multi-tenant
-    /// context switch): the crypto-range integrity guard and any PC-indexed
-    /// tables must consult the program that is about to run. Sources that
-    /// never look at the program ignore this.
-    fn retarget_program(&mut self, _profile: ProgramProfile) {}
-
-    /// Exchanges the source's per-tenant frontend state (the BPU) with the
-    /// given checkpoint slot: the current state moves into the slot and the
-    /// slot's state (or a fresh one, on a tenant's first activation) becomes
-    /// current. Sources without per-tenant state ignore this.
-    fn swap_tenant_state(&mut self, _slot: &mut TenantFrontendState) {}
-
-    /// Installs a steal-victim policy on the source's BTU, if it drives one
-    /// (the OS-scheduler model of the multi-tenant simulator).
-    fn set_btu_victim_policy(&mut self, _policy: VictimPolicy) {}
-
-    /// Registers `context`'s own encoded traces on the source's BTU, if it
-    /// drives one (multi-tenant consolidation: each tenant replays its own
-    /// program's traces through the shared unit).
-    fn register_btu_context(
-        &mut self,
-        _context: u64,
-        _encoded: std::sync::Arc<cassandra_btu::encode::EncodedTraces>,
-    ) {
-    }
-
-    /// Accumulated branch-predictor statistics.
-    fn bpu_stats(&self) -> BpuStats {
-        BpuStats::default()
-    }
-
-    /// Accumulated BTU statistics, if this source drives one.
-    fn btu_stats(&self) -> Option<BtuStats> {
-        None
-    }
-
-    /// Per-context BTU statistics, if this source drives a BTU that has
-    /// seen context switches (empty otherwise).
-    fn btu_context_stats(&self) -> Vec<ContextBtuStats> {
-        Vec::new()
-    }
-}
-
-/// Swaps a source's BPU with a tenant checkpoint slot, materializing a
-/// fresh same-geometry predictor on a tenant's first activation.
-fn swap_bpu(bpu: &mut BranchPredictionUnit, slot: &mut TenantFrontendState) {
-    let incoming = slot.bpu.take().unwrap_or_else(|| bpu.fresh_like());
-    slot.bpu = Some(std::mem::replace(bpu, incoming));
-}
-
-/// BPU prediction with resolution feedback, shared by every source that
-/// predicts non-crypto branches. When `crypto_guard` is set, predictions
-/// that would speculatively redirect fetch into a crypto PC range are
-/// converted into stalls (the Cassandra integrity check).
-fn bpu_outcome(
-    bpu: &mut BranchPredictionUnit,
-    event: &BranchEvent,
-    crypto_guard: Option<&ProgramProfile>,
-) -> FetchOutcome {
-    let prediction = bpu.predict(event.pc, event.kind, event.direct_target, event.fallthrough);
-    if let (Some(profile), Some(target)) = (crypto_guard, prediction.target) {
-        if profile.is_crypto_pc(target) {
-            bpu.update(event.pc, event.kind, event.taken, event.actual_target);
-            return FetchOutcome::Stall;
-        }
-    }
-    let outcome = match prediction.target {
-        Some(predicted) if predicted == event.actual_target => {
-            FetchOutcome::Proceed { extra_latency: 0 }
-        }
-        Some(predicted) => FetchOutcome::Mispredict {
-            wrong_target: predicted,
-        },
-        // No prediction available (BTB/RSB miss): wait for resolution.
-        None => FetchOutcome::Stall,
-    };
-    bpu.update(event.pc, event.kind, event.taken, event.actual_target);
-    outcome
-}
-
-/// The configured BPU geometry, shared by every source that predicts.
-fn bpu_for(config: &CpuConfig) -> BranchPredictionUnit {
-    BranchPredictionUnit::new(config.pht_entries, config.btb_entries, config.rsb_entries)
-}
-
-/// Flushes an optional BTU; true if there was one to flush.
-fn flush_btu(btu: &mut Option<BranchTraceUnit>) -> bool {
-    match btu {
-        Some(btu) => {
-            btu.flush();
-            true
-        }
-        None => false,
-    }
-}
-
-/// The speculative baseline: the BPU predicts every branch.
-#[derive(Debug)]
-pub struct BpuSource {
-    bpu: BranchPredictionUnit,
-}
-
-impl BpuSource {
-    /// A BPU source with the configured table geometry.
-    pub fn new(config: &CpuConfig) -> Self {
-        BpuSource {
-            bpu: bpu_for(config),
-        }
-    }
-}
-
-impl BranchSource for BpuSource {
-    fn on_branch(&mut self, event: &BranchEvent) -> FrontendDecision {
-        FrontendDecision::speculative(bpu_outcome(&mut self.bpu, event, None))
-    }
-
-    fn swap_tenant_state(&mut self, slot: &mut TenantFrontendState) {
-        swap_bpu(&mut self.bpu, slot);
-    }
-
-    fn bpu_stats(&self) -> BpuStats {
-        self.bpu.stats()
-    }
-}
-
-/// Full Cassandra: crypto branches replay the BTU trace, non-crypto branches
-/// use the BPU behind the crypto-range integrity check.
-#[derive(Debug)]
-pub struct BtuSource {
-    profile: ProgramProfile,
-    bpu: BranchPredictionUnit,
-    btu: Option<BranchTraceUnit>,
-}
-
-impl BtuSource {
-    /// A BTU-backed source; `btu` is `None` when no traces were provided
-    /// (every crypto branch then stalls until it resolves).
-    pub fn new(program: &Program, config: &CpuConfig, btu: Option<BranchTraceUnit>) -> Self {
-        BtuSource {
-            profile: ProgramProfile::of(program),
-            bpu: bpu_for(config),
-            btu,
-        }
-    }
-}
-
-impl BranchSource for BtuSource {
-    fn on_branch(&mut self, event: &BranchEvent) -> FrontendDecision {
-        if !event.is_crypto {
-            return FrontendDecision::speculative(bpu_outcome(
-                &mut self.bpu,
-                event,
-                Some(&self.profile),
-            ));
-        }
-        let outcome = match &mut self.btu {
-            Some(btu) => {
-                let lookup = btu.fetch_lookup(event.pc);
-                if lookup.needs_stall {
-                    // No usable trace: stall until the branch resolves
-                    // (footnote 4 / §4.3).
-                    FetchOutcome::Stall
-                } else {
-                    debug_assert_eq!(
-                        lookup.next_pc,
-                        Some(event.actual_target),
-                        "BTU must replay the sequential trace (branch at {})",
-                        event.pc
-                    );
-                    FetchOutcome::Proceed {
-                        extra_latency: lookup.extra_latency,
-                    }
-                }
-            }
-            None => FetchOutcome::Stall,
-        };
-        FrontendDecision::replayed(outcome)
-    }
-
-    fn on_commit(&mut self, event: &BranchEvent) {
+    pub fn on_commit(&mut self, event: &BranchEvent) {
         if event.is_crypto {
-            if let Some(btu) = &mut self.btu {
+            if let Some(btu) = self.replay_unit() {
                 btu.commit_branch(event.pc);
             }
         }
     }
 
-    fn on_wrong_path_branch(&mut self, pc: usize, is_crypto: bool) {
-        // A wrong-path crypto branch consults the BTU and advances its
-        // speculative cursor; the squash rolls it back.
+    /// A wrong-path branch was fetched: a crypto branch consults the BTU and
+    /// advances its speculative cursor, which [`Frontend::on_squash`] rolls
+    /// back.
+    pub(crate) fn on_wrong_path_branch(&mut self, pc: usize, is_crypto: bool) {
         if is_crypto {
-            if let Some(btu) = &mut self.btu {
+            if let Some(btu) = self.replay_unit() {
                 let _ = btu.fetch_lookup(pc);
             }
         }
     }
 
-    fn on_squash(&mut self) {
-        if let Some(btu) = &mut self.btu {
+    /// A misprediction squash: roll speculative frontend state back to the
+    /// committed checkpoints.
+    pub(crate) fn on_squash(&mut self) {
+        if let Some(btu) = self.replay_unit() {
             btu.squash();
         }
     }
 
-    fn flush(&mut self) -> bool {
-        flush_btu(&mut self.btu)
-    }
-
-    fn on_context_switch(&mut self, context: u64) -> bool {
-        // Forward the BTU's verdict: registering the first context or
-        // re-activating the current one is not a switch, so the pipeline's
-        // `context_switches` agrees with the BTU's `partition_switches`.
+    /// Whole-unit flush (context switch between crypto applications, Q4):
+    /// drops the Trace Cache residency and every confidence table, so all
+    /// tournament branches start cold again. Returns true if there was a
+    /// BTU to flush.
+    pub(crate) fn flush(&mut self) -> bool {
+        self.confidence.clear();
         match &mut self.btu {
-            Some(btu) => btu.switch_context(context),
+            Some(btu) => {
+                btu.flush();
+                true
+            }
             None => false,
         }
     }
 
-    fn retarget_program(&mut self, profile: ProgramProfile) {
-        self.profile = profile;
+    /// Switches to application `context`. Replaying frontends forward the
+    /// BTU's partition-reassignment verdict (registering the first context
+    /// or re-activating the current one is not a switch, so the pipeline's
+    /// `context_switches` agrees with the BTU's `partition_switches`), and
+    /// the tournament selects the context's confidence table. Cassandra-lite
+    /// serves the incoming context's hints and, having no partitions, prices
+    /// the switch as a whole-unit [`Frontend::flush`] — a context switch is
+    /// never cheaper than the flush-priced model.
+    pub(crate) fn on_context_switch(&mut self, context: u64) -> bool {
+        self.active_context = context;
+        match self.kind {
+            FrontendKind::Btu | FrontendKind::Tournament => self
+                .btu
+                .as_mut()
+                .is_some_and(|btu| btu.switch_context(context)),
+            _ => {
+                if let Some(btu) = &mut self.btu {
+                    btu.serve_image_of(context);
+                }
+                self.flush()
+            }
+        }
     }
 
-    fn swap_tenant_state(&mut self, slot: &mut TenantFrontendState) {
-        swap_bpu(&mut self.bpu, slot);
+    /// Exchanges the running tenant for another on a multi-tenant context
+    /// switch: the integrity guard and the confidence tables consult the
+    /// incoming `program`, and the current BPU moves into `parked_bpu` while
+    /// the parked one (or a fresh one, on a tenant's first activation)
+    /// becomes current. The BTU is shared and stays.
+    pub(crate) fn swap_tenant(
+        &mut self,
+        program: &Program,
+        parked_bpu: &mut Option<BranchPredictionUnit>,
+    ) {
+        self.crypto_ranges.clone_from(&program.crypto_ranges);
+        self.program_len = program.len();
+        if let Some(bpu) = &mut self.bpu {
+            let incoming = parked_bpu.take().unwrap_or_else(|| bpu.fresh_like());
+            *parked_bpu = Some(std::mem::replace(bpu, incoming));
+        }
     }
 
-    fn set_btu_victim_policy(&mut self, policy: VictimPolicy) {
+    /// Installs a steal-victim policy on the BTU, if there is one (the
+    /// OS-scheduler model of the multi-tenant simulator).
+    pub(crate) fn set_btu_victim_policy(&mut self, policy: VictimPolicy) {
         if let Some(btu) = &mut self.btu {
             btu.set_victim_policy(policy);
         }
     }
 
-    fn register_btu_context(
-        &mut self,
-        context: u64,
-        encoded: std::sync::Arc<cassandra_btu::encode::EncodedTraces>,
-    ) {
+    /// Registers `context`'s own encoded traces on the BTU, if there is one
+    /// (multi-tenant consolidation: each tenant replays, or reads the hints
+    /// of, its own program through the shared unit).
+    pub(crate) fn register_btu_context(&mut self, context: u64, encoded: Arc<EncodedTraces>) {
         if let Some(btu) = &mut self.btu {
             btu.register_context(context, encoded);
         }
     }
 
-    fn bpu_stats(&self) -> BpuStats {
-        self.bpu.stats()
-    }
-
-    fn btu_stats(&self) -> Option<BtuStats> {
-        self.btu.as_ref().map(BranchTraceUnit::stats)
-    }
-
-    fn btu_context_stats(&self) -> Vec<ContextBtuStats> {
-        self.btu
-            .as_ref()
-            .map_or_else(Vec::new, |btu| btu.context_stats().to_vec())
-    }
-}
-
-/// Cassandra-lite (Q3): single-target crypto branches follow their hint,
-/// every other crypto branch stalls fetch until it resolves. No Trace Cache
-/// or Checkpoint Table is modelled — the unit only reads hint bytes.
-#[derive(Debug)]
-pub struct LiteSource {
-    profile: ProgramProfile,
-    bpu: BranchPredictionUnit,
-    btu: Option<BranchTraceUnit>,
-}
-
-impl LiteSource {
-    /// A hint-only source; `btu` supplies the encoded hints when present.
-    pub fn new(program: &Program, config: &CpuConfig, btu: Option<BranchTraceUnit>) -> Self {
-        LiteSource {
-            profile: ProgramProfile::of(program),
-            bpu: bpu_for(config),
-            btu,
-        }
-    }
-}
-
-impl BranchSource for LiteSource {
-    fn on_branch(&mut self, event: &BranchEvent) -> FrontendDecision {
-        if !event.is_crypto {
-            return FrontendDecision::speculative(bpu_outcome(
-                &mut self.bpu,
-                event,
-                Some(&self.profile),
-            ));
-        }
-        let hint = self.btu.as_ref().and_then(|b| b.hint(event.pc));
-        let outcome = match hint {
-            Some(BranchHint::SingleTarget { .. }) => FetchOutcome::Proceed { extra_latency: 0 },
-            _ => FetchOutcome::Stall,
-        };
-        FrontendDecision::replayed(outcome)
-    }
-
-    fn flush(&mut self) -> bool {
-        flush_btu(&mut self.btu)
-    }
-
-    fn retarget_program(&mut self, profile: ProgramProfile) {
-        self.profile = profile;
-    }
-
-    fn swap_tenant_state(&mut self, slot: &mut TenantFrontendState) {
-        swap_bpu(&mut self.bpu, slot);
-    }
-
-    fn bpu_stats(&self) -> BpuStats {
-        self.bpu.stats()
-    }
-
-    fn btu_stats(&self) -> Option<BtuStats> {
-        self.btu.as_ref().map(BranchTraceUnit::stats)
-    }
-}
-
-/// The serializing lower bound: every branch stalls fetch until it resolves,
-/// so no instruction ever executes speculatively.
-#[derive(Debug, Default)]
-pub struct FenceSource;
-
-impl BranchSource for FenceSource {
-    fn on_branch(&mut self, _event: &BranchEvent) -> FrontendDecision {
-        FrontendDecision::speculative(FetchOutcome::Stall)
-    }
-}
-
-/// Default number of executions a crypto branch needs before the tournament
-/// frontend trusts its BTU trace over the BPU (its trace is "installed").
-pub const TOURNAMENT_PROMOTE_THRESHOLD: u32 = 4;
-
-/// The hybrid tournament frontend: per-PC confidence counters arbitrate each
-/// crypto branch between BTU replay and the speculative BPU, modelling a
-/// deployment where only hot crypto branches earn traces.
-///
-/// A crypto branch starts *cold*: the BPU predicts it speculatively (no
-/// crypto-range guard — its targets live inside the range by construction),
-/// so it can mispredict and leak transiently, exactly like the unsafe
-/// baseline. Every execution increments its confidence counter; once the
-/// counter saturates at the promotion threshold the branch is *hot* and all
-/// further executions replay the BTU trace without opening a speculation
-/// window. The BTU's replay cursors are advanced from the very first
-/// execution (the unit observes the branch while its trace is being
-/// installed), so promotion resumes the trace at the correct position.
-/// Non-crypto branches use the guarded BPU, as under full Cassandra.
-#[derive(Debug)]
-pub struct TournamentSource {
-    profile: ProgramProfile,
-    bpu: BranchPredictionUnit,
-    btu: Option<BranchTraceUnit>,
-    /// Per-context confidence tables, keyed by application context: each
-    /// context's counters survive switches away and back, exactly like its
-    /// BTU partition's residency (a whole-unit flush drops them all). Each
-    /// table is dense, indexed by PC — crypto branches hit it on every
-    /// execution, so the counter must be one load away. Tables grow on
-    /// demand so a retarget at a longer tenant program cannot index out of
-    /// bounds.
-    confidence: std::collections::BTreeMap<u64, Vec<u32>>,
-    active_context: u64,
-    threshold: u32,
-}
-
-impl TournamentSource {
-    /// A tournament source with the given promotion threshold; `btu` is
-    /// `None` when no traces were provided (every crypto branch then stays
-    /// on the BPU forever — nothing can be promoted).
-    pub fn new(
-        program: &Program,
-        config: &CpuConfig,
-        btu: Option<BranchTraceUnit>,
-        threshold: u32,
-    ) -> Self {
-        TournamentSource {
-            profile: ProgramProfile::of(program),
-            bpu: bpu_for(config),
-            btu,
-            confidence: std::collections::BTreeMap::new(),
-            active_context: 0,
-            threshold,
-        }
-    }
-
-    /// The promotion threshold in use.
-    pub fn threshold(&self) -> u32 {
-        self.threshold
-    }
-
-    /// The active context's confidence counter of a branch (saturates at the
-    /// threshold).
+    /// The active context's tournament confidence counter of a branch
+    /// (saturates at the threshold).
     pub fn confidence(&self, pc: usize) -> u32 {
         self.confidence
             .get(&self.active_context)
@@ -579,165 +360,53 @@ impl TournamentSource {
             .copied()
             .unwrap_or(0)
     }
-}
 
-impl BranchSource for TournamentSource {
-    fn on_branch(&mut self, event: &BranchEvent) -> FrontendDecision {
-        if !event.is_crypto {
-            return FrontendDecision::speculative(bpu_outcome(
-                &mut self.bpu,
-                event,
-                Some(&self.profile),
-            ));
-        }
-        // The BTU tracks the branch from its first execution so that the
-        // replay position is correct at promotion time; the *decision* below
-        // arbitrates which component steers fetch.
-        let lookup = self.btu.as_mut().map(|btu| btu.fetch_lookup(event.pc));
-        let len = self.profile.len.max(event.pc + 1);
-        let table = self.confidence.entry(self.active_context).or_default();
-        if table.len() < len {
-            table.resize(len, 0);
-        }
-        let conf = &mut table[event.pc];
-        let hot = *conf >= self.threshold;
-        *conf = (*conf + 1).min(self.threshold);
-        if hot {
-            let outcome = match lookup {
-                Some(lookup) if !lookup.needs_stall => {
-                    debug_assert_eq!(
-                        lookup.next_pc,
-                        Some(event.actual_target),
-                        "promoted branch at {} must replay the sequential trace",
-                        event.pc
-                    );
-                    FetchOutcome::Proceed {
-                        extra_latency: lookup.extra_latency,
-                    }
-                }
-                // Promoted but unreplayable (input-dependent hint / no
-                // trace): stall until resolve, as under full Cassandra.
-                _ => FetchOutcome::Stall,
-            };
-            FrontendDecision::replayed(outcome)
-        } else {
-            FrontendDecision::speculative(bpu_outcome(&mut self.bpu, event, None))
-        }
+    /// Accumulated branch-predictor statistics.
+    pub(crate) fn bpu_stats(&self) -> BpuStats {
+        self.bpu
+            .as_ref()
+            .map(BranchPredictionUnit::stats)
+            .unwrap_or_default()
     }
 
-    fn on_commit(&mut self, event: &BranchEvent) {
-        if event.is_crypto {
-            if let Some(btu) = &mut self.btu {
-                btu.commit_branch(event.pc);
-            }
-        }
-    }
-
-    fn on_wrong_path_branch(&mut self, pc: usize, is_crypto: bool) {
-        if is_crypto {
-            if let Some(btu) = &mut self.btu {
-                let _ = btu.fetch_lookup(pc);
-            }
-        }
-    }
-
-    fn on_squash(&mut self) {
-        if let Some(btu) = &mut self.btu {
-            btu.squash();
-        }
-    }
-
-    fn flush(&mut self) -> bool {
-        // A whole-unit flush drops every context's confidence table with the
-        // traces: all branches start cold again.
-        self.confidence.clear();
-        flush_btu(&mut self.btu)
-    }
-
-    fn on_context_switch(&mut self, context: u64) -> bool {
-        // Each context keeps its own confidence table (selected here), just
-        // as its BTU partition keeps its residency. The BTU's verdict is
-        // forwarded: registration and same-context re-activation count
-        // nothing.
-        self.active_context = context;
-        match &mut self.btu {
-            Some(btu) => btu.switch_context(context),
-            None => false,
-        }
-    }
-
-    fn retarget_program(&mut self, profile: ProgramProfile) {
-        self.profile = profile;
-    }
-
-    fn swap_tenant_state(&mut self, slot: &mut TenantFrontendState) {
-        swap_bpu(&mut self.bpu, slot);
-    }
-
-    fn set_btu_victim_policy(&mut self, policy: VictimPolicy) {
-        if let Some(btu) = &mut self.btu {
-            btu.set_victim_policy(policy);
-        }
-    }
-
-    fn register_btu_context(
-        &mut self,
-        context: u64,
-        encoded: std::sync::Arc<cassandra_btu::encode::EncodedTraces>,
-    ) {
-        if let Some(btu) = &mut self.btu {
-            btu.register_context(context, encoded);
-        }
-    }
-
-    fn bpu_stats(&self) -> BpuStats {
-        self.bpu.stats()
-    }
-
-    fn btu_stats(&self) -> Option<BtuStats> {
+    /// Accumulated BTU statistics, if this frontend drives one.
+    pub(crate) fn btu_stats(&self) -> Option<BtuStats> {
         self.btu.as_ref().map(BranchTraceUnit::stats)
     }
 
-    fn btu_context_stats(&self) -> Vec<ContextBtuStats> {
+    /// Per-context BTU statistics (empty until the BTU sees a context
+    /// switch).
+    pub(crate) fn btu_context_stats(&self) -> Vec<ContextBtuStats> {
         self.btu
             .as_ref()
             .map_or_else(Vec::new, |btu| btu.context_stats().to_vec())
     }
 }
 
-/// Builds the branch source selected by the already-resolved defense
-/// policy, applying any Trace Cache geometry override.
-pub fn build_source(
-    program: &Program,
-    config: &CpuConfig,
-    policy: &crate::policy::DefensePolicy,
-    mut btu: Option<BranchTraceUnit>,
-) -> Box<dyn BranchSource> {
-    if let (Some(entries), Some(btu)) = (policy.trace_cache_entries, btu.as_mut()) {
-        btu.set_trace_cache_entries(entries);
-    }
-    if let (Some(partitions), Some(btu)) = (policy.btu_partitions, btu.as_mut()) {
-        btu.set_partitions(partitions);
-    }
-    match policy.frontend {
-        FrontendKind::Bpu => Box::new(BpuSource::new(config)),
-        FrontendKind::Btu => Box::new(BtuSource::new(program, config, btu)),
-        FrontendKind::BtuLite => Box::new(LiteSource::new(program, config, btu)),
-        FrontendKind::Fence => Box::new(FenceSource),
-        FrontendKind::Tournament => Box::new(TournamentSource::new(
-            program,
-            config,
-            btu,
-            policy
-                .tournament_threshold
-                .unwrap_or(TOURNAMENT_PROMOTE_THRESHOLD),
-        )),
+/// Fetch at a crypto branch whose next PC the BTU dictates: proceed along
+/// the replayed trace, or stall until resolve when there is no usable trace
+/// (no BTU, an input-dependent hint, footnote 4 / §4.3).
+fn replay_outcome(lookup: Option<BtuLookup>, event: &BranchEvent) -> FetchOutcome {
+    match lookup {
+        Some(lookup) if !lookup.needs_stall => {
+            debug_assert_eq!(
+                lookup.next_pc,
+                Some(event.actual_target),
+                "BTU must replay the sequential trace (branch at {})",
+                event.pc
+            );
+            FetchOutcome::Proceed {
+                extra_latency: lookup.extra_latency,
+            }
+        }
+        _ => FetchOutcome::Stall,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::DefenseMode;
     use cassandra_isa::builder::ProgramBuilder;
 
     fn event(pc: usize, taken: bool, actual: usize, direct: Option<usize>) -> BranchEvent {
@@ -752,6 +421,17 @@ mod tests {
         }
     }
 
+    fn crypto_event(pc: usize, taken: bool, actual: usize, direct: Option<usize>) -> BranchEvent {
+        BranchEvent {
+            is_crypto: true,
+            ..event(pc, taken, actual, direct)
+        }
+    }
+
+    fn config(defense: DefenseMode) -> CpuConfig {
+        CpuConfig::golden_cove_like().with_defense(defense)
+    }
+
     fn tiny_program() -> Program {
         let mut b = ProgramBuilder::new("tiny");
         b.begin_crypto();
@@ -763,7 +443,8 @@ mod tests {
 
     #[test]
     fn fence_source_stalls_everything() {
-        let mut src = FenceSource;
+        let mut src = Frontend::new(&tiny_program(), &config(DefenseMode::Fence), None);
+        assert!(src.bpu.is_none(), "Fence builds no predictor");
         let decision = src.on_branch(&event(4, true, 9, Some(9)));
         assert_eq!(decision.outcome, FetchOutcome::Stall);
         assert!(decision.opens_speculation_window);
@@ -774,8 +455,8 @@ mod tests {
 
     #[test]
     fn bpu_source_predicts_and_trains() {
-        let config = CpuConfig::golden_cove_like();
-        let mut src = BpuSource::new(&config);
+        let program = tiny_program();
+        let mut src = Frontend::new(&program, &config(DefenseMode::UnsafeBaseline), None);
         // Weakly-taken initial state: a taken branch is predicted correctly.
         let d = src.on_branch(&event(10, true, 2, Some(2)));
         assert_eq!(d.outcome, FetchOutcome::Proceed { extra_latency: 0 });
@@ -784,16 +465,20 @@ mod tests {
         assert_eq!(d.outcome, FetchOutcome::Mispredict { wrong_target: 99 });
         assert!(src.bpu_stats().pht_lookups >= 2);
         assert!(src.bpu_stats().updates >= 2);
+        // The baseline reads no traces, so a provided BTU is dropped.
+        let with_btu = Frontend::new(
+            &nested_crypto_program(),
+            &config(DefenseMode::UnsafeBaseline),
+            Some(btu_for(&nested_crypto_program())),
+        );
+        assert!(with_btu.btu_stats().is_none());
     }
 
     #[test]
     fn btu_source_without_traces_stalls_crypto_branches() {
         let program = tiny_program();
-        let config = CpuConfig::golden_cove_like();
-        let mut src = BtuSource::new(&program, &config, None);
-        let mut e = event(0, true, 0, Some(0));
-        e.is_crypto = true;
-        let d = src.on_branch(&e);
+        let mut src = Frontend::new(&program, &config(DefenseMode::Cassandra), None);
+        let d = src.on_branch(&crypto_event(0, true, 0, Some(0)));
         assert_eq!(d.outcome, FetchOutcome::Stall);
         assert!(
             !d.opens_speculation_window,
@@ -819,12 +504,18 @@ mod tests {
         b.build().unwrap()
     }
 
-    fn btu_for(program: &Program) -> BranchTraceUnit {
-        use cassandra_btu::encode::EncodedTraces;
-        use cassandra_btu::unit::BtuConfig;
+    fn encoded_for(program: &Program) -> EncodedTraces {
         let bundle = cassandra_trace::genproc::generate_traces(program, None, 100_000).unwrap();
-        let encoded = EncodedTraces::from_bundle(program, &bundle);
-        BranchTraceUnit::new(BtuConfig::default(), encoded)
+        EncodedTraces::from_bundle(program, &bundle)
+    }
+
+    fn btu_for(program: &Program) -> BranchTraceUnit {
+        BranchTraceUnit::new(Default::default(), encoded_for(program))
+    }
+
+    fn tournament(program: &Program, threshold: u32) -> Frontend {
+        let cfg = config(DefenseMode::Tournament).with_tournament_threshold(threshold);
+        Frontend::new(program, &cfg, Some(btu_for(program)))
     }
 
     #[test]
@@ -840,11 +531,9 @@ mod tests {
             .find(|(pc, _)| **pc == inner_pc)
             .map(|(_, t)| t.targets.as_slice())
             .unwrap();
-        let config = CpuConfig::golden_cove_like();
-        let mut src = TournamentSource::new(&program, &config, Some(btu_for(&program)), 2);
+        let mut src = tournament(&program, 2);
         for (i, &target) in targets.iter().enumerate() {
-            let mut e = event(inner_pc, target != inner_pc + 1, target, Some(targets[0]));
-            e.is_crypto = true;
+            let e = crypto_event(inner_pc, target != inner_pc + 1, target, Some(targets[0]));
             let d = src.on_branch(&e);
             src.on_commit(&e);
             if i < 2 {
@@ -864,7 +553,7 @@ mod tests {
                 );
             }
         }
-        assert_eq!(src.confidence(inner_pc), src.threshold(), "saturated");
+        assert_eq!(src.confidence(inner_pc), 2, "saturated");
         assert!(
             src.bpu_stats().pht_lookups >= 2,
             "the BPU handled cold runs"
@@ -875,13 +564,11 @@ mod tests {
     #[test]
     fn tournament_without_traces_never_promotes() {
         let program = tiny_program();
-        let config = CpuConfig::golden_cove_like();
-        let mut src = TournamentSource::new(&program, &config, None, 0);
-        let mut e = event(0, true, 0, Some(0));
-        e.is_crypto = true;
+        let cfg = config(DefenseMode::Tournament).with_tournament_threshold(0);
+        let mut src = Frontend::new(&program, &cfg, None);
         // Threshold 0 means instantly hot, but with no BTU the replay falls
         // back to a stall (as under trace-less Cassandra).
-        let d = src.on_branch(&e);
+        let d = src.on_branch(&crypto_event(0, true, 0, Some(0)));
         assert_eq!(d.outcome, FetchOutcome::Stall);
         assert!(!d.opens_speculation_window);
         assert!(!src.on_context_switch(1), "no partition state to switch");
@@ -892,12 +579,10 @@ mod tests {
         // Promotion earned by context 0 must not leak to context 1, and must
         // survive switching away and back — mirroring partition residency.
         let program = nested_crypto_program();
-        let config = CpuConfig::golden_cove_like();
-        let mut src = TournamentSource::new(&program, &config, Some(btu_for(&program)), 1);
+        let mut src = tournament(&program, 1);
         // Register the initial context (not a counted switch).
         assert!(!src.on_context_switch(0));
-        let mut e = event(3, true, 2, Some(2));
-        e.is_crypto = true;
+        let e = crypto_event(3, true, 2, Some(2));
         src.on_branch(&e);
         src.on_commit(&e);
         assert_eq!(src.confidence(3), 1, "context 0 promoted the branch");
@@ -912,20 +597,64 @@ mod tests {
 
     #[test]
     fn lite_source_prices_context_switches_as_flushes() {
-        // LiteSource has no partition state: the conservative default routes
-        // a context switch through its whole-unit flush.
+        // Cassandra-lite has no partition state: a context switch is priced
+        // as a whole-unit flush.
         let program = nested_crypto_program();
-        let config = CpuConfig::golden_cove_like();
-        let mut src = LiteSource::new(&program, &config, Some(btu_for(&program)));
+        let mut src = Frontend::new(
+            &program,
+            &config(DefenseMode::CassandraLite),
+            Some(btu_for(&program)),
+        );
         assert!(src.on_context_switch(1));
         assert_eq!(src.btu_stats().unwrap().flushes, 1);
+    }
+
+    /// A crypto program whose branch at PC 3 is single-target (to PC 4)
+    /// when `single` is set, and multi-target (a loop back-edge) otherwise.
+    fn lite_tenant(single: bool) -> Program {
+        use cassandra_isa::reg::{A0, ZERO};
+        let mut b = ProgramBuilder::new(if single { "single" } else { "multi" });
+        b.begin_crypto();
+        b.li(A0, if single { 1 } else { 3 });
+        b.label("loop");
+        b.addi(A0, A0, -1);
+        b.nop();
+        b.bne(A0, ZERO, "loop");
+        b.end_crypto();
+        b.halt();
+        b.build().unwrap()
+    }
+
+    #[test]
+    fn lite_source_serves_the_incoming_tenants_hints() {
+        let (a, b) = (lite_tenant(false), lite_tenant(true));
+        let hint_at_3 = |p: &Program| encoded_for(p).hint(3);
+        assert!(matches!(
+            hint_at_3(&a),
+            Some(BranchHint::MultiTarget { .. })
+        ));
+        assert_eq!(hint_at_3(&b), Some(BranchHint::SingleTarget { target: 4 }));
+        let mut src = Frontend::new(&a, &config(DefenseMode::CassandraLite), Some(btu_for(&a)));
+        src.register_btu_context(0, Arc::new(encoded_for(&a)));
+        src.register_btu_context(1, Arc::new(encoded_for(&b)));
+        let branch = crypto_event(3, false, 4, Some(1));
+        assert_eq!(src.on_branch(&branch).outcome, FetchOutcome::Stall);
+        // Tenant B runs next: its single-target hint lets fetch proceed.
+        assert!(src.on_context_switch(1), "still priced as a flush");
+        assert_eq!(
+            src.on_branch(&branch).outcome,
+            FetchOutcome::Proceed { extra_latency: 0 }
+        );
+        assert!(src.on_context_switch(0));
+        assert_eq!(src.on_branch(&branch).outcome, FetchOutcome::Stall);
+        assert_eq!(src.btu_stats().unwrap().flushes, 2);
     }
 
     #[test]
     fn btu_source_forwards_context_switches() {
         let program = nested_crypto_program();
-        let config = CpuConfig::golden_cove_like();
-        let mut src = BtuSource::new(&program, &config, Some(btu_for(&program)));
+        let cfg = config(DefenseMode::Cassandra);
+        let mut src = Frontend::new(&program, &cfg, Some(btu_for(&program)));
         // The first call registers the initial context: nothing counted.
         assert!(!src.on_context_switch(1));
         assert_eq!(src.btu_stats().unwrap().partition_switches, 0);
@@ -935,37 +664,35 @@ mod tests {
         // Re-activating the active context is a no-op, in agreement.
         assert!(!src.on_context_switch(2));
         assert_eq!(src.btu_stats().unwrap().partition_switches, 1);
-        let mut none = BtuSource::new(&program, &config, None);
+        let mut none = Frontend::new(&program, &cfg, None);
         assert!(!none.on_context_switch(1));
     }
 
     #[test]
     fn swap_tenant_state_exchanges_the_bpu() {
-        let config = CpuConfig::golden_cove_like();
-        let mut src = BpuSource::new(&config);
+        let program = tiny_program();
+        let mut src = Frontend::new(&program, &config(DefenseMode::UnsafeBaseline), None);
         src.on_branch(&event(10, true, 2, Some(2)));
         let trained = src.bpu_stats();
         assert!(trained.pht_lookups >= 1);
         // Switching to a fresh tenant materializes an untrained BPU…
-        let mut tenant_a = TenantFrontendState::default();
-        src.swap_tenant_state(&mut tenant_a);
+        let mut tenant_a = None;
+        src.swap_tenant(&program, &mut tenant_a);
         assert_eq!(src.bpu_stats(), BpuStats::default());
-        assert!(tenant_a.bpu.is_some(), "the trained BPU went into the slot");
+        assert!(tenant_a.is_some(), "the trained BPU went into the slot");
         // …and swapping back restores the trained one exactly.
-        src.swap_tenant_state(&mut tenant_a);
+        src.swap_tenant(&program, &mut tenant_a);
         assert_eq!(src.bpu_stats(), trained);
     }
 
     #[test]
     fn integrity_check_blocks_speculative_entry_into_crypto_ranges() {
         let program = tiny_program(); // PC 0 is crypto.
-        let config = CpuConfig::golden_cove_like();
-        let mut src = BtuSource::new(&program, &config, None);
+        let mut src = Frontend::new(&program, &config(DefenseMode::Cassandra), None);
         // Non-crypto branch whose predicted target (taken, direct target 0)
         // lands inside the crypto range: the frontend must stall instead of
         // redirecting speculatively.
-        let e = event(5, true, 0, Some(0));
-        let d = src.on_branch(&e);
+        let d = src.on_branch(&event(5, true, 0, Some(0)));
         assert_eq!(d.outcome, FetchOutcome::Stall);
         assert!(d.opens_speculation_window);
     }

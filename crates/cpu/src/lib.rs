@@ -9,9 +9,12 @@
 //!
 //! Defenses are layered: a [`config::DefenseMode`] is only a *name*; the
 //! mechanisms it enables live in a [`policy::DefensePolicy`] (resolved once
-//! at pipeline construction) and the frontend behaviour behind the
-//! [`frontend::BranchSource`] trait. The pipeline core never matches on the
-//! mode — new defense scenarios are new policy values / branch sources.
+//! at pipeline construction), whose [`policy::FrontendKind`] selects the
+//! decision the one [`frontend::Frontend`] makes at each fetched branch.
+//! Every tunable — BTU geometry, tournament threshold, penalties — is a
+//! plain [`config::CpuConfig`] field that [`config::CpuConfig::with_defense`]
+//! presets. The pipeline core never matches on the mode — new defense
+//! scenarios are new policy values.
 //!
 //! The main entry point is [`pipeline::simulate`]:
 //!
@@ -49,7 +52,7 @@ pub mod stats;
 pub mod taint;
 
 pub use config::{CpuConfig, DefenseMode, ParseDefenseModeError};
-pub use frontend::{BranchEvent, BranchSource, FetchOutcome, FrontendDecision};
+pub use frontend::{BranchEvent, FetchOutcome, Frontend, FrontendDecision};
 pub use multi::{
     simulate_multi, MultiTenantOutcome, MultiTenantSimulator, SwitchPolicy, Tenant, TenantOutcome,
 };

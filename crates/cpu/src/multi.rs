@@ -123,9 +123,9 @@ fn salt_of(context: usize) -> u64 {
 ///
 /// `config.max_instructions` is the *per-tenant* budget (as in a solo run);
 /// `config.btu_flush_interval` is the scheduling quantum
-/// ([`DEFAULT_QUANTUM`] if zero). The BTU partition count comes from the
-/// defense in `config` (one shared partition under plain Cassandra, way-
-/// partitioned under Cassandra-part), exactly as in single-tenant runs; the
+/// ([`DEFAULT_QUANTUM`] if zero). The BTU partition count comes from
+/// `config.btu` (one shared partition under plain Cassandra, two under
+/// Cassandra-part's preset), exactly as in single-tenant runs; the
 /// [`SwitchPolicy`] selects the steal-victim policy on top.
 #[derive(Debug)]
 pub struct MultiTenantSimulator<'p> {
@@ -143,7 +143,8 @@ pub struct MultiTenantSimulator<'p> {
 
 impl<'p> MultiTenantSimulator<'p> {
     /// Builds a consolidated run over `tenants` (at least one). `btu` is the
-    /// shared unit (typically constructed from the first tenant's traces);
+    /// shared unit (typically constructed from the first tenant's traces,
+    /// with `config.btu`'s geometry);
     /// each tenant's own traces are registered under its context id, and
     /// tenant 0 is the initially active context.
     pub fn new(
@@ -315,7 +316,6 @@ mod tests {
     use super::*;
     use crate::config::DefenseMode;
     use crate::pipeline::simulate;
-    use cassandra_btu::unit::BtuConfig;
     use cassandra_isa::builder::ProgramBuilder;
     use cassandra_isa::reg::{A0, A1, A2, T0, ZERO};
     use cassandra_trace::genproc::generate_traces;
@@ -368,11 +368,10 @@ mod tests {
             .collect()
     }
 
-    fn shared_btu(programs: &[Program]) -> Option<BranchTraceUnit> {
-        Some(BranchTraceUnit::new(
-            BtuConfig::default(),
-            encoded_for(&programs[0]),
-        ))
+    /// The shared unit, over the first tenant's traces with `cfg`'s
+    /// geometry.
+    fn shared_btu(programs: &[Program], cfg: &CpuConfig) -> Option<BranchTraceUnit> {
+        Some(BranchTraceUnit::new(cfg.btu, encoded_for(&programs[0])))
     }
 
     fn mix() -> Vec<Program> {
@@ -400,8 +399,13 @@ mod tests {
             (SwitchPolicy::Partition, defense("Cassandra-part")),
         ] {
             let cfg = consolidation_cfg(label);
-            let outcome =
-                simulate_multi(tenants_for(&programs), cfg, policy, shared_btu(&programs)).unwrap();
+            let outcome = simulate_multi(
+                tenants_for(&programs),
+                cfg,
+                policy,
+                shared_btu(&programs, &cfg),
+            )
+            .unwrap();
             assert_eq!(outcome.tenants.len(), programs.len());
             for (i, program) in programs.iter().enumerate() {
                 let mut solo_cfg = cfg;
@@ -409,10 +413,7 @@ mod tests {
                 let solo = simulate(
                     program,
                     solo_cfg,
-                    Some(BranchTraceUnit::new(
-                        BtuConfig::default(),
-                        encoded_for(program),
-                    )),
+                    Some(BranchTraceUnit::new(cfg.btu, encoded_for(program))),
                 )
                 .unwrap();
                 let tenant = &outcome.tenants[i];
@@ -439,7 +440,7 @@ mod tests {
             tenants_for(&programs),
             cfg,
             SwitchPolicy::Partition,
-            shared_btu(&programs),
+            shared_btu(&programs, &cfg),
         )
         .unwrap();
         assert!(outcome.stats.context_switches > 1, "switches happened");
@@ -471,14 +472,14 @@ mod tests {
             tenants_for(&programs),
             cfg,
             SwitchPolicy::Partition,
-            shared_btu(&programs),
+            shared_btu(&programs, &cfg),
         )
         .unwrap();
         let scheduler = simulate_multi(
             tenants_for(&programs),
             cfg,
             SwitchPolicy::WorkingSet,
-            shared_btu(&programs),
+            shared_btu(&programs, &cfg),
         )
         .unwrap();
         for (p, s) in partition.tenants.iter().zip(&scheduler.tenants) {

@@ -17,9 +17,7 @@
 
 use crate::cache::CacheHierarchy;
 use crate::config::CpuConfig;
-use crate::frontend::{
-    self, BranchEvent, BranchSource, FetchOutcome, ProgramProfile, TenantFrontendState,
-};
+use crate::frontend::{BranchEvent, FetchOutcome, Frontend};
 use crate::policy::DefensePolicy;
 use crate::stats::SimStats;
 use crate::taint::TaintSet;
@@ -108,7 +106,8 @@ pub(crate) struct TenantCheckpoint<'p> {
     halted: bool,
     architectural_accesses: Vec<u64>,
     transient_accesses: Vec<u64>,
-    frontend_state: TenantFrontendState,
+    /// The tenant's branch predictor, `None` until its first switch-out.
+    bpu: Option<crate::bpu::BranchPredictionUnit>,
 }
 
 impl<'p> TenantCheckpoint<'p> {
@@ -134,7 +133,7 @@ impl<'p> TenantCheckpoint<'p> {
             halted: false,
             architectural_accesses: Vec::new(),
             transient_accesses: Vec::new(),
-            frontend_state: TenantFrontendState::default(),
+            bpu: None,
         }
     }
 
@@ -146,11 +145,7 @@ impl<'p> TenantCheckpoint<'p> {
     /// The parked BPU's statistics (zeroed before the tenant's first
     /// activation).
     pub(crate) fn bpu_stats(&self) -> crate::bpu::BpuStats {
-        self.frontend_state
-            .bpu
-            .as_ref()
-            .map(|bpu| bpu.stats())
-            .unwrap_or_default()
+        self.bpu.as_ref().map(|bpu| bpu.stats()).unwrap_or_default()
     }
 
     /// Consumes the checkpoint into the tenant's two access traces.
@@ -167,8 +162,8 @@ pub struct Simulator<'p> {
     /// The defense policy, resolved once from `config.defense`; the pipeline
     /// consults only this (and the frontend below), never the mode itself.
     policy: DefensePolicy,
-    /// The pluggable branch source steering fetch at branches.
-    frontend: Box<dyn BranchSource>,
+    /// The frontend steering fetch at branches.
+    frontend: Frontend,
     caches: CacheHierarchy,
     stats: SimStats,
 
@@ -259,7 +254,7 @@ impl<'p> Simulator<'p> {
         let mut regs = [0u64; NUM_REGS + 1];
         regs[SP.index()] = STACK_TOP;
         let policy = config.resolved_policy();
-        let mut frontend = frontend::build_source(program, &config, &policy, btu);
+        let mut frontend = Frontend::new(program, &config, btu);
         if config.btu_switch_contexts > 0 {
             // Register the initial context on its partition up front, so the
             // first periodic switch cannot hand context 0's warm partition
@@ -368,11 +363,11 @@ impl<'p> Simulator<'p> {
         self.halted
     }
 
-    /// Direct access to the branch source (the multi-tenant simulator
-    /// registers tenant contexts, switches them and installs the steal-victim
-    /// policy through this).
-    pub(crate) fn frontend_mut(&mut self) -> &mut dyn BranchSource {
-        &mut *self.frontend
+    /// Direct access to the frontend (the multi-tenant simulator registers
+    /// tenant contexts, switches them and installs the steal-victim policy
+    /// through this).
+    pub(crate) fn frontend_mut(&mut self) -> &mut Frontend {
+        &mut self.frontend
     }
 
     /// Records one counted context switch in the statistics.
@@ -403,9 +398,7 @@ impl<'p> Simulator<'p> {
             &mut slot.architectural_accesses,
         );
         std::mem::swap(&mut self.transient_accesses, &mut slot.transient_accesses);
-        self.frontend.swap_tenant_state(&mut slot.frontend_state);
-        self.frontend
-            .retarget_program(ProgramProfile::of(self.program));
+        self.frontend.swap_tenant(self.program, &mut slot.bpu);
         self.addr_salt = salt;
         // The same-line fetch filter mirrors the L1I's MRU line for the
         // *previous* tenant's salted text; invalidate it so the incoming
@@ -846,8 +839,7 @@ impl<'p> Simulator<'p> {
         });
     }
 
-    /// Frontend behaviour at a branch: the configured [`BranchSource`]
-    /// decides (replay, prediction, integrity stall, fence); the pipeline
+    /// Frontend behaviour at a branch: the [`Frontend`] decides (replay, prediction, integrity stall, fence); the pipeline
     /// only interprets the decision — redirects, wrong-path excursions and
     /// squash recovery. No defense-specific branching lives here.
     fn handle_branch_frontend(&mut self, event: &BranchEvent, fetch_cycle: u64, resolve: u64) {
@@ -877,7 +869,7 @@ impl<'p> Simulator<'p> {
             }
         }
         // The mispredicted branch itself retires architecturally: commit its
-        // frontend state *before* the squash, so sources whose crypto
+        // frontend state *before* the squash, so frontends whose crypto
         // branches can mispredict (a cold tournament branch) roll their
         // speculative cursors back to a checkpoint that already includes
         // this execution.
@@ -1074,7 +1066,6 @@ mod tests {
     use super::*;
     use crate::config::DefenseMode as Mode;
     use cassandra_btu::encode::EncodedTraces;
-    use cassandra_btu::unit::BtuConfig;
     use cassandra_isa::builder::ProgramBuilder;
     use cassandra_isa::exec::Executor;
     use cassandra_isa::reg::{A0, A1, A2, ZERO};
@@ -1105,10 +1096,17 @@ mod tests {
         b.build().unwrap()
     }
 
-    fn btu_for(program: &Program) -> BranchTraceUnit {
+    /// A BTU over `program`'s traces with `cfg`'s geometry.
+    fn btu_for(program: &Program, cfg: &CpuConfig) -> BranchTraceUnit {
         let bundle = generate_traces(program, None, 10_000_000).unwrap();
         let encoded = EncodedTraces::from_bundle(program, &bundle);
-        BranchTraceUnit::new(BtuConfig::default(), encoded)
+        BranchTraceUnit::new(cfg.btu, encoded)
+    }
+
+    /// Simulates `program` under `label`'s defense with a matching BTU.
+    fn simulate_as(program: &Program, label: &str) -> SimOutcome {
+        let cfg = CpuConfig::golden_cove_like().with_defense(defense(label));
+        simulate(program, cfg, Some(btu_for(program, &cfg))).unwrap()
     }
 
     #[test]
@@ -1132,7 +1130,7 @@ mod tests {
         for mode in Mode::ALL {
             let cfg = CpuConfig::golden_cove_like().with_defense(mode);
             let btu = if mode.uses_btu() {
-                Some(btu_for(&program))
+                Some(btu_for(&program, &cfg))
             } else {
                 None
             };
@@ -1153,7 +1151,7 @@ mod tests {
     fn cassandra_has_no_crypto_mispredictions() {
         let program = loop_program(64);
         let cfg = CpuConfig::golden_cove_like().with_defense(defense("Cassandra"));
-        let outcome = simulate(&program, cfg, Some(btu_for(&program))).unwrap();
+        let outcome = simulate(&program, cfg, Some(btu_for(&program, &cfg))).unwrap();
         assert_eq!(outcome.stats.mispredictions, 0);
         assert_eq!(outcome.stats.squashed_instructions, 0);
         assert!(outcome.stats.btu.lookups > 0);
@@ -1178,18 +1176,8 @@ mod tests {
     #[test]
     fn zero_entry_trace_cache_pays_the_miss_penalty_per_lookup() {
         let program = loop_program(64);
-        let full = simulate(
-            &program,
-            CpuConfig::golden_cove_like().with_defense(defense("Cassandra")),
-            Some(btu_for(&program)),
-        )
-        .unwrap();
-        let no_tc = simulate(
-            &program,
-            CpuConfig::golden_cove_like().with_defense(defense("Cassandra-noTC")),
-            Some(btu_for(&program)),
-        )
-        .unwrap();
+        let full = simulate_as(&program, "Cassandra");
+        let no_tc = simulate_as(&program, "Cassandra-noTC");
         // Replay is still exact (no mispredictions), but every multi-target
         // lookup misses and the runtime pays for the streaming.
         assert_eq!(no_tc.stats.mispredictions, 0);
@@ -1203,7 +1191,7 @@ mod tests {
         let program = loop_program(64);
         let baseline = simulate(&program, CpuConfig::golden_cove_like(), None).unwrap();
         let cfg = CpuConfig::golden_cove_like().with_defense(defense("Tournament"));
-        let outcome = simulate(&program, cfg, Some(btu_for(&program))).unwrap();
+        let outcome = simulate(&program, cfg, Some(btu_for(&program, &cfg))).unwrap();
         // Architectural behaviour is untouched; both components saw work.
         assert_eq!(
             outcome.stats.committed_instructions,
@@ -1230,12 +1218,12 @@ mod tests {
         let flush_cfg = base
             .with_defense(defense("Cassandra"))
             .with_btu_flush_interval(50);
-        let flushed = simulate(&program, flush_cfg, Some(btu_for(&program))).unwrap();
+        let flushed = simulate(&program, flush_cfg, Some(btu_for(&program, &flush_cfg))).unwrap();
         let part_cfg = base
             .with_defense(defense("Cassandra-part"))
             .with_btu_flush_interval(50)
             .with_btu_switch_contexts(2);
-        let partitioned = simulate(&program, part_cfg, Some(btu_for(&program))).unwrap();
+        let partitioned = simulate(&program, part_cfg, Some(btu_for(&program, &part_cfg))).unwrap();
 
         assert!(flushed.stats.periodic_btu_flushes > 1, "flushes happened");
         assert_eq!(partitioned.stats.periodic_btu_flushes, 0);
@@ -1268,14 +1256,14 @@ mod tests {
             .with_defense(defense("Cassandra-part"))
             .with_btu_flush_interval(50)
             .with_btu_switch_contexts(1);
-        let outcome = simulate(&program, cfg, Some(btu_for(&program))).unwrap();
+        let outcome = simulate(&program, cfg, Some(btu_for(&program, &cfg))).unwrap();
         assert_eq!(outcome.stats.context_switches, 0);
         assert_eq!(outcome.stats.btu.partition_switches, 0);
         assert_eq!(outcome.stats.periodic_btu_flushes, 0);
         assert_eq!(outcome.stats.btu.flushes, 0);
 
         let quiet_cfg = base.with_defense(defense("Cassandra-part"));
-        let quiet = simulate(&program, quiet_cfg, Some(btu_for(&program))).unwrap();
+        let quiet = simulate(&program, quiet_cfg, Some(btu_for(&program, &quiet_cfg))).unwrap();
         assert_eq!(outcome.stats.cycles, quiet.stats.cycles);
         assert_eq!(outcome.stats.btu.misses, quiet.stats.btu.misses);
     }
@@ -1309,18 +1297,8 @@ mod tests {
     #[test]
     fn cassandra_lite_stalls_multi_target_branches() {
         let program = loop_program(64);
-        let lite = simulate(
-            &program,
-            CpuConfig::golden_cove_like().with_defense(defense("Cassandra-lite")),
-            Some(btu_for(&program)),
-        )
-        .unwrap();
-        let full = simulate(
-            &program,
-            CpuConfig::golden_cove_like().with_defense(defense("Cassandra")),
-            Some(btu_for(&program)),
-        )
-        .unwrap();
+        let lite = simulate_as(&program, "Cassandra-lite");
+        let full = simulate_as(&program, "Cassandra");
         assert!(lite.stats.fetch_stalls > 0);
         assert!(lite.stats.cycles >= full.stats.cycles);
     }

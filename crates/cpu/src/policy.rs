@@ -11,7 +11,8 @@
 
 use serde::{Deserialize, Serialize};
 
-/// Which branch source steers fetch at branches (see [`crate::frontend`]).
+/// Which decision the [`crate::frontend::Frontend`] makes at each fetched
+/// branch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum FrontendKind {
     /// The branch prediction unit (PHT/BTB/RSB) predicts every branch.
@@ -49,7 +50,7 @@ impl FrontendKind {
 /// thin views over it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct DefensePolicy {
-    /// The branch source steering fetch at branches.
+    /// The decision steering fetch at branches.
     pub frontend: FrontendKind,
     /// Whether loads may forward from older in-flight stores. Disabled by
     /// the data-flow protection of Cassandra+STL.
@@ -60,18 +61,6 @@ pub struct DefensePolicy {
     /// ProSpeCT-style rule: instructions with tainted (secret-derived)
     /// operands may not execute while speculative.
     pub block_tainted: bool,
-    /// Overrides the Trace Cache entry count of the BTU (e.g. `Some(0)` for
-    /// the zero-entry `Cassandra-noTC` scenario where every multi-target
-    /// lookup streams its trace from the data pages).
-    pub trace_cache_entries: Option<usize>,
-    /// Splits the BTU's Trace Cache ways into this many per-context
-    /// partitions (the Q4 partition-reassignment scenario); `None` keeps the
-    /// unpartitioned unit of the paper's Table 3.
-    pub btu_partitions: Option<usize>,
-    /// Overrides the tournament frontend's promotion threshold: how many
-    /// executions a crypto branch needs before its BTU trace is trusted over
-    /// the BPU. `None` uses [`crate::frontend::TOURNAMENT_PROMOTE_THRESHOLD`].
-    pub tournament_threshold: Option<u32>,
 }
 
 impl DefensePolicy {
@@ -83,9 +72,6 @@ impl DefensePolicy {
             stl_forwarding: true,
             delay_transmitters: false,
             block_tainted: false,
-            trace_cache_entries: None,
-            btu_partitions: None,
-            tournament_threshold: None,
         }
     }
 
@@ -116,27 +102,6 @@ impl DefensePolicy {
         self.block_tainted = true;
         self
     }
-
-    /// The same policy with a Trace Cache entry-count override.
-    #[must_use]
-    pub const fn with_trace_cache_entries(mut self, entries: usize) -> Self {
-        self.trace_cache_entries = Some(entries);
-        self
-    }
-
-    /// The same policy with the BTU's ways split into per-context partitions.
-    #[must_use]
-    pub const fn with_btu_partitions(mut self, partitions: usize) -> Self {
-        self.btu_partitions = Some(partitions);
-        self
-    }
-
-    /// The same policy with a tournament promotion-threshold override.
-    #[must_use]
-    pub const fn with_tournament_threshold(mut self, threshold: u32) -> Self {
-        self.tournament_threshold = Some(threshold);
-        self
-    }
 }
 
 impl Default for DefensePolicy {
@@ -156,9 +121,6 @@ mod tests {
         assert!(p.stl_forwarding);
         assert!(!p.delay_transmitters);
         assert!(!p.block_tainted);
-        assert_eq!(p.trace_cache_entries, None);
-        assert_eq!(p.btu_partitions, None);
-        assert_eq!(p.tournament_threshold, None);
     }
 
     #[test]
@@ -166,14 +128,11 @@ mod tests {
         let p = DefensePolicy::baseline()
             .with_frontend(FrontendKind::Btu)
             .without_stl_forwarding()
-            .with_trace_cache_entries(0)
-            .with_btu_partitions(2)
-            .with_tournament_threshold(8);
+            .blocking_tainted();
         assert_eq!(p.frontend, FrontendKind::Btu);
         assert!(!p.stl_forwarding);
-        assert_eq!(p.trace_cache_entries, Some(0));
-        assert_eq!(p.btu_partitions, Some(2));
-        assert_eq!(p.tournament_threshold, Some(8));
+        assert!(p.block_tainted);
+        assert!(!p.delay_transmitters);
     }
 
     #[test]

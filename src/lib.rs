@@ -50,7 +50,7 @@ pub mod prelude {
     pub use cassandra_core::report::{self, ReportFormat};
     pub use cassandra_core::AnalysisBundle;
     pub use cassandra_cpu::config::{CpuConfig, DefenseMode};
-    pub use cassandra_cpu::frontend::{BranchEvent, BranchSource, FetchOutcome, FrontendDecision};
+    pub use cassandra_cpu::frontend::{BranchEvent, FetchOutcome, Frontend, FrontendDecision};
     pub use cassandra_cpu::pipeline::SimOutcome;
     pub use cassandra_cpu::policy::{DefensePolicy, FrontendKind};
     pub use cassandra_isa::program::Program;

@@ -143,6 +143,35 @@ fn cassandra_no_tc_streams_every_multi_target_lookup() {
     assert!(no_tc.stats.cycles >= full.stats.cycles);
 }
 
+/// A grid axis overrides the defense's preset geometry: `Cassandra-noTC`
+/// swept over `btu_entries: [8]` gets an 8-entry Trace Cache, so it hits
+/// and runs exactly like `Cassandra+btu8`, not like plain `Cassandra-noTC`.
+#[test]
+fn grid_btu_entries_give_cassandra_no_tc_a_trace_cache() {
+    let w = suite::chacha20_workload(64);
+    let mut ev = Evaluator::new();
+    let grid =
+        GridSweep::over([DefenseMode::CassandraNoTc, DefenseMode::Cassandra]).btu_entries([8]);
+    let stats: Vec<_> = grid
+        .design_points()
+        .iter()
+        .map(|point| ev.eval(&w, point).unwrap())
+        .map(|record| (record.design, record.stats))
+        .collect();
+    assert_eq!(stats[0].0, "Cassandra-noTC+btu8");
+    assert_eq!(stats[1].0, "Cassandra+btu8");
+    assert!(stats[0].1.btu.hits > 0, "the 8-entry Trace Cache hits");
+    assert_eq!(stats[0].1, stats[1].1);
+    let no_tc = ev
+        .simulate_cached(
+            &w,
+            &CpuConfig::golden_cove_like().with_defense(DefenseMode::CassandraNoTc),
+        )
+        .unwrap();
+    assert_eq!(no_tc.stats.btu.hits, 0);
+    assert!(no_tc.stats.cycles > stats[0].1.cycles);
+}
+
 /// The tournament frontend exercises both of its components on a real
 /// kernel: cold crypto branches train the BPU, hot ones replay the BTU, and
 /// the architectural stream still matches the golden baseline (checked by

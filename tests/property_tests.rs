@@ -221,7 +221,8 @@ fn generated_reassignment_under_squash_restores_checkpoints() {
 /// the counter saturates at the threshold.
 #[test]
 fn generated_tournament_confidence_saturates_at_the_threshold() {
-    use cassandra::cpu::frontend::{BranchEvent, BranchSource, TournamentSource};
+    use cassandra::cpu::config::{CpuConfig, DefenseMode};
+    use cassandra::cpu::frontend::{BranchEvent, Frontend};
     use cassandra::isa::instr::BranchKind;
     for seed in 1..=CASES {
         let mut rng = Rng::new(seed);
@@ -239,8 +240,10 @@ fn generated_tournament_confidence_saturates_at_the_threshold() {
         let encoded = EncodedTraces::from_bundle(&program, &bundle);
         let btu = BranchTraceUnit::new(BtuConfig::default(), encoded);
         let threshold = rng.range(0, targets.len() as u64 + 2) as u32;
-        let config = cassandra::cpu::config::CpuConfig::golden_cove_like();
-        let mut src = TournamentSource::new(&program, &config, Some(btu), threshold);
+        let config = CpuConfig::golden_cove_like()
+            .with_defense(DefenseMode::Tournament)
+            .with_tournament_threshold(threshold);
+        let mut src = Frontend::new(&program, &config, Some(btu));
         for (i, &target) in targets.iter().enumerate() {
             let event = BranchEvent {
                 pc: inner_pc,
