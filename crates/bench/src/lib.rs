@@ -26,7 +26,7 @@
 //! tournament hybrid). Analyses are warmed before the clock starts: the
 //! bench times *simulation* throughput, not Algorithm-2 trace generation.
 
-use cassandra_core::eval::{DesignPoint, Evaluator};
+use cassandra_core::eval::{AnalysisStore, DesignPoint, SweepExecutor};
 use cassandra_core::policies::PolicyRegistry;
 use cassandra_kernels::suite;
 use cassandra_kernels::workload::Workload;
@@ -202,12 +202,13 @@ pub fn guarded_speedup(after_cells_per_sec: f64, before_cells_per_sec: f64) -> f
 pub fn measure_suite(suite_name: &str) -> Measurement {
     let workloads = suite_workloads(suite_name);
     let designs = representative_designs();
-    let mut session = Evaluator::new();
+    let store = AnalysisStore::new();
     for w in &workloads {
-        session
-            .analysis(w)
+        store
+            .entry(&w.kernel.program, w.kernel.step_limit)
             .unwrap_or_else(|e| panic!("{}: analysis failed: {e:?}", w.name));
     }
+    let ex = SweepExecutor::new(&store);
 
     let mut policies = Vec::with_capacity(designs.len());
     let mut total_wall = 0.0f64;
@@ -216,8 +217,8 @@ pub fn measure_suite(suite_name: &str) -> Measurement {
         let start = Instant::now();
         let mut cycles = 0u64;
         for w in &workloads {
-            let outcome = session
-                .simulate_cached(w, &design.config)
+            let outcome = ex
+                .simulate(w, &design.config)
                 .unwrap_or_else(|e| panic!("{} under {}: {e:?}", w.name, design.label));
             cycles += outcome.stats.cycles;
         }

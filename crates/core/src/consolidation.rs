@@ -2,7 +2,7 @@
 //!
 //! The paper's deployment story packs many mutually-distrusting crypto
 //! services onto one physical core; this experiment measures what that
-//! costs. A mix of tenants (cycled from the session's workload suite) is
+//! costs. A mix of tenants (cycled from the given workload suite) is
 //! round-robined over one shared pipeline and Branch Trace Unit by
 //! [`cassandra_cpu::multi::MultiTenantSimulator`], under each of the three
 //! switch policies the repo models:
@@ -19,7 +19,7 @@
 //! run of the same workload under the same defense; per-context BTU
 //! hit/steal/eviction statistics come straight from the shared unit.
 
-use crate::eval::Evaluator;
+use crate::eval::SweepExecutor;
 use cassandra_btu::unit::ContextBtuStats;
 use cassandra_cpu::config::{CpuConfig, DefenseMode};
 use cassandra_cpu::multi::{simulate_multi, SwitchPolicy, Tenant};
@@ -92,16 +92,16 @@ pub struct ConsolidationResult {
     pub policies: Vec<ConsolidationPolicyResult>,
 }
 
-/// Runs the consolidation experiment through an evaluation session: a
+/// Runs the consolidation experiment through a sweep executor: a
 /// `tenant_count`-tenant mix cycled from `workloads`, scheduled with
 /// `quantum`-instruction turns, under every [`CONSOLIDATION_POLICIES`]
-/// pair. Solo baselines reuse the session's memoized analyses.
+/// pair. Solo baselines reuse the store's memoized analyses.
 ///
 /// # Errors
 ///
 /// Propagates analysis or simulation errors.
 pub fn consolidation_with(
-    ev: &mut Evaluator,
+    ex: &SweepExecutor<'_>,
     workloads: &[Workload],
     tenant_count: usize,
     quantum: u64,
@@ -116,14 +116,14 @@ pub fn consolidation_with(
         return Ok(result);
     }
     // The mix cycles the suite so any suite size yields `tenant_count`
-    // tenants; repeated programs share one analysis through the session.
+    // tenants; repeated programs share one analysis through the store.
     let picks: Vec<&Workload> = (0..tenant_count)
         .map(|i| &workloads[i % workloads.len()])
         .collect();
     let analyses = picks
         .iter()
-        .map(|w| ev.analysis(w))
-        .collect::<Result<Vec<_>, _>>()?;
+        .map(|w| Ok(ex.store().entry(&w.kernel.program, w.kernel.step_limit)?.0))
+        .collect::<Result<Vec<_>, IsaError>>()?;
     let budget = picks
         .iter()
         .map(|w| w.kernel.step_limit)
@@ -149,7 +149,7 @@ pub fn consolidation_with(
         let mut solo: HashMap<&str, u64> = HashMap::new();
         for w in &picks {
             if !solo.contains_key(w.name.as_str()) {
-                let cycles = ev.simulate_cached(w, &solo_cfg)?.stats.cycles;
+                let cycles = ex.simulate(w, &solo_cfg)?.stats.cycles;
                 solo.insert(w.name.as_str(), cycles);
             }
         }
@@ -195,14 +195,14 @@ pub fn consolidation_with(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::eval::AnalysisStore;
     use crate::experiments::quick_workloads;
 
     #[test]
     fn consolidation_covers_every_policy_and_tenant() {
         let workloads = quick_workloads();
-        let mut ev = Evaluator::builder().workloads(workloads).build();
-        let workloads = ev.shared_workloads();
-        let result = consolidation_with(&mut ev, &workloads, 4, 2_000).unwrap();
+        let store = AnalysisStore::new();
+        let result = consolidation_with(&SweepExecutor::new(&store), &workloads, 4, 2_000).unwrap();
         assert_eq!(result.tenant_count, 4);
         assert_eq!(result.policies.len(), 3);
         assert_eq!(
@@ -240,18 +240,19 @@ mod tests {
             }
             assert!(policy.geomean_slowdown.is_finite());
         }
-        // Solo baselines ran through the session cache: four distinct
+        // Solo baselines ran through the shared store: four distinct
         // programs analyzed once each, everything else a hit.
-        assert_eq!(ev.cache_stats().misses, 4);
+        assert_eq!(store.stats().misses, 4);
     }
 
     #[test]
     fn empty_inputs_yield_an_empty_result() {
-        let mut ev = Evaluator::new();
-        let result = consolidation_with(&mut ev, &[], 4, 1_000).unwrap();
+        let store = AnalysisStore::new();
+        let ex = SweepExecutor::new(&store);
+        let result = consolidation_with(&ex, &[], 4, 1_000).unwrap();
         assert!(result.policies.is_empty());
         let workloads = quick_workloads();
-        let result = consolidation_with(&mut ev, &workloads, 0, 1_000).unwrap();
+        let result = consolidation_with(&ex, &workloads, 0, 1_000).unwrap();
         assert!(result.policies.is_empty());
     }
 }

@@ -1,11 +1,10 @@
-//! The evaluation session API: a shared analysis store, stateless sweep
-//! executors, and the [`Evaluator`] facade over the pair.
+//! The evaluation API: one shared analysis store and the stateless sweep
+//! executors that simulate against it.
 //!
 //! The paper's evaluation runs one trace-generation pass (Algorithm 2) per
 //! workload and then simulates that workload under many defense designs.
-//! The free functions in the crate root re-derive the analysis on every
-//! call; this module instead memoizes each [`AnalysisBundle`] keyed by the
-//! program's content fingerprint
+//! This module memoizes each [`AnalysisBundle`] keyed by the program's
+//! content fingerprint
 //! ([`cassandra_trace::fingerprint::program_fingerprint`]), so a full
 //! multi-experiment evaluation analyzes every distinct program **exactly
 //! once** no matter how many design points, experiments or concurrent
@@ -13,33 +12,23 @@
 //!
 //! ## The two layers
 //!
-//! * [`AnalysisStore`] — the thread-safe analysis cache. A fingerprint-keyed
-//!   map of `Arc<AnalysisBundle>`s behind one `RwLock`, with
-//!   per-fingerprint **in-flight guards**: when two threads request the
-//!   same un-analyzed program, one runs Algorithm 2 and the other blocks
-//!   until the result lands, so the exactly-once property holds under
-//!   concurrency. Cache counters are atomics, observable through
-//!   [`AnalysisStore::stats`], and the whole store serializes to an
-//!   [`AnalysisSnapshot`] for warm-starts (the server's cache journal).
-//! * [`SweepExecutor`] — a stateless sweep engine borrowing a store and
-//!   evaluating workload × design matrices into [`EvalRecord`]s. Any number
-//!   of executors can run against one store concurrently. Sweeps honor a
-//!   [`CancelToken`], checked between design-point cells, and can stream
-//!   records in matrix order as they complete
-//!   ([`SweepExecutor::sweep_stream`]).
-//!
-//! ## Session model
-//!
-//! An [`Evaluator`] is a thin facade over one store plus per-call executors:
-//! built once per evaluation session — with a workload set, a design matrix
-//! ([`DesignPoint`]s: a label plus a complete [`CpuConfig`]) and an optional
-//! step budget — and then handed to any number of experiments (see
-//! [`crate::registry`]). [`Evaluator::sweep`] evaluates the full workload ×
-//! design matrix and yields a uniform [`EvalRecord`] stream; individual
-//! experiments use [`Evaluator::simulate_cached`] / [`Evaluator::analysis`]
-//! for their more specialised shapes. Sessions built with
-//! [`EvaluatorBuilder::store`] share one `Arc<AnalysisStore>`, which is how
-//! the evaluation server lets N in-flight requests share one cache.
+//! * [`AnalysisStore`] — analyse once. A fingerprint-keyed map of
+//!   `Arc<AnalysisBundle>`s behind one `RwLock`, with per-fingerprint
+//!   **in-flight guards**: when two threads request the same un-analyzed
+//!   program, one runs Algorithm 2 and the other blocks until the result
+//!   lands, so the exactly-once property holds under concurrency. Cache
+//!   counters are atomics, observable through [`AnalysisStore::stats`],
+//!   and the whole store serializes to an [`AnalysisSnapshot`] for
+//!   warm-starts (the server's cache journal).
+//! * [`SweepExecutor`] — simulate many. A stateless engine borrowing a
+//!   store: [`SweepExecutor::simulate`] runs one workload under one
+//!   [`CpuConfig`], and [`SweepExecutor::sweep_matrix`] /
+//!   [`SweepExecutor::sweep_stream`] evaluate workload × design matrices
+//!   ([`DesignPoint`]s: a label plus a complete [`CpuConfig`]) into
+//!   [`EvalRecord`]s. Any number of executors can run against one store
+//!   concurrently; every experiment in [`crate::registry`] runs on one, and
+//!   the evaluation server builds one per request over its shared store.
+//!   Sweeps honor a [`CancelToken`], checked between design-point cells.
 //!
 //! Sweeps simulate design points on all available cores using scoped
 //! threads; analysis stays serial (guarded per fingerprint) so the
@@ -47,9 +36,8 @@
 //! toolchain has no `rayon`; the thread pool is a small
 //! `std::thread::scope` work queue with identical output ordering.)
 
-use crate::{AnalysisBundle, ANALYSIS_STEP_LIMIT};
+use crate::AnalysisBundle;
 use cassandra_analysis::StaticReport;
-use cassandra_btu::encode::EncodedTraces;
 use cassandra_btu::unit::ContextBtuStats;
 use cassandra_cpu::config::{CpuConfig, DefenseMode};
 use cassandra_cpu::pipeline::{simulate, SimOutcome};
@@ -58,8 +46,6 @@ use cassandra_isa::error::IsaError;
 use cassandra_isa::program::Program;
 use cassandra_kernels::workload::{Workload, WorkloadGroup};
 use cassandra_trace::fingerprint::program_fingerprint;
-use cassandra_trace::genproc::generate_traces;
-use cassandra_trace::stats::TraceSummary;
 use serde::{Deserialize, Serialize};
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
@@ -135,7 +121,7 @@ pub struct EvalTiming {
     /// Time spent generating this workload's analysis (the first time; 0 is
     /// possible for sub-microsecond analyses, see `analysis_cached`).
     pub analysis: Duration,
-    /// True if the analysis was served from the session cache.
+    /// True if the analysis was served from the store's cache.
     pub analysis_cached: bool,
     /// Time spent in the cycle-level simulation of this design point.
     pub simulate: Duration,
@@ -272,13 +258,12 @@ pub type InsertObserver = Arc<dyn Fn(&SnapshotEntry) + Send + Sync>;
 /// concurrency via per-fingerprint in-flight guards, and atomic
 /// [`CacheStats`].
 ///
-/// A store is the shared half of an evaluation session: any number of
-/// [`SweepExecutor`]s (or [`Evaluator`] facades built with
-/// [`EvaluatorBuilder::store`]) can consume one store concurrently — this
-/// is what lets the evaluation server run N requests in flight against one
-/// cache. Lookups take the entry map's read lock only, for one hash probe
-/// and an `Arc` clone; Algorithm 2 itself runs with **no** store lock
-/// held, so a slow analysis never blocks hits on other programs.
+/// A store is the shared half of an evaluation: any number of
+/// [`SweepExecutor`]s can consume one store concurrently — this is what
+/// lets the evaluation server run N requests in flight against one cache.
+/// Lookups take the entry map's read lock only, for one hash probe and an
+/// `Arc` clone; Algorithm 2 itself runs with **no** store lock held, so a
+/// slow analysis never blocks hits on other programs.
 ///
 /// Lock order: `in_flight` may be held while taking `entries` (the
 /// analyzer-election re-check), never the reverse; `lints` and `observer`
@@ -442,7 +427,7 @@ impl AnalysisStore {
                 }
                 Role::Analyzer(guard) => {
                     let start = Instant::now();
-                    let analysis = Arc::new(Evaluator::analyze_once(program, step_limit)?);
+                    let analysis = Arc::new(AnalysisBundle::analyze(program, step_limit)?);
                     let elapsed = start.elapsed();
                     self.write_entries()
                         .insert(key, StoreEntry::new(Arc::clone(&analysis), elapsed));
@@ -464,19 +449,6 @@ impl AnalysisStore {
                 }
             }
         }
-    }
-
-    /// The memoized analysis of an arbitrary program.
-    ///
-    /// # Errors
-    ///
-    /// Propagates profiling-run errors from Algorithm 2.
-    pub fn analyze_program(
-        &self,
-        program: &Program,
-        step_limit: u64,
-    ) -> Result<Arc<AnalysisBundle>, IsaError> {
-        self.entry(program, step_limit).map(|(bundle, _)| bundle)
     }
 
     /// The memoized static constant-time report of `program` (see
@@ -581,37 +553,49 @@ pub struct AnalysisSnapshot {
 
 // ------------------------------------------------------- sweep executor
 
-/// A stateless sweep engine over a borrowed [`AnalysisStore`]: evaluates
-/// workload × design matrices into [`EvalRecord`]s, honoring a
-/// [`CancelToken`] between design-point cells.
+/// A stateless sweep engine over a borrowed [`AnalysisStore`]: simulates
+/// workloads under design points, honoring a [`CancelToken`] between
+/// design-point cells.
 ///
 /// Executors hold no mutable state of their own, so any number can run
 /// concurrently against one store — the server materializes one per
-/// request. [`SweepExecutor::sweep_matrix`] collects the full record
-/// vector; [`SweepExecutor::sweep_stream`] emits records in matrix order as
-/// cells complete, which is what the wire protocol streams.
+/// request. [`SweepExecutor::simulate`] runs one cell;
+/// [`SweepExecutor::sweep_matrix`] collects the records of a full matrix;
+/// [`SweepExecutor::sweep_stream`] emits them in matrix order as cells
+/// complete, which is what the wire protocol streams.
+///
+/// ```
+/// use cassandra_core::eval::{AnalysisStore, DesignPoint, SweepExecutor};
+/// use cassandra_cpu::config::DefenseMode;
+/// use cassandra_kernels::suite;
+///
+/// let store = AnalysisStore::new();
+/// let ex = SweepExecutor::new(&store);
+/// let workloads = [suite::des_workload(4)];
+/// let designs = [DefenseMode::UnsafeBaseline, DefenseMode::Cassandra]
+///     .map(DesignPoint::from_defense);
+///
+/// let records = ex.sweep_matrix(&workloads, &designs)?;
+/// assert_eq!(records.len(), 2);
+///
+/// // Sweeping again reuses the memoized analysis: one miss, ever.
+/// ex.sweep_matrix(&workloads, &designs)?;
+/// assert_eq!(store.stats().misses, 1);
+/// assert!(store.stats().hits >= 1);
+/// # Ok::<(), cassandra_isa::error::IsaError>(())
+/// ```
 pub struct SweepExecutor<'a> {
     store: &'a AnalysisStore,
-    step_limit: Option<u64>,
     threads: Option<usize>,
 }
 
 impl<'a> SweepExecutor<'a> {
-    /// An executor over `store` with no step-budget override.
+    /// An executor over `store` using every available core.
     pub fn new(store: &'a AnalysisStore) -> Self {
         SweepExecutor {
             store,
-            step_limit: None,
             threads: None,
         }
-    }
-
-    /// Overrides the profiling step budget for every analysis this executor
-    /// triggers (default: each workload's own `step_limit`).
-    #[must_use]
-    pub fn with_step_limit(mut self, step_limit: Option<u64>) -> Self {
-        self.step_limit = step_limit;
-        self
     }
 
     /// Overrides the worker-thread count of streaming sweeps (default: all
@@ -629,30 +613,16 @@ impl<'a> SweepExecutor<'a> {
         self.store
     }
 
-    fn analysis_entry(
-        &self,
-        program: &Program,
-        workload_limit: u64,
-    ) -> Result<(Arc<AnalysisBundle>, EvalTiming), IsaError> {
-        self.store
-            .entry(program, self.step_limit.unwrap_or(workload_limit))
-    }
-
-    /// Evaluates one workload at one design point, yielding a uniform
-    /// record.
+    /// Simulates a workload under `cfg`, analyzing it first if the store
+    /// has not seen its program yet.
     ///
     /// # Errors
     ///
     /// Propagates analysis or simulation errors.
-    pub fn eval(&self, workload: &Workload, design: &DesignPoint) -> Result<EvalRecord, IsaError> {
-        let (analysis, mut timing) =
-            self.analysis_entry(&workload.kernel.program, workload.kernel.step_limit)?;
-        let mut cfg = design.config;
-        cfg.max_instructions = cfg.max_instructions.max(workload.kernel.step_limit);
-        let start = Instant::now();
-        let outcome = Evaluator::simulate_program(&workload.kernel.program, Some(&analysis), &cfg)?;
-        timing.simulate = start.elapsed();
-        Ok(record_from(workload, design, outcome, timing))
+    pub fn simulate(&self, workload: &Workload, cfg: &CpuConfig) -> Result<SimOutcome, IsaError> {
+        let kernel = &workload.kernel;
+        let (analysis, _) = self.store.entry(&kernel.program, kernel.step_limit)?;
+        simulate_cell(workload, &analysis, cfg)
     }
 
     /// Evaluates the full workload × design matrix, returning the records
@@ -713,7 +683,7 @@ impl<'a> SweepExecutor<'a> {
             if cancel.is_cancelled() {
                 return Ok(SweepOutcome::Cancelled);
             }
-            analyses.push(self.analysis_entry(&w.kernel.program, w.kernel.step_limit)?);
+            analyses.push(self.store.entry(&w.kernel.program, w.kernel.step_limit)?);
         }
 
         // Phase 2: simulate every (workload, design) cell.
@@ -721,35 +691,55 @@ impl<'a> SweepExecutor<'a> {
             .flat_map(|wi| (0..designs.len()).map(move |di| (wi, di)))
             .collect();
         let run_one = |&(wi, di): &(usize, usize)| -> Result<EvalRecord, IsaError> {
-            let w = &workloads[wi];
-            let d = &designs[di];
+            let (w, d) = (&workloads[wi], &designs[di]);
             let (bundle, mut timing) = (&analyses[wi].0, analyses[wi].1);
-            let mut cfg = d.config;
-            cfg.max_instructions = cfg.max_instructions.max(w.kernel.step_limit);
             let start = Instant::now();
-            let outcome = Evaluator::simulate_program(&w.kernel.program, Some(bundle), &cfg)?;
+            let outcome = simulate_cell(w, bundle, &d.config)?;
             timing.simulate = start.elapsed();
-            Ok(record_from(w, d, outcome, timing))
+            Ok(EvalRecord {
+                workload: w.name.clone(),
+                group: w.group,
+                design: d.label.clone(),
+                defense: d.config.defense,
+                stats: outcome.stats,
+                timing,
+                btu_contexts: outcome.btu_contexts,
+            })
         };
         stream_jobs(&jobs, run_one, cancel, emit, self.threads)
     }
 }
 
-fn record_from(
+/// One matrix cell: `workload` under `config` with its analysis, the
+/// instruction budget raised to the workload's own step limit.
+fn simulate_cell(
     workload: &Workload,
-    design: &DesignPoint,
-    outcome: SimOutcome,
-    timing: EvalTiming,
-) -> EvalRecord {
-    EvalRecord {
-        workload: workload.name.clone(),
-        group: workload.group,
-        design: design.label.clone(),
-        defense: design.config.defense,
-        stats: outcome.stats,
-        timing,
-        btu_contexts: outcome.btu_contexts,
-    }
+    analysis: &AnalysisBundle,
+    config: &CpuConfig,
+) -> Result<SimOutcome, IsaError> {
+    let mut cfg = *config;
+    cfg.max_instructions = cfg.max_instructions.max(workload.kernel.step_limit);
+    simulate_program(&workload.kernel.program, Some(analysis), &cfg)
+}
+
+/// Simulates `program` under `config` with a caller-provided analysis,
+/// touching no store: the primitive behind every executor cell. The BTU is
+/// built only when the configured frontend replays traces.
+///
+/// # Errors
+///
+/// Propagates simulation errors.
+pub fn simulate_program(
+    program: &Program,
+    analysis: Option<&AnalysisBundle>,
+    config: &CpuConfig,
+) -> Result<SimOutcome, IsaError> {
+    let btu = if config.resolved_policy().frontend.uses_btu() {
+        analysis.map(|a| a.make_btu(config))
+    } else {
+        None
+    };
+    simulate(program, *config, btu)
 }
 
 /// The single-threaded job loop: cancellation checked between cells.
@@ -902,349 +892,52 @@ where
     Ok(SweepOutcome::Complete)
 }
 
-// ------------------------------------------------------------ evaluator
-
-/// Builder for an [`Evaluator`] session.
-#[derive(Default)]
-pub struct EvaluatorBuilder {
-    workloads: Vec<Workload>,
-    designs: Vec<DesignPoint>,
-    step_limit: Option<u64>,
-    store: Option<Arc<AnalysisStore>>,
-}
-
-impl EvaluatorBuilder {
-    /// Adds one workload to the session's workload set.
-    #[must_use]
-    pub fn workload(mut self, workload: Workload) -> Self {
-        self.workloads.push(workload);
-        self
-    }
-
-    /// Adds workloads to the session's workload set.
-    #[must_use]
-    pub fn workloads(mut self, workloads: impl IntoIterator<Item = Workload>) -> Self {
-        self.workloads.extend(workloads);
-        self
-    }
-
-    /// Adds one design point to the design matrix.
-    #[must_use]
-    pub fn design(mut self, design: DesignPoint) -> Self {
-        self.designs.push(design);
-        self
-    }
-
-    /// Adds design points to the design matrix.
-    #[must_use]
-    pub fn designs(mut self, designs: impl IntoIterator<Item = DesignPoint>) -> Self {
-        self.designs.extend(designs);
-        self
-    }
-
-    /// Adds one baseline-configured design point per defense.
-    #[must_use]
-    pub fn defense_matrix(mut self, defenses: impl IntoIterator<Item = DefenseMode>) -> Self {
-        self.designs
-            .extend(defenses.into_iter().map(DesignPoint::from_defense));
-        self
-    }
-
-    /// Adds every design point registered in a policy registry (see
-    /// [`crate::policies::PolicyRegistry`]); the usual way to sweep "every
-    /// modelled defense scenario" without hand-listing variants.
-    #[must_use]
-    pub fn policies(mut self, registry: &crate::policies::PolicyRegistry) -> Self {
-        self.designs.extend(registry.designs().iter().cloned());
-        self
-    }
-
-    /// Overrides the profiling step budget for every analysis (default: the
-    /// workload's own `step_limit`).
-    #[must_use]
-    pub fn step_limit(mut self, step_limit: u64) -> Self {
-        self.step_limit = Some(step_limit);
-        self
-    }
-
-    /// Shares an existing analysis store instead of creating a private one;
-    /// sessions built over the same store share every memoized analysis
-    /// (and its cache counters).
-    #[must_use]
-    pub fn store(mut self, store: Arc<AnalysisStore>) -> Self {
-        self.store = Some(store);
-        self
-    }
-
-    /// Finishes the builder.
-    pub fn build(self) -> Evaluator {
-        Evaluator {
-            workloads: Arc::from(self.workloads),
-            designs: Arc::from(self.designs),
-            step_limit: self.step_limit,
-            store: self.store.unwrap_or_default(),
-        }
-    }
-}
-
-/// A reusable evaluation session: a facade over one [`AnalysisStore`] plus
-/// per-call [`SweepExecutor`]s. See the [module documentation](self).
-///
-/// ```
-/// use cassandra_core::eval::Evaluator;
-/// use cassandra_cpu::config::DefenseMode;
-/// use cassandra_kernels::suite;
-///
-/// let mut session = Evaluator::builder()
-///     .workload(suite::des_workload(4))
-///     .defense_matrix([DefenseMode::UnsafeBaseline, DefenseMode::Cassandra])
-///     .build();
-///
-/// let records = session.sweep()?;
-/// assert_eq!(records.len(), 2);
-///
-/// // Sweeping again reuses the memoized analysis: one miss, ever.
-/// session.sweep()?;
-/// assert_eq!(session.cache_stats().misses, 1);
-/// assert!(session.cache_stats().hits >= 1);
-/// # Ok::<(), cassandra_isa::error::IsaError>(())
-/// ```
-pub struct Evaluator {
-    workloads: Arc<[Workload]>,
-    designs: Arc<[DesignPoint]>,
-    step_limit: Option<u64>,
-    store: Arc<AnalysisStore>,
-}
-
-impl Default for Evaluator {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Evaluator {
-    /// An empty session (no preconfigured workloads or designs); useful for
-    /// one-shot evaluation.
-    pub fn new() -> Self {
-        EvaluatorBuilder::default().build()
-    }
-
-    /// Starts building a session.
-    pub fn builder() -> EvaluatorBuilder {
-        EvaluatorBuilder::default()
-    }
-
-    /// The session's workload set.
-    pub fn workloads(&self) -> &[Workload] {
-        &self.workloads
-    }
-
-    /// The session's workload set as a cheaply clonable handle (used by the
-    /// registry experiments, which need the list while mutably borrowing the
-    /// session).
-    pub fn shared_workloads(&self) -> Arc<[Workload]> {
-        Arc::clone(&self.workloads)
-    }
-
-    /// The session's design matrix.
-    pub fn designs(&self) -> &[DesignPoint] {
-        &self.designs
-    }
-
-    /// The session's analysis store as a cheaply clonable handle; build
-    /// another session over it ([`EvaluatorBuilder::store`]) or hand it to
-    /// [`SweepExecutor`]s to share the memoized analyses.
-    pub fn shared_store(&self) -> Arc<AnalysisStore> {
-        Arc::clone(&self.store)
-    }
-
-    /// A sweep executor over this session's store, carrying its step-budget
-    /// override.
-    pub fn executor(&self) -> SweepExecutor<'_> {
-        SweepExecutor::new(&self.store).with_step_limit(self.step_limit)
-    }
-
-    /// Analysis-cache counters (hits/misses) accumulated so far.
-    pub fn cache_stats(&self) -> CacheStats {
-        self.store.stats()
-    }
-
-    /// Number of distinct programs analyzed so far.
-    pub fn analyzed_programs(&self) -> usize {
-        self.store.len()
-    }
-
-    // ------------------------------------------------------------ analysis
-
-    /// Runs Algorithm 2 once, without touching any session cache, and keeps
-    /// its replay form (the `TraceBundle` is dropped) — the primitive
-    /// behind every store miss.
-    ///
-    /// # Errors
-    ///
-    /// Propagates profiling-run errors from Algorithm 2.
-    pub fn analyze_once(program: &Program, step_limit: u64) -> Result<AnalysisBundle, IsaError> {
-        let traces = generate_traces(program, None, step_limit)?;
-        Ok(AnalysisBundle {
-            summary: TraceSummary::from_bundle(&traces),
-            encoded: Arc::new(EncodedTraces::from_bundle(program, &traces)),
-        })
-    }
-
-    /// The memoized analysis of an arbitrary program.
-    ///
-    /// # Errors
-    ///
-    /// Propagates profiling-run errors from Algorithm 2.
-    pub fn analyze_program(
-        &mut self,
-        program: &Program,
-        step_limit: u64,
-    ) -> Result<Arc<AnalysisBundle>, IsaError> {
-        self.store
-            .analyze_program(program, self.step_limit.unwrap_or(step_limit))
-    }
-
-    /// The memoized analysis of a workload's kernel.
-    ///
-    /// # Errors
-    ///
-    /// Propagates profiling-run errors from Algorithm 2.
-    pub fn analysis(&mut self, workload: &Workload) -> Result<Arc<AnalysisBundle>, IsaError> {
-        self.analyze_program(&workload.kernel.program, workload.kernel.step_limit)
-    }
-
-    /// The memoized static constant-time & speculative-leakage report of an
-    /// arbitrary program, served from the shared [`AnalysisStore`]. Unlike
-    /// [`analyze_program`](Self::analyze_program), this never executes the
-    /// program — it is a pure static pass over the instruction list.
-    pub fn lint_program(&self, program: &Program) -> Arc<StaticReport> {
-        self.store.lint(program)
-    }
-
-    /// The memoized static lint report of a workload's kernel.
-    pub fn lint_workload(&self, workload: &Workload) -> Arc<StaticReport> {
-        self.lint_program(&workload.kernel.program)
-    }
-
-    // ---------------------------------------------------------- simulation
-
-    /// Simulates `program` under `config` with a caller-provided analysis;
-    /// the primitive behind the session methods and the sweep executors.
-    ///
-    /// # Errors
-    ///
-    /// Propagates simulation errors.
-    pub fn simulate_program(
-        program: &Program,
-        analysis: Option<&AnalysisBundle>,
-        config: &CpuConfig,
-    ) -> Result<SimOutcome, IsaError> {
-        let btu = if config.resolved_policy().frontend.uses_btu() {
-            analysis.map(|a| a.make_btu(config))
-        } else {
-            None
-        };
-        simulate(program, *config, btu)
-    }
-
-    /// Simulates a workload under `config`, analyzing it first if this
-    /// session has not seen its program yet.
-    ///
-    /// # Errors
-    ///
-    /// Propagates analysis or simulation errors.
-    pub fn simulate_cached(
-        &mut self,
-        workload: &Workload,
-        config: &CpuConfig,
-    ) -> Result<SimOutcome, IsaError> {
-        let analysis = self.analysis(workload)?;
-        let mut cfg = *config;
-        cfg.max_instructions = cfg.max_instructions.max(workload.kernel.step_limit);
-        Self::simulate_program(&workload.kernel.program, Some(&analysis), &cfg)
-    }
-
-    /// Evaluates one workload at one design point, yielding a uniform
-    /// record.
-    ///
-    /// # Errors
-    ///
-    /// Propagates analysis or simulation errors.
-    pub fn eval(
-        &mut self,
-        workload: &Workload,
-        design: &DesignPoint,
-    ) -> Result<EvalRecord, IsaError> {
-        self.executor().eval(workload, design)
-    }
-
-    // --------------------------------------------------------------- sweep
-
-    /// Evaluates the full workload × design matrix configured on this
-    /// session, in matrix order (workload-major). Analyses run exactly once
-    /// per distinct program; simulations run in parallel.
-    ///
-    /// # Errors
-    ///
-    /// Propagates analysis or simulation errors.
-    pub fn sweep(&mut self) -> Result<Vec<EvalRecord>, IsaError> {
-        let workloads = Arc::clone(&self.workloads);
-        let designs = Arc::clone(&self.designs);
-        self.sweep_matrix(&workloads, &designs)
-    }
-
-    /// Evaluates an explicit workload × design matrix against this
-    /// session's store.
-    ///
-    /// # Errors
-    ///
-    /// Propagates analysis or simulation errors.
-    pub fn sweep_matrix(
-        &mut self,
-        workloads: &[Workload],
-        designs: &[DesignPoint],
-    ) -> Result<Vec<EvalRecord>, IsaError> {
-        self.executor().sweep_matrix(workloads, designs)
-    }
-}
-
-/// The default profiling step budget, re-exported for builder users.
-pub const DEFAULT_STEP_LIMIT: u64 = ANALYSIS_STEP_LIMIT;
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use cassandra_kernels::suite;
+    use cassandra_trace::genproc::generate_traces;
+
+    fn designs(defenses: &[DefenseMode]) -> Vec<DesignPoint> {
+        defenses
+            .iter()
+            .copied()
+            .map(DesignPoint::from_defense)
+            .collect()
+    }
 
     #[test]
     fn analysis_is_memoized_per_program() {
-        let mut ev = Evaluator::new();
+        let store = AnalysisStore::new();
         let w = suite::chacha20_workload(64);
-        let a1 = ev.analysis(&w).unwrap();
-        let a2 = ev.analysis(&w).unwrap();
+        let (a1, _) = store.entry(&w.kernel.program, w.kernel.step_limit).unwrap();
+        let (a2, _) = store.entry(&w.kernel.program, w.kernel.step_limit).unwrap();
         assert!(Arc::ptr_eq(&a1, &a2));
-        assert_eq!(ev.cache_stats().misses, 1);
-        assert_eq!(ev.cache_stats().hits, 1);
+        assert_eq!(store.stats(), CacheStats { hits: 1, misses: 1 });
         // A different program misses.
-        ev.analysis(&suite::des_workload(4)).unwrap();
-        assert_eq!(ev.cache_stats().misses, 2);
-        assert_eq!(ev.analyzed_programs(), 2);
+        let other = suite::des_workload(4);
+        store
+            .entry(&other.kernel.program, other.kernel.step_limit)
+            .unwrap();
+        assert_eq!(store.stats().misses, 2);
+        assert_eq!(store.len(), 2);
     }
 
     #[test]
     fn sweep_covers_the_design_matrix_in_order() {
-        let mut ev = Evaluator::builder()
-            .workloads([suite::chacha20_workload(64), suite::des_workload(4)])
-            .defense_matrix([DefenseMode::UnsafeBaseline, DefenseMode::Cassandra])
-            .build();
-        let records = ev.sweep().unwrap();
+        let store = AnalysisStore::new();
+        let records = SweepExecutor::new(&store)
+            .sweep_matrix(
+                &[suite::chacha20_workload(64), suite::des_workload(4)],
+                &designs(&[DefenseMode::UnsafeBaseline, DefenseMode::Cassandra]),
+            )
+            .unwrap();
         assert_eq!(records.len(), 4);
         assert_eq!(records[0].workload, "ChaCha20_ct");
         assert_eq!(records[0].design, "UnsafeBaseline");
         assert_eq!(records[1].design, "Cassandra");
         assert_eq!(records[2].workload, "DES_ct");
-        assert_eq!(ev.cache_stats().misses, 2, "one analysis per workload");
+        assert_eq!(store.stats().misses, 2, "one analysis per workload");
         for r in &records {
             assert!(r.stats.cycles > 0);
             if r.defense == DefenseMode::Cassandra {
@@ -1255,13 +948,13 @@ mod tests {
 
     #[test]
     fn repeated_sweeps_reuse_the_cache() {
-        let mut ev = Evaluator::builder()
-            .workload(suite::sha256_workload(96))
-            .defense_matrix([DefenseMode::UnsafeBaseline])
-            .build();
-        let first = ev.sweep().unwrap();
-        let second = ev.sweep().unwrap();
-        assert_eq!(ev.cache_stats().misses, 1);
+        let store = AnalysisStore::new();
+        let ex = SweepExecutor::new(&store);
+        let workloads = [suite::sha256_workload(96)];
+        let designs = designs(&[DefenseMode::UnsafeBaseline]);
+        let first = ex.sweep_matrix(&workloads, &designs).unwrap();
+        let second = ex.sweep_matrix(&workloads, &designs).unwrap();
+        assert_eq!(store.stats().misses, 1);
         assert_eq!(
             first[0].stats, second[0].stats,
             "simulation is deterministic"
@@ -1274,15 +967,22 @@ mod tests {
     fn eval_matches_free_function_pipeline() {
         let w = suite::poly1305_workload(32);
         let design = DesignPoint::from_defense(DefenseMode::Cassandra);
-        let mut ev = Evaluator::new();
-        let record = ev.eval(&w, &design).unwrap();
+        let store = AnalysisStore::new();
+        let ex = SweepExecutor::new(&store);
+        let record = ex
+            .sweep_matrix(std::slice::from_ref(&w), std::slice::from_ref(&design))
+            .unwrap()
+            .remove(0);
 
-        let analysis = Evaluator::analyze_once(&w.kernel.program, w.kernel.step_limit).unwrap();
+        let analysis = AnalysisBundle::analyze(&w.kernel.program, w.kernel.step_limit).unwrap();
         let mut cfg = design.config;
         cfg.max_instructions = cfg.max_instructions.max(w.kernel.step_limit);
-        let outcome =
-            Evaluator::simulate_program(&w.kernel.program, Some(&analysis), &cfg).unwrap();
+        let outcome = simulate_program(&w.kernel.program, Some(&analysis), &cfg).unwrap();
         assert_eq!(record.stats, outcome.stats);
+        assert_eq!(
+            ex.simulate(&w, &design.config).unwrap().stats,
+            outcome.stats
+        );
     }
 
     #[test]
@@ -1298,26 +998,20 @@ mod tests {
 
     #[test]
     fn sessions_share_one_store() {
-        let store = Arc::new(AnalysisStore::new());
-        let w = suite::des_workload(4);
-        let mut first = Evaluator::builder()
-            .store(Arc::clone(&store))
-            .workload(w.clone())
-            .defense_matrix([DefenseMode::Cassandra])
-            .build();
-        first.sweep().unwrap();
+        let store = AnalysisStore::new();
+        let workloads = [suite::des_workload(4)];
+        SweepExecutor::new(&store)
+            .sweep_matrix(&workloads, &designs(&[DefenseMode::Cassandra]))
+            .unwrap();
         assert_eq!(store.stats().misses, 1);
 
-        // A second session over the same store reuses the analysis.
-        let mut second = Evaluator::builder()
-            .store(Arc::clone(&store))
-            .workload(w)
-            .defense_matrix([DefenseMode::UnsafeBaseline])
-            .build();
-        let records = second.sweep().unwrap();
-        assert_eq!(store.stats().misses, 1, "no re-analysis across sessions");
+        // A second executor over the same store reuses the analysis.
+        let records = SweepExecutor::new(&store)
+            .with_threads(Some(1))
+            .sweep_matrix(&workloads, &designs(&[DefenseMode::UnsafeBaseline]))
+            .unwrap();
+        assert_eq!(store.stats().misses, 1, "no re-analysis across executors");
         assert!(records[0].timing.analysis_cached);
-        assert_eq!(second.cache_stats(), store.stats());
     }
 
     #[test]
@@ -1509,8 +1203,8 @@ mod tests {
         // produces the identical bundle…
         let w = suite::des_workload(4);
         let (program, limit) = (&w.kernel.program, w.kernel.step_limit);
-        let mut exact = Evaluator::analyze_once(program, limit).unwrap();
-        let generous = Evaluator::analyze_once(program, limit * 16).unwrap();
+        let mut exact = AnalysisBundle::analyze(program, limit).unwrap();
+        let generous = AnalysisBundle::analyze(program, limit * 16).unwrap();
         // Wall-clock timings differ between runs; the replay form must not.
         exact.summary.timing = generous.summary.timing;
         assert_eq!(exact, generous);
@@ -1520,7 +1214,7 @@ mod tests {
             generate_traces(program, None, limit * 16).unwrap().branches
         );
         // …and an insufficient budget is a hard error, never a bundle.
-        let err = Evaluator::analyze_once(&w.kernel.program, 1_000).unwrap_err();
+        let err = AnalysisBundle::analyze(&w.kernel.program, 1_000).unwrap_err();
         assert!(matches!(
             err,
             cassandra_isa::error::IsaError::StepLimitExceeded { .. }

@@ -1,16 +1,17 @@
 //! Experiment drivers that regenerate every table and figure of the paper's
 //! evaluation (§7) plus the discussion experiments (Q3, Q4).
 //!
-//! Each driver is a `*_with(&mut Evaluator, ..)` function, the form the
+//! Each driver is a `*_with(&SweepExecutor, ..)` function, the form the
 //! [`crate::registry`] experiments call: analyses are shared through the
-//! evaluator's memoization cache, so running several experiments over the
-//! same suite analyzes each program exactly once.
+//! executor's [`AnalysisStore`](crate::eval::AnalysisStore), so running
+//! several experiments over the same suite analyzes each program exactly
+//! once.
 //!
 //! Each driver takes the list of workloads to evaluate so that tests can use
 //! small inputs while the `full_evaluation` example uses the paper-sized
 //! suite from [`cassandra_kernels::suite::full_suite`].
 
-use crate::eval::Evaluator;
+use crate::eval::SweepExecutor;
 use cassandra_cpu::config::{CpuConfig, DefenseMode};
 use cassandra_cpu::power::{power_area_report, PowerAreaReport};
 use cassandra_cpu::stats::SimStats;
@@ -51,16 +52,19 @@ pub struct Table1Result {
     pub all: BranchAnalysisRow,
 }
 
-/// Regenerates Table 1 (branch analysis / trace compression) through an
-/// evaluation session.
+/// Regenerates Table 1 (branch analysis / trace compression) on an
+/// executor.
 ///
 /// # Errors
 ///
 /// Propagates analysis errors.
-pub fn table1_with(ev: &mut Evaluator, workloads: &[Workload]) -> Result<Table1Result, IsaError> {
+pub fn table1_with(
+    ex: &SweepExecutor<'_>,
+    workloads: &[Workload],
+) -> Result<Table1Result, IsaError> {
     let mut rows = Vec::new();
     for w in workloads {
-        let analysis = ev.analysis(w)?;
+        let (analysis, _) = ex.store().entry(&w.kernel.program, w.kernel.step_limit)?;
         let mut row = analysis.branch_row();
         row.program = w.name.clone();
         rows.push(Table1Row {
@@ -113,13 +117,13 @@ impl Fig7Result {
 }
 
 /// Regenerates Figure 7 (normalised execution time of the crypto benchmarks)
-/// through an evaluation session.
+/// on an executor.
 ///
 /// # Errors
 ///
 /// Propagates analysis or simulation errors.
 pub fn figure7_with(
-    ev: &mut Evaluator,
+    ex: &SweepExecutor<'_>,
     workloads: &[Workload],
     designs: &[DefenseMode],
 ) -> Result<Fig7Result, IsaError> {
@@ -129,7 +133,7 @@ pub fn figure7_with(
         let mut cycles = BTreeMap::new();
         for design in designs {
             let cfg = base_cfg.with_defense(*design);
-            let outcome = ev.simulate_cached(w, &cfg)?;
+            let outcome = ex.simulate(w, &cfg)?;
             cycles.insert(design.label().to_string(), outcome.stats.cycles);
         }
         let base = *cycles
@@ -178,13 +182,13 @@ pub struct Fig8Point {
     pub cassandra_prospect_overhead_pct: f64,
 }
 
-/// Regenerates Figure 8 (synthetic SpectreGuard-style benchmarks) through an
-/// evaluation session.
+/// Regenerates Figure 8 (synthetic SpectreGuard-style benchmarks) on an
+/// executor.
 ///
 /// # Errors
 ///
 /// Propagates analysis or simulation errors.
-pub fn figure8_with(ev: &mut Evaluator, scale: u32) -> Result<Vec<Fig8Point>, IsaError> {
+pub fn figure8_with(ex: &SweepExecutor<'_>, scale: u32) -> Result<Vec<Fig8Point>, IsaError> {
     let base_cfg = CpuConfig::golden_cove_like();
     let mut points = Vec::new();
     for variant in [CryptoVariant::ChaChaLike, CryptoVariant::CurveLike] {
@@ -202,7 +206,7 @@ pub fn figure8_with(ev: &mut Evaluator, scale: u32) -> Result<Vec<Fig8Point>, Is
                 DefenseMode::CassandraProspect,
             ] {
                 let cfg = base_cfg.with_defense(design);
-                let outcome = ev.simulate_cached(&workload, &cfg)?;
+                let outcome = ex.simulate(&workload, &cfg)?;
                 cycles.insert(design, outcome.stats.cycles);
             }
             let base = cycles[&DefenseMode::UnsafeBaseline].max(1) as f64;
@@ -251,20 +255,23 @@ fn accumulate(total: &mut SimStats, s: &SimStats) {
     total.caches.l1d.misses += s.caches.l1d.misses;
 }
 
-/// Regenerates Figure 9 (power and area of Cassandra vs the baseline)
-/// through an evaluation session.
+/// Regenerates Figure 9 (power and area of Cassandra vs the baseline) on
+/// an executor.
 ///
 /// # Errors
 ///
 /// Propagates analysis or simulation errors.
-pub fn figure9_with(ev: &mut Evaluator, workloads: &[Workload]) -> Result<Fig9Result, IsaError> {
+pub fn figure9_with(
+    ex: &SweepExecutor<'_>,
+    workloads: &[Workload],
+) -> Result<Fig9Result, IsaError> {
     let base_cfg = CpuConfig::golden_cove_like();
     let cass_cfg = base_cfg.with_defense(DefenseMode::Cassandra);
     let mut base_stats = SimStats::default();
     let mut cass_stats = SimStats::default();
     for w in workloads {
-        accumulate(&mut base_stats, &ev.simulate_cached(w, &base_cfg)?.stats);
-        accumulate(&mut cass_stats, &ev.simulate_cached(w, &cass_cfg)?.stats);
+        accumulate(&mut base_stats, &ex.simulate(w, &base_cfg)?.stats);
+        accumulate(&mut cass_stats, &ex.simulate(w, &cass_cfg)?.stats);
     }
     let baseline = power_area_report(&base_cfg, &base_stats);
     let cassandra = power_area_report(&cass_cfg, &cass_stats);
@@ -307,7 +314,7 @@ pub struct Q3Row {
     pub slowdown_pct: f64,
 }
 
-/// Regenerates the Q3 comparison through an evaluation session: every
+/// Regenerates the Q3 comparison on an executor: every
 /// workload under full Cassandra versus each `variant`. New frontend
 /// policies run through here unchanged — pass their modes.
 ///
@@ -315,16 +322,16 @@ pub struct Q3Row {
 ///
 /// Propagates analysis or simulation errors.
 pub fn q3_with(
-    ev: &mut Evaluator,
+    ex: &SweepExecutor<'_>,
     workloads: &[Workload],
     variants: &[DefenseMode],
 ) -> Result<Vec<Q3Row>, IsaError> {
     let base_cfg = CpuConfig::golden_cove_like();
     let mut rows = Vec::new();
     for w in workloads {
-        let full = ev.simulate_cached(w, &base_cfg.with_defense(DefenseMode::Cassandra))?;
+        let full = ex.simulate(w, &base_cfg.with_defense(DefenseMode::Cassandra))?;
         for variant in variants {
-            let restricted = ev.simulate_cached(w, &base_cfg.with_defense(*variant))?;
+            let restricted = ex.simulate(w, &base_cfg.with_defense(*variant))?;
             rows.push(Q3Row {
                 workload: w.name.clone(),
                 group: w.group,
@@ -368,7 +375,7 @@ pub struct Q4Result {
     pub partition_contexts: u64,
 }
 
-/// Regenerates the Q4 experiment through an evaluation session: Cassandra's
+/// Regenerates the Q4 experiment on an executor: Cassandra's
 /// speedup with context switches priced as whole-unit flushes versus as
 /// partition reassignments rotating through `partition_contexts` contexts.
 ///
@@ -376,7 +383,7 @@ pub struct Q4Result {
 ///
 /// Propagates analysis or simulation errors.
 pub fn q4_with(
-    ev: &mut Evaluator,
+    ex: &SweepExecutor<'_>,
     workloads: &[Workload],
     flush_interval: u64,
     partition_contexts: u64,
@@ -393,14 +400,14 @@ pub fn q4_with(
     let mut log_sum_flush = 0.0;
     let mut log_sum_part = 0.0;
     for w in workloads {
-        let base = ev.simulate_cached(w, &base_cfg)?.stats.cycles.max(1);
-        let cass = ev
-            .simulate_cached(w, &base_cfg.with_defense(DefenseMode::Cassandra))?
+        let base = ex.simulate(w, &base_cfg)?.stats.cycles.max(1);
+        let cass = ex
+            .simulate(w, &base_cfg.with_defense(DefenseMode::Cassandra))?
             .stats
             .cycles
             .max(1);
-        let flushed = ev.simulate_cached(w, &flush_cfg)?.stats.cycles.max(1);
-        let partitioned = ev.simulate_cached(w, &part_cfg)?.stats.cycles.max(1);
+        let flushed = ex.simulate(w, &flush_cfg)?.stats.cycles.max(1);
+        let partitioned = ex.simulate(w, &part_cfg)?.stats.cycles.max(1);
         log_sum_no_flush += (cass as f64 / base as f64).ln();
         log_sum_flush += (flushed as f64 / base as f64).ln();
         log_sum_part += (partitioned as f64 / base as f64).ln();
@@ -435,20 +442,20 @@ pub struct TraceGenRow {
     pub branches: usize,
 }
 
-/// Measures the trace-generation procedure for each workload through an
-/// evaluation session. Workloads already analyzed by the session report
-/// their cached timing.
+/// Measures the trace-generation procedure for each workload on an
+/// executor. Workloads its store already analyzed report their cached
+/// timing.
 ///
 /// # Errors
 ///
 /// Propagates analysis errors.
 pub fn trace_generation_timing_with(
-    ev: &mut Evaluator,
+    ex: &SweepExecutor<'_>,
     workloads: &[Workload],
 ) -> Result<Vec<TraceGenRow>, IsaError> {
     let mut rows = Vec::new();
     for w in workloads {
-        let analysis = ev.analysis(w)?;
+        let (analysis, _) = ex.store().entry(&w.kernel.program, w.kernel.step_limit)?;
         let t = analysis.summary.timing;
         rows.push(TraceGenRow {
             workload: w.name.clone(),
@@ -475,10 +482,12 @@ pub fn quick_workloads() -> Vec<Workload> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::eval::AnalysisStore;
 
     #[test]
     fn table1_quick_suite_compresses_traces() {
-        let result = table1_with(&mut Evaluator::new(), &quick_workloads()).unwrap();
+        let store = AnalysisStore::new();
+        let result = table1_with(&SweepExecutor::new(&store), &quick_workloads()).unwrap();
         assert_eq!(result.rows.len(), 4);
         assert!(result.all.compression_avg >= 1.0);
         assert!(result.all.vanilla_max >= result.all.kmers_max);
@@ -493,7 +502,8 @@ mod tests {
     #[test]
     fn figure7_quick_suite_shapes() {
         let workloads = vec![suite::chacha20_workload(128), suite::sha256_workload(128)];
-        let result = figure7_with(&mut Evaluator::new(), &workloads, &FIG7_DESIGNS).unwrap();
+        let store = AnalysisStore::new();
+        let result = figure7_with(&SweepExecutor::new(&store), &workloads, &FIG7_DESIGNS).unwrap();
         assert_eq!(result.rows.len(), 2);
         // The baseline normalises to 1.0 by construction.
         for row in &result.rows {
@@ -510,7 +520,8 @@ mod tests {
     #[test]
     fn figure9_reports_small_area_and_power_effects() {
         let workloads = vec![suite::chacha20_workload(64)];
-        let f9 = figure9_with(&mut Evaluator::new(), &workloads).unwrap();
+        let store = AnalysisStore::new();
+        let f9 = figure9_with(&SweepExecutor::new(&store), &workloads).unwrap();
         assert!(f9.area_overhead_pct > 0.0 && f9.area_overhead_pct < 3.0);
         assert!(
             f9.power_delta_pct < 1.0,
@@ -521,8 +532,9 @@ mod tests {
 
     #[test]
     fn q3_lite_is_not_faster_than_full_cassandra() {
+        let store = AnalysisStore::new();
         let rows = q3_with(
-            &mut Evaluator::new(),
+            &SweepExecutor::new(&store),
             &[suite::sha256_workload(96)],
             &[DefenseMode::CassandraLite],
         )
@@ -535,7 +547,8 @@ mod tests {
     #[test]
     fn q3_compares_every_restricted_variant_against_cassandra() {
         let workloads = [suite::chacha20_workload(64)];
-        let rows = q3_with(&mut Evaluator::new(), &workloads, &Q3_VARIANTS).unwrap();
+        let store = AnalysisStore::new();
+        let rows = q3_with(&SweepExecutor::new(&store), &workloads, &Q3_VARIANTS).unwrap();
         assert_eq!(rows.len(), Q3_VARIANTS.len());
         for (row, variant) in rows.iter().zip(Q3_VARIANTS) {
             assert_eq!(row.design, variant.label());
@@ -556,8 +569,9 @@ mod tests {
     #[test]
     fn q4_flush_costs_at_most_a_little() {
         let workloads = vec![suite::chacha20_workload(64)];
+        let store = AnalysisStore::new();
         let q4 = q4_with(
-            &mut Evaluator::new(),
+            &SweepExecutor::new(&store),
             &workloads,
             5_000,
             Q4_PARTITION_CONTEXTS,
@@ -573,7 +587,8 @@ mod tests {
         // Cache refills; the partitioned BTU keeps every context's partition
         // warm across switches and must not be slower.
         let workloads = vec![suite::chacha20_workload(64)];
-        let q4 = q4_with(&mut Evaluator::new(), &workloads, 2_000, 2).unwrap();
+        let store = AnalysisStore::new();
+        let q4 = q4_with(&SweepExecutor::new(&store), &workloads, 2_000, 2).unwrap();
         assert!(
             q4.speedup_with_partition_pct >= q4.speedup_with_flush_pct - 1e-9,
             "partition {} vs flush {}",
@@ -585,8 +600,10 @@ mod tests {
 
     #[test]
     fn trace_generation_timing_is_collected() {
+        let store = AnalysisStore::new();
         let rows =
-            trace_generation_timing_with(&mut Evaluator::new(), &[suite::des_workload(4)]).unwrap();
+            trace_generation_timing_with(&SweepExecutor::new(&store), &[suite::des_workload(4)])
+                .unwrap();
         assert_eq!(rows.len(), 1);
         assert!(rows[0].branches > 0);
     }
@@ -594,18 +611,19 @@ mod tests {
     #[test]
     fn session_drivers_share_one_analysis_per_workload() {
         let workloads = quick_workloads();
-        let mut ev = Evaluator::new();
-        table1_with(&mut ev, &workloads).unwrap();
-        figure7_with(&mut ev, &workloads, &FIG7_DESIGNS).unwrap();
-        figure9_with(&mut ev, &workloads).unwrap();
-        q3_with(&mut ev, &workloads, &Q3_VARIANTS).unwrap();
-        q4_with(&mut ev, &workloads, 50_000, Q4_PARTITION_CONTEXTS).unwrap();
-        trace_generation_timing_with(&mut ev, &workloads).unwrap();
+        let store = AnalysisStore::new();
+        let ex = SweepExecutor::new(&store);
+        table1_with(&ex, &workloads).unwrap();
+        figure7_with(&ex, &workloads, &FIG7_DESIGNS).unwrap();
+        figure9_with(&ex, &workloads).unwrap();
+        q3_with(&ex, &workloads, &Q3_VARIANTS).unwrap();
+        q4_with(&ex, &workloads, 50_000, Q4_PARTITION_CONTEXTS).unwrap();
+        trace_generation_timing_with(&ex, &workloads).unwrap();
         assert_eq!(
-            ev.cache_stats().misses,
+            store.stats().misses,
             workloads.len() as u64,
             "each workload analyzed exactly once across six experiments"
         );
-        assert!(ev.cache_stats().hits > 0);
+        assert!(store.stats().hits > 0);
     }
 }

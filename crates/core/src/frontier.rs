@@ -39,7 +39,7 @@
 //! is consumed as plain design points, so a frontier run (cancelled or not)
 //! leaves no registry residue by construction.
 
-use crate::eval::{CancelToken, DesignPoint, Evaluator, SweepOutcome};
+use crate::eval::{CancelToken, DesignPoint, SweepExecutor, SweepOutcome};
 use crate::policies::GridSweep;
 use crate::security;
 use cassandra_cpu::config::DefenseMode;
@@ -203,8 +203,9 @@ pub fn standard_grid() -> GridSweep {
         .miss_penalties([10, 40])
 }
 
-/// Runs the frontier search over `workloads` with the session's shared
-/// analysis store; `Ok(None)` when `cancel` stopped the run early.
+/// Runs the frontier search over `workloads` on `ex` (its store shares
+/// the analyses; its thread count drives the sweeps); `Ok(None)` when
+/// `cancel` stopped the run early.
 ///
 /// `progress` is invoked after every completed simulation cell (baseline
 /// reference runs included) with a fixed `cells_total`.
@@ -212,36 +213,14 @@ pub fn standard_grid() -> GridSweep {
 /// # Errors
 ///
 /// Propagates analysis or simulation errors.
-pub fn frontier_with<P>(
-    ev: &mut Evaluator,
-    workloads: &[Workload],
-    grid: &GridSweep,
-    adaptive: Option<AdaptiveSearch>,
-    cancel: &CancelToken,
-    progress: P,
-) -> Result<Option<FrontierResult>, IsaError>
-where
-    P: FnMut(FrontierProgress) + Send,
-{
-    frontier_with_threads(ev, workloads, grid, adaptive, cancel, progress, None)
-}
-
-/// [`frontier_with`] with an explicit worker-thread override for the
-/// underlying sweeps (`Some(1)` forces the serial path; tests use this to
-/// pin determinism across thread counts).
-///
-/// # Errors
-///
-/// Propagates analysis or simulation errors.
 #[allow(clippy::too_many_lines)]
-pub fn frontier_with_threads<P>(
-    ev: &mut Evaluator,
+pub fn frontier_with<P>(
+    ex: &SweepExecutor<'_>,
     workloads: &[Workload],
     grid: &GridSweep,
     adaptive: Option<AdaptiveSearch>,
     cancel: &CancelToken,
     mut progress: P,
-    threads: Option<usize>,
 ) -> Result<Option<FrontierResult>, IsaError>
 where
     P: FnMut(FrontierProgress) + Send,
@@ -280,7 +259,7 @@ where
         if cancel.is_cancelled() {
             return Ok(None);
         }
-        let matrix = security::security_sweep_with(ev, &[mode])?;
+        let matrix = security::security_sweep_with(ex, &[mode])?;
         leaks_by_defense.insert(mode.label(), matrix.leak_count());
     }
     let cell_leaks: Vec<usize> = cells
@@ -306,8 +285,6 @@ where
         Some(smoke) => n_workloads + n_cells * smoke + planned_full * (n_workloads - smoke),
     };
 
-    let store = ev.shared_store();
-    let executor = crate::eval::SweepExecutor::new(&store).with_threads(threads);
     let mut done = 0usize;
 
     // Streams one workload × design sub-matrix, appending cycle counts in
@@ -315,7 +292,7 @@ where
     let mut run_sweep =
         |wl: &[Workload], designs: &[DesignPoint]| -> Result<Option<Vec<u64>>, IsaError> {
             let mut cycles = Vec::with_capacity(wl.len() * designs.len());
-            let outcome = executor.sweep_stream(wl, designs, cancel, |record| {
+            let outcome = ex.sweep_stream(wl, designs, cancel, |record| {
                 cycles.push(record.stats.cycles);
                 done += 1;
                 progress(FrontierProgress {
@@ -495,6 +472,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::eval::AnalysisStore;
     use cassandra_kernels::suite;
 
     fn quick() -> Vec<Workload> {
@@ -505,10 +483,9 @@ mod tests {
         grid: &GridSweep,
         adaptive: Option<AdaptiveSearch>,
     ) -> (FrontierResult, Vec<FrontierProgress>) {
-        let mut ev = Evaluator::new();
         let mut seen = Vec::new();
         let result = frontier_with(
-            &mut ev,
+            &SweepExecutor::new(&AnalysisStore::new()),
             &quick(),
             grid,
             adaptive,
@@ -577,17 +554,18 @@ mod tests {
     fn cancelled_runs_return_none() {
         let cancel = CancelToken::new();
         cancel.cancel();
-        let mut ev = Evaluator::new();
-        let result =
-            frontier_with(&mut ev, &quick(), &standard_grid(), None, &cancel, |_| {}).unwrap();
+        let store = AnalysisStore::new();
+        let ex = SweepExecutor::new(&store);
+        let result = frontier_with(&ex, &quick(), &standard_grid(), None, &cancel, |_| {}).unwrap();
         assert!(result.is_none());
     }
 
     #[test]
     fn empty_grids_and_workload_sets_yield_empty_results() {
-        let mut ev = Evaluator::new();
+        let store = AnalysisStore::new();
+        let ex = SweepExecutor::new(&store);
         let empty = frontier_with(
-            &mut ev,
+            &ex,
             &quick(),
             &GridSweep::default(),
             None,
@@ -598,7 +576,7 @@ mod tests {
         .unwrap();
         assert!(empty.cells.is_empty() && empty.frontier.is_empty());
         let no_workloads = frontier_with(
-            &mut ev,
+            &ex,
             &[],
             &standard_grid(),
             None,

@@ -5,54 +5,56 @@
 //! (`cassandra-btu`), the processor model (`cassandra-cpu`) and the workload
 //! suite (`cassandra-kernels`).
 //!
-//! ## The session API (start here)
+//! ## The evaluation API (start here)
 //!
-//! The primary entry point is [`eval::Evaluator`]: a builder-constructed
-//! evaluation session holding a workload set, a design matrix of
-//! [`eval::DesignPoint`]s (`DefenseMode` × `CpuConfig` overrides) and an
-//! analysis cache. The session runs the paper's Algorithm 2 **once per
-//! distinct program** — memoized by content fingerprint — no matter how many
-//! design points, sweeps or experiments consume the result, and sweeps the
-//! design matrix in parallel.
+//! Cassandra analyzes each program once (Algorithm 2) and then replays its
+//! compressed traces on every run. The API has one layer for each half
+//! (see [`eval`]):
 //!
-//! Under the facade, the session is two composable layers (see
-//! [`eval`]): a thread-safe [`eval::AnalysisStore`] (exactly-once analysis
-//! under concurrency, serializable for warm-starts) and stateless
-//! [`eval::SweepExecutor`]s that borrow it (streaming, cancellable
-//! sweeps via [`eval::CancelToken`]). Sessions built with
-//! [`eval::EvaluatorBuilder::store`] share one store — the evaluation
-//! server runs N concurrent requests against a single cache this way.
+//! * [`eval::AnalysisStore`] — analyse once. A thread-safe cache that runs
+//!   Algorithm 2 **once per distinct program**, memoized by content
+//!   fingerprint, however many design points, sweeps, experiments or
+//!   concurrent server requests consume the result; serializable for
+//!   warm-starts.
+//! * [`eval::SweepExecutor`] — simulate many. A stateless engine borrowing
+//!   a store that simulates single cells or whole workload × design
+//!   matrices of [`eval::DesignPoint`]s (a label plus a complete
+//!   `CpuConfig`), in parallel, as streaming sweeps cancellable through
+//!   [`eval::CancelToken`]. The evaluation server runs N concurrent
+//!   requests against one store this way.
 //!
 //! On top of it, [`registry::ExperimentRegistry`] unifies every paper
 //! experiment (Table 1, Figures 7–9, Q3, Q4, the Table-2 security sweep and
 //! the §7.5 trace-generation timing) behind the [`registry::Experiment`]
-//! trait, [`policies::PolicyRegistry`] enumerates the modelled defense
-//! scenarios as named design points (so sweeps and the security experiment
-//! never hand-list `DefenseMode` variants), and [`report`] renders any
+//! trait, each run on an executor with its workloads passed explicitly;
+//! [`policies::PolicyRegistry`] enumerates the modelled defense scenarios
+//! as named design points (so sweeps and the security experiment never
+//! hand-list `DefenseMode` variants), and [`report`] renders any
 //! [`registry::ExperimentOutput`] to text, CSV or JSON.
 //!
 //! ```
-//! use cassandra_core::eval::Evaluator;
+//! use cassandra_core::eval::{AnalysisStore, DesignPoint, SweepExecutor};
 //! use cassandra_core::registry::ExperimentRegistry;
 //! use cassandra_core::report;
 //! use cassandra_cpu::config::DefenseMode;
 //! use cassandra_kernels::suite;
 //!
 //! # fn main() -> Result<(), cassandra_isa::error::IsaError> {
-//! let mut session = Evaluator::builder()
-//!     .workloads([suite::chacha20_workload(64), suite::des_workload(4)])
-//!     .defense_matrix([DefenseMode::UnsafeBaseline, DefenseMode::Cassandra])
-//!     .build();
+//! let store = AnalysisStore::new();
+//! let ex = SweepExecutor::new(&store);
+//! let workloads = [suite::chacha20_workload(64), suite::des_workload(4)];
+//! let designs = [DefenseMode::UnsafeBaseline, DefenseMode::Cassandra]
+//!     .map(DesignPoint::from_defense);
 //!
 //! // The uniform record stream of the workload × design sweep …
-//! let records = session.sweep()?;
+//! let records = ex.sweep_matrix(&workloads, &designs)?;
 //! assert_eq!(records.len(), 4);
 //!
-//! // … and the full experiment suite, sharing the same analysis cache.
-//! let runs = ExperimentRegistry::standard().run_all(&mut session)?;
+//! // … and the full experiment suite, sharing the same analysis store.
+//! let runs = ExperimentRegistry::standard().run_all(&ex, &workloads)?;
 //! assert_eq!(runs.len(), 11);
 //! println!("{}", report::render_text(&runs[0].output));
-//! assert_eq!(session.cache_stats().misses, 2 + 10 + 16); // each program once
+//! assert_eq!(store.stats().misses, 2 + 10 + 16); // each program once
 //! # Ok(())
 //! # }
 //! ```
@@ -70,23 +72,23 @@ pub mod security;
 use cassandra_btu::encode::EncodedTraces;
 use cassandra_btu::unit::BranchTraceUnit;
 use cassandra_cpu::config::CpuConfig;
+use cassandra_isa::error::IsaError;
+use cassandra_isa::program::Program;
+use cassandra_trace::genproc::generate_traces;
 use cassandra_trace::stats::{BranchAnalysisRow, TraceSummary};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 pub use consolidation::{consolidation_with, ConsolidationResult};
 pub use eval::{
-    AnalysisSnapshot, AnalysisStore, CancelToken, DesignPoint, EvalRecord, Evaluator,
-    SweepExecutor, SweepOutcome,
+    AnalysisSnapshot, AnalysisStore, CancelToken, DesignPoint, EvalRecord, SweepExecutor,
+    SweepOutcome,
 };
 pub use frontier::{
     frontier_with, AdaptiveSearch, FrontierCell, FrontierPoint, FrontierProgress, FrontierResult,
 };
 pub use policies::{GridSweep, PolicyConflict, PolicyRegistry};
 pub use registry::{Experiment, ExperimentOutput, ExperimentRegistry};
-
-/// Default profiling step budget for trace generation.
-pub const ANALYSIS_STEP_LIMIT: u64 = 200_000_000;
 
 /// The result of the software side of Cassandra for one program, in the
 /// form it is replayed from: the flat hardware encoding of the traces and
@@ -108,6 +110,21 @@ pub struct AnalysisBundle {
 }
 
 impl AnalysisBundle {
+    /// Runs Algorithm 2 on `program` once, touching no store, and keeps its
+    /// replay form (the `TraceBundle` is dropped): the primitive behind
+    /// every [`eval::AnalysisStore`] miss.
+    ///
+    /// # Errors
+    ///
+    /// Propagates profiling-run errors from Algorithm 2.
+    pub fn analyze(program: &Program, step_limit: u64) -> Result<Self, IsaError> {
+        let traces = generate_traces(program, None, step_limit)?;
+        Ok(AnalysisBundle {
+            summary: TraceSummary::from_bundle(&traces),
+            encoded: Arc::new(EncodedTraces::from_bundle(program, &traces)),
+        })
+    }
+
     /// Builds a fresh Branch Trace Unit replaying these traces; the unit
     /// shares the encoding instead of copying it.
     pub fn make_btu(&self, config: &CpuConfig) -> BranchTraceUnit {
@@ -140,11 +157,13 @@ mod tests {
     #[test]
     fn analyze_and_simulate_chacha20_under_all_designs() {
         let workload = suite::chacha20_workload(64);
-        let mut ev = Evaluator::new();
-        let analysis = ev.analysis(&workload).unwrap();
+        let store = AnalysisStore::new();
+        let ex = SweepExecutor::new(&store);
+        let kernel = &workload.kernel;
+        let (analysis, _) = store.entry(&kernel.program, kernel.step_limit).unwrap();
         assert!(analysis.analyzed_branches() > 0);
         let base_cfg = CpuConfig::golden_cove_like();
-        let base = ev.simulate_cached(&workload, &base_cfg).unwrap();
+        let base = ex.simulate(&workload, &base_cfg).unwrap();
         assert!(base.halted);
         for defense in [
             DefenseMode::Cassandra,
@@ -152,7 +171,7 @@ mod tests {
             DefenseMode::Spt,
         ] {
             let cfg = base_cfg.with_defense(defense);
-            let outcome = ev.simulate_cached(&workload, &cfg).unwrap();
+            let outcome = ex.simulate(&workload, &cfg).unwrap();
             assert!(outcome.halted, "{defense:?}");
             assert_eq!(
                 outcome.stats.committed_instructions, base.stats.committed_instructions,
@@ -165,7 +184,10 @@ mod tests {
     fn cassandra_eliminates_crypto_mispredictions_on_a_real_kernel() {
         let workload = suite::sha256_workload(96);
         let cfg = CpuConfig::golden_cove_like().with_defense(DefenseMode::Cassandra);
-        let outcome = Evaluator::new().simulate_cached(&workload, &cfg).unwrap();
+        let store = AnalysisStore::new();
+        let outcome = SweepExecutor::new(&store)
+            .simulate(&workload, &cfg)
+            .unwrap();
         assert_eq!(outcome.stats.mispredictions, 0);
         assert_eq!(outcome.stats.squashed_instructions, 0);
     }

@@ -2,7 +2,7 @@
 //! speculative-leakage verdicts from the [`cassandra_analysis`] static
 //! analyzer, served through the shared
 //! [`AnalysisStore`](crate::eval::AnalysisStore) so each distinct program is
-//! linted at most once per store, however many sessions or server requests
+//! linted at most once per store, however many executors or server requests
 //! ask for it.
 //!
 //! The verdicts over-approximate: a `ct-clean` row is a guarantee (no
@@ -13,7 +13,7 @@
 //! direction: every leak the dynamic security sweep observes must be
 //! statically flagged, never the converse.
 
-use crate::eval::Evaluator;
+use crate::eval::SweepExecutor;
 use cassandra_analysis::{StaticReport, StaticVerdict};
 use cassandra_kernels::workload::{Workload, WorkloadGroup};
 use serde::{Deserialize, Serialize};
@@ -56,26 +56,27 @@ impl LintRow {
     }
 }
 
-/// Lints every workload through the session's shared store and returns one
-/// row per workload, in input order.
-pub fn lint_with(ev: &mut Evaluator, workloads: &[Workload]) -> Vec<LintRow> {
+/// Lints every workload through the executor's shared store and returns
+/// one row per workload, in input order.
+pub fn lint_with(ex: &SweepExecutor<'_>, workloads: &[Workload]) -> Vec<LintRow> {
     workloads
         .iter()
-        .map(|w| LintRow::from_report(w, &ev.lint_workload(w)))
+        .map(|w| LintRow::from_report(w, &ex.store().lint(&w.kernel.program)))
         .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::eval::AnalysisStore;
     use cassandra_kernels::suite;
 
     #[test]
     fn lint_rows_summarize_the_reports_and_memoize() {
-        let ev = Evaluator::new();
+        let store = AnalysisStore::new();
         let w = suite::chacha20_workload(64);
-        let first = ev.lint_workload(&w);
-        let again = ev.lint_workload(&w);
+        let first = store.lint(&w.kernel.program);
+        let again = store.lint(&w.kernel.program);
         assert!(
             std::sync::Arc::ptr_eq(&first, &again),
             "repeat lints must be served from the store"
@@ -89,15 +90,13 @@ mod tests {
 
     #[test]
     fn lint_does_not_touch_algorithm2_counters() {
-        let mut ev = Evaluator::builder()
-            .workloads([suite::chacha20_workload(64), suite::des_workload(4)])
-            .build();
-        let workloads = ev.shared_workloads();
-        let rows = lint_with(&mut ev, &workloads);
+        let store = AnalysisStore::new();
+        let workloads = [suite::chacha20_workload(64), suite::des_workload(4)];
+        let rows = lint_with(&SweepExecutor::new(&store), &workloads);
         assert_eq!(rows.len(), 2);
-        let stats = ev.cache_stats();
+        let stats = store.stats();
         assert_eq!(stats.misses, 0, "static lint must never run Algorithm 2");
-        assert_eq!(ev.analyzed_programs(), 0);
-        assert_eq!(ev.shared_store().linted_programs(), 2);
+        assert_eq!(store.len(), 0);
+        assert_eq!(store.linted_programs(), 2);
     }
 }

@@ -1,21 +1,22 @@
 //! The unified experiment registry.
 //!
 //! Every paper experiment implements [`Experiment`]: a name plus a
-//! `run(&mut Evaluator)` that produces a typed [`ExperimentOutput`]. The
-//! [`ExperimentRegistry`] holds the standard set (Table 1, Figures 7–9, Q3,
-//! Q4, the Table-2 security sweep, the §7.5 trace-generation timing, the
-//! static constant-time lint, the consolidation study and the Pareto
-//! frontier search), so
-//! examples, benches and the [`ExperimentRegistry::run_all`] entry point
-//! enumerate the evaluation generically instead of hard-coding one driver
-//! per figure. Because all experiments share one [`Evaluator`] session, a
-//! full `run_all` analyzes each distinct program exactly once.
+//! `run(&SweepExecutor, &[Workload])` that produces a typed
+//! [`ExperimentOutput`]. The [`ExperimentRegistry`] holds the standard set
+//! (Table 1, Figures 7–9, Q3, Q4, the Table-2 security sweep, the §7.5
+//! trace-generation timing, the static constant-time lint, the
+//! consolidation study and the Pareto frontier search), so examples,
+//! benches and the [`ExperimentRegistry::run_all`] entry point enumerate
+//! the evaluation generically instead of hard-coding one driver per
+//! figure. Because all experiments run on one [`SweepExecutor`] over
+//! one [`AnalysisStore`](crate::eval::AnalysisStore), a full `run_all`
+//! analyzes each distinct program exactly once.
 //!
 //! Outputs are serde-serializable; [`crate::report`] renders any of them to
 //! text, CSV or JSON.
 
 use crate::consolidation::{self, ConsolidationResult};
-use crate::eval::{CancelToken, EvalRecord, Evaluator};
+use crate::eval::{CancelToken, DesignPoint, EvalRecord, SweepExecutor};
 use crate::experiments::{
     self, Fig7Result, Fig8Point, Fig9Result, Q3Row, Q4Result, Table1Result, TraceGenRow,
     FIG7_DESIGNS, Q3_VARIANTS,
@@ -26,6 +27,7 @@ use crate::policies::PolicyRegistry;
 use crate::security::{self, SecurityMatrix};
 use cassandra_cpu::config::DefenseMode;
 use cassandra_isa::error::IsaError;
+use cassandra_kernels::workload::Workload;
 use serde::{Deserialize, Serialize};
 use std::time::{Duration, Instant};
 
@@ -58,7 +60,10 @@ pub enum ExperimentOutput {
     Frontier(FrontierResult),
 }
 
-/// One paper experiment, runnable against any evaluation session.
+/// What [`Experiment::run`] returns.
+type RunResult = Result<ExperimentOutput, IsaError>;
+
+/// One paper experiment, runnable on any executor over any workload set.
 pub trait Experiment {
     /// Stable registry key (`table1`, `fig7`, …).
     fn name(&self) -> &'static str;
@@ -66,12 +71,18 @@ pub trait Experiment {
     /// Human-readable title used by reports.
     fn title(&self) -> &'static str;
 
-    /// Runs the experiment over the session's workload set.
+    /// Runs the experiment over `workloads` on `ex`. Experiments with a
+    /// workload set of their own (Figure 8's synthetic mixes, the security
+    /// gadgets) ignore `workloads`.
     ///
     /// # Errors
     ///
     /// Propagates analysis or simulation errors.
-    fn run(&self, ev: &mut Evaluator) -> Result<ExperimentOutput, IsaError>;
+    fn run(
+        &self,
+        ex: &SweepExecutor<'_>,
+        workloads: &[Workload],
+    ) -> Result<ExperimentOutput, IsaError>;
 }
 
 // --------------------------------------------------------- the experiments
@@ -87,9 +98,8 @@ impl Experiment for Table1Experiment {
     fn title(&self) -> &'static str {
         "Table 1: branch analysis of cryptographic programs"
     }
-    fn run(&self, ev: &mut Evaluator) -> Result<ExperimentOutput, IsaError> {
-        let workloads = ev.shared_workloads();
-        experiments::table1_with(ev, &workloads).map(ExperimentOutput::Table1)
+    fn run(&self, ex: &SweepExecutor<'_>, workloads: &[Workload]) -> RunResult {
+        experiments::table1_with(ex, workloads).map(ExperimentOutput::Table1)
     }
 }
 
@@ -115,9 +125,8 @@ impl Experiment for Fig7Experiment {
     fn title(&self) -> &'static str {
         "Figure 7: normalized execution time (crypto benchmarks)"
     }
-    fn run(&self, ev: &mut Evaluator) -> Result<ExperimentOutput, IsaError> {
-        let workloads = ev.shared_workloads();
-        experiments::figure7_with(ev, &workloads, &self.designs).map(ExperimentOutput::Fig7)
+    fn run(&self, ex: &SweepExecutor<'_>, workloads: &[Workload]) -> RunResult {
+        experiments::figure7_with(ex, workloads, &self.designs).map(ExperimentOutput::Fig7)
     }
 }
 
@@ -141,8 +150,8 @@ impl Experiment for Fig8Experiment {
     fn title(&self) -> &'static str {
         "Figure 8: synthetic sandbox/crypto mixes (ProSpeCT comparison)"
     }
-    fn run(&self, ev: &mut Evaluator) -> Result<ExperimentOutput, IsaError> {
-        experiments::figure8_with(ev, self.scale).map(ExperimentOutput::Fig8)
+    fn run(&self, ex: &SweepExecutor<'_>, _: &[Workload]) -> RunResult {
+        experiments::figure8_with(ex, self.scale).map(ExperimentOutput::Fig8)
     }
 }
 
@@ -157,9 +166,8 @@ impl Experiment for Fig9Experiment {
     fn title(&self) -> &'static str {
         "Figure 9: power and area"
     }
-    fn run(&self, ev: &mut Evaluator) -> Result<ExperimentOutput, IsaError> {
-        let workloads = ev.shared_workloads();
-        experiments::figure9_with(ev, &workloads).map(ExperimentOutput::Fig9)
+    fn run(&self, ex: &SweepExecutor<'_>, workloads: &[Workload]) -> RunResult {
+        experiments::figure9_with(ex, workloads).map(ExperimentOutput::Fig9)
     }
 }
 
@@ -186,9 +194,8 @@ impl Experiment for Q3Experiment {
     fn title(&self) -> &'static str {
         "Q3: restricted frontends vs Cassandra"
     }
-    fn run(&self, ev: &mut Evaluator) -> Result<ExperimentOutput, IsaError> {
-        let workloads = ev.shared_workloads();
-        experiments::q3_with(ev, &workloads, &self.variants).map(ExperimentOutput::Q3)
+    fn run(&self, ex: &SweepExecutor<'_>, workloads: &[Workload]) -> RunResult {
+        experiments::q3_with(ex, workloads, &self.variants).map(ExperimentOutput::Q3)
     }
 }
 
@@ -218,9 +225,8 @@ impl Experiment for Q4Experiment {
     fn title(&self) -> &'static str {
         "Q4: context switches (whole-BTU flush vs partition reassignment)"
     }
-    fn run(&self, ev: &mut Evaluator) -> Result<ExperimentOutput, IsaError> {
-        let workloads = ev.shared_workloads();
-        experiments::q4_with(ev, &workloads, self.flush_interval, self.partition_contexts)
+    fn run(&self, ex: &SweepExecutor<'_>, workloads: &[Workload]) -> RunResult {
+        experiments::q4_with(ex, workloads, self.flush_interval, self.partition_contexts)
             .map(ExperimentOutput::Q4)
     }
 }
@@ -250,8 +256,8 @@ impl Experiment for SecurityExperiment {
     fn title(&self) -> &'static str {
         "Table 2: gadget scenarios (empirical security analysis)"
     }
-    fn run(&self, ev: &mut Evaluator) -> Result<ExperimentOutput, IsaError> {
-        security::security_sweep_with(ev, &self.designs).map(ExperimentOutput::Security)
+    fn run(&self, ex: &SweepExecutor<'_>, _: &[Workload]) -> RunResult {
+        security::security_sweep_with(ex, &self.designs).map(ExperimentOutput::Security)
     }
 }
 
@@ -266,18 +272,16 @@ impl Experiment for TraceGenExperiment {
     fn title(&self) -> &'static str {
         "§7.5: trace generation runtime"
     }
-    fn run(&self, ev: &mut Evaluator) -> Result<ExperimentOutput, IsaError> {
-        let workloads = ev.shared_workloads();
-        experiments::trace_generation_timing_with(ev, &workloads).map(ExperimentOutput::TraceGen)
+    fn run(&self, ex: &SweepExecutor<'_>, workloads: &[Workload]) -> RunResult {
+        experiments::trace_generation_timing_with(ex, workloads).map(ExperimentOutput::TraceGen)
     }
 }
 
-/// Static constant-time & speculative-leakage lint of the session
-/// workloads.
+/// Static constant-time & speculative-leakage lint of the given workloads.
 ///
 /// Unlike every other experiment, this never executes a program: verdicts
 /// come from the pure static pass in [`cassandra_analysis`], memoized on
-/// the session's shared [`AnalysisStore`](crate::eval::AnalysisStore).
+/// the executor's shared [`AnalysisStore`](crate::eval::AnalysisStore).
 /// Algorithm-2 cache counters are untouched.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct LintExperiment;
@@ -289,13 +293,12 @@ impl Experiment for LintExperiment {
     fn title(&self) -> &'static str {
         "Static lint: constant-time & speculative-leakage verdicts"
     }
-    fn run(&self, ev: &mut Evaluator) -> Result<ExperimentOutput, IsaError> {
-        let workloads = ev.shared_workloads();
-        Ok(ExperimentOutput::Lint(lint::lint_with(ev, &workloads)))
+    fn run(&self, ex: &SweepExecutor<'_>, workloads: &[Workload]) -> RunResult {
+        Ok(ExperimentOutput::Lint(lint::lint_with(ex, workloads)))
     }
 }
 
-/// N-tenant consolidation: a mix cycled from the session workloads,
+/// N-tenant consolidation: a mix cycled from the given workloads,
 /// round-robined over one shared pipeline + BTU under the flush,
 /// partition-reassignment and scheduler-driven switch policies.
 #[derive(Debug, Clone, Copy)]
@@ -322,15 +325,14 @@ impl Experiment for ConsolidationExperiment {
     fn title(&self) -> &'static str {
         "Consolidation: N-tenant mixes on one shared core"
     }
-    fn run(&self, ev: &mut Evaluator) -> Result<ExperimentOutput, IsaError> {
-        let workloads = ev.shared_workloads();
-        consolidation::consolidation_with(ev, &workloads, self.tenants, self.quantum)
+    fn run(&self, ex: &SweepExecutor<'_>, workloads: &[Workload]) -> RunResult {
+        consolidation::consolidation_with(ex, workloads, self.tenants, self.quantum)
             .map(ExperimentOutput::Consolidation)
     }
 }
 
 /// Performance × security Pareto frontier of a grid-sweep expansion over
-/// the session workloads (see [`crate::frontier`]): exhaustive by default,
+/// the given workloads (see [`crate::frontier`]): exhaustive by default,
 /// successive-halving when `adaptive` is set.
 #[derive(Debug, Clone)]
 pub struct FrontierExperiment {
@@ -357,11 +359,10 @@ impl Experiment for FrontierExperiment {
     fn title(&self) -> &'static str {
         "Frontier: performance × security Pareto search over a design grid"
     }
-    fn run(&self, ev: &mut Evaluator) -> Result<ExperimentOutput, IsaError> {
-        let workloads = ev.shared_workloads();
+    fn run(&self, ex: &SweepExecutor<'_>, workloads: &[Workload]) -> RunResult {
         let result = frontier::frontier_with(
-            ev,
-            &workloads,
+            ex,
+            workloads,
             &self.grid,
             self.adaptive,
             &CancelToken::new(),
@@ -373,9 +374,21 @@ impl Experiment for FrontierExperiment {
     }
 }
 
-/// The raw workload × design sweep over the session's configured matrix.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct SweepExperiment;
+/// The raw workload × design sweep (the uniform [`EvalRecord`] stream).
+#[derive(Debug, Clone)]
+pub struct SweepExperiment {
+    /// The design matrix to sweep (defaults to every design point of the
+    /// standard policy registry).
+    pub designs: Vec<DesignPoint>,
+}
+
+impl Default for SweepExperiment {
+    fn default() -> Self {
+        SweepExperiment {
+            designs: PolicyRegistry::standard().designs().to_vec(),
+        }
+    }
+}
 
 impl Experiment for SweepExperiment {
     fn name(&self) -> &'static str {
@@ -384,8 +397,9 @@ impl Experiment for SweepExperiment {
     fn title(&self) -> &'static str {
         "Raw design-point sweep (EvalRecord stream)"
     }
-    fn run(&self, ev: &mut Evaluator) -> Result<ExperimentOutput, IsaError> {
-        ev.sweep().map(ExperimentOutput::Records)
+    fn run(&self, ex: &SweepExecutor<'_>, workloads: &[Workload]) -> RunResult {
+        ex.sweep_matrix(workloads, &self.designs)
+            .map(ExperimentOutput::Records)
     }
 }
 
@@ -459,36 +473,49 @@ impl ExperimentRegistry {
             .map(AsRef::as_ref)
     }
 
-    /// Runs one experiment by name against the session.
+    /// Runs one experiment by name over `workloads` on `ex`.
     ///
     /// # Errors
     ///
     /// Propagates analysis or simulation errors; `Ok(None)` if the name is
     /// unknown.
-    pub fn run(&self, name: &str, ev: &mut Evaluator) -> Result<Option<ExperimentRun>, IsaError> {
+    pub fn run(
+        &self,
+        name: &str,
+        ex: &SweepExecutor<'_>,
+        workloads: &[Workload],
+    ) -> Result<Option<ExperimentRun>, IsaError> {
         match self.get(name) {
-            Some(experiment) => run_one(experiment, ev).map(Some),
+            Some(experiment) => run_one(experiment, ex, workloads).map(Some),
             None => Ok(None),
         }
     }
 
-    /// Runs every registered experiment against one shared session, in
-    /// registration order.
+    /// Runs every registered experiment over `workloads` on one executor,
+    /// in registration order.
     ///
     /// # Errors
     ///
     /// Propagates analysis or simulation errors.
-    pub fn run_all(&self, ev: &mut Evaluator) -> Result<Vec<ExperimentRun>, IsaError> {
+    pub fn run_all(
+        &self,
+        ex: &SweepExecutor<'_>,
+        workloads: &[Workload],
+    ) -> Result<Vec<ExperimentRun>, IsaError> {
         self.experiments
             .iter()
-            .map(|experiment| run_one(experiment.as_ref(), ev))
+            .map(|experiment| run_one(experiment.as_ref(), ex, workloads))
             .collect()
     }
 }
 
-fn run_one(experiment: &dyn Experiment, ev: &mut Evaluator) -> Result<ExperimentRun, IsaError> {
+fn run_one(
+    experiment: &dyn Experiment,
+    ex: &SweepExecutor<'_>,
+    workloads: &[Workload],
+) -> Result<ExperimentRun, IsaError> {
     let start = Instant::now();
-    let output = experiment.run(ev)?;
+    let output = experiment.run(ex, workloads)?;
     Ok(ExperimentRun {
         name: experiment.name().to_string(),
         title: experiment.title().to_string(),
@@ -500,6 +527,7 @@ fn run_one(experiment: &dyn Experiment, ev: &mut Evaluator) -> Result<Experiment
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::eval::AnalysisStore;
     use cassandra_kernels::suite;
 
     #[test]
@@ -540,21 +568,23 @@ mod tests {
     fn run_all_analyzes_each_workload_exactly_once() {
         let workloads = vec![suite::chacha20_workload(64), suite::des_workload(4)];
         let n_workloads = workloads.len() as u64;
-        let mut ev = Evaluator::builder().workloads(workloads).build();
+        let store = AnalysisStore::new();
         let registry = ExperimentRegistry::standard();
-        let runs = registry.run_all(&mut ev).unwrap();
+        let runs = registry
+            .run_all(&SweepExecutor::new(&store), &workloads)
+            .unwrap();
         assert_eq!(runs.len(), 11);
 
-        // Distinct programs analyzed: the session workloads (once each,
+        // Distinct programs analyzed: the given workloads (once each,
         // shared by table1/fig7/fig9/q3/q4/tracegen/consolidation/frontier),
         // the fig8 synthetic mixes (2 variants × 5 mixes) and the security
         // gadgets (8 scenarios × 2 secrets, shared by the security and
         // frontier experiments). No program is ever analyzed twice, and the
         // static lint experiment contributes zero — it never runs
         // Algorithm 2.
-        let stats = ev.cache_stats();
+        let stats = store.stats();
         assert_eq!(stats.misses, n_workloads + 10 + 16);
-        assert_eq!(ev.analyzed_programs() as u64, stats.misses);
+        assert_eq!(store.len() as u64, stats.misses);
         assert!(
             stats.hits >= 5 * n_workloads,
             "experiments after table1 must hit the cache ({stats:?})"
@@ -564,11 +594,12 @@ mod tests {
     #[test]
     fn run_by_name_matches_run_all_entry() {
         let workloads = vec![suite::des_workload(4)];
-        let mut ev = Evaluator::builder().workloads(workloads).build();
+        let store = AnalysisStore::new();
+        let ex = SweepExecutor::new(&store);
         let registry = ExperimentRegistry::standard();
-        let run = registry.run("table1", &mut ev).unwrap().unwrap();
+        let run = registry.run("table1", &ex, &workloads).unwrap().unwrap();
         assert_eq!(run.name, "table1");
         assert!(matches!(run.output, ExperimentOutput::Table1(_)));
-        assert!(registry.run("unknown", &mut ev).unwrap().is_none());
+        assert!(registry.run("unknown", &ex, &workloads).unwrap().is_none());
     }
 }

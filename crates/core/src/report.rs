@@ -815,14 +815,15 @@ pub fn render(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::eval::Evaluator;
+    use crate::eval::{AnalysisStore, DesignPoint, SweepExecutor};
     use crate::experiments::{self, quick_workloads, FIG7_DESIGNS};
     use cassandra_kernels::suite;
 
     #[test]
     fn table1_rendering_contains_programs_and_all_row() {
-        let result =
-            experiments::table1_with(&mut Evaluator::new(), &quick_workloads()[..2]).unwrap();
+        let store = AnalysisStore::new();
+        let ex = SweepExecutor::new(&store);
+        let result = experiments::table1_with(&ex, &quick_workloads()[..2]).unwrap();
         let text = format_table1(&result);
         assert!(text.contains("ChaCha20_ct"));
         assert!(text.contains("All"));
@@ -832,8 +833,9 @@ mod tests {
     #[test]
     fn fig7_rendering_contains_geomean() {
         let workloads = vec![suite::des_workload(8)];
-        let result =
-            experiments::figure7_with(&mut Evaluator::new(), &workloads, &FIG7_DESIGNS).unwrap();
+        let store = AnalysisStore::new();
+        let ex = SweepExecutor::new(&store);
+        let result = experiments::figure7_with(&ex, &workloads, &FIG7_DESIGNS).unwrap();
         let text = format_fig7(&result);
         assert!(text.contains("geomean"));
         assert!(text.contains("Cassandra speedup"));
@@ -842,13 +844,16 @@ mod tests {
     #[test]
     fn every_format_renders_every_output() {
         let workloads = vec![suite::des_workload(4)];
-        let mut ev = crate::eval::Evaluator::builder()
-            .workloads(workloads)
-            .defense_matrix([cassandra_cpu::config::DefenseMode::Cassandra])
-            .build();
         let mut registry = crate::registry::ExperimentRegistry::standard();
-        registry.register(crate::registry::SweepExperiment);
-        let runs = registry.run_all(&mut ev).unwrap();
+        registry.register(crate::registry::SweepExperiment {
+            designs: vec![DesignPoint::from_defense(
+                cassandra_cpu::config::DefenseMode::Cassandra,
+            )],
+        });
+        let store = AnalysisStore::new();
+        let runs = registry
+            .run_all(&SweepExecutor::new(&store), &workloads)
+            .unwrap();
         assert_eq!(runs.len(), 12);
         for run in &runs {
             let text = render_text(&run.output);

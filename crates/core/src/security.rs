@@ -7,7 +7,7 @@
 //! runs that differ only in a secret produce different attacker-visible
 //! access sequences.
 
-use crate::eval::Evaluator;
+use crate::eval::{simulate_program, AnalysisStore, SweepExecutor};
 use cassandra_cpu::config::{CpuConfig, DefenseMode};
 use cassandra_cpu::pipeline::SimOutcome;
 use cassandra_isa::error::IsaError;
@@ -46,23 +46,23 @@ impl LeakageObservation {
 const GADGET_STEP_LIMIT: u64 = 10_000_000;
 
 /// Runs a program under `config` and collects the attacker-visible traces.
-/// The program's analysis is served from (and recorded in) the session
-/// cache.
+/// The program's analysis is served from (and recorded in) the executor's
+/// store.
 ///
 /// # Errors
 ///
 /// Propagates analysis or simulation errors.
 pub fn observe_with(
-    ev: &mut Evaluator,
+    ex: &SweepExecutor<'_>,
     program: &Program,
     config: &CpuConfig,
 ) -> Result<LeakageObservation, IsaError> {
     let analysis = if config.resolved_policy().frontend.uses_btu() {
-        Some(ev.analyze_program(program, GADGET_STEP_LIMIT)?)
+        Some(ex.store().entry(program, GADGET_STEP_LIMIT)?.0)
     } else {
         None
     };
-    let outcome = Evaluator::simulate_program(program, analysis.as_deref(), config)?;
+    let outcome = simulate_program(program, analysis.as_deref(), config)?;
     Ok(LeakageObservation {
         contract: contract_trace(program, GADGET_STEP_LIMIT)?,
         outcome,
@@ -145,9 +145,10 @@ pub fn evaluate_scenario(
 ) -> Result<ScenarioVerdict, IsaError> {
     let g0 = build(0x0000_0000_0000_0000);
     let g1 = build(0xffff_ffff_ffff_ffff);
-    let mut ev = Evaluator::new();
-    let o0 = observe_with(&mut ev, &g0.program, config)?;
-    let o1 = observe_with(&mut ev, &g1.program, config)?;
+    let store = AnalysisStore::new();
+    let ex = SweepExecutor::new(&store);
+    let o0 = observe_with(&ex, &g0.program, config)?;
+    let o1 = observe_with(&ex, &g1.program, config)?;
     Ok(ScenarioVerdict::from_observations(name, &o0, &o1))
 }
 
@@ -163,9 +164,10 @@ pub fn check_contract_satisfaction(
     program_b: &Program,
     config: &CpuConfig,
 ) -> Result<bool, IsaError> {
-    let mut ev = Evaluator::new();
-    let oa = observe_with(&mut ev, program_a, config)?;
-    let ob = observe_with(&mut ev, program_b, config)?;
+    let store = AnalysisStore::new();
+    let ex = SweepExecutor::new(&store);
+    let oa = observe_with(&ex, program_a, config)?;
+    let ob = observe_with(&ex, program_b, config)?;
     if oa.contract != ob.contract {
         // Different contract traces: the premise is vacuous.
         return Ok(true);
@@ -222,13 +224,13 @@ impl SecurityMatrix {
 
 /// Evaluates every gadget scenario (the paper's eight `BranchSite` ×
 /// `LeakGadget` combinations) under each design, sharing gadget analyses
-/// through the evaluation session.
+/// through the executor's store.
 ///
 /// # Errors
 ///
 /// Propagates analysis or simulation errors.
 pub fn security_sweep_with(
-    ev: &mut Evaluator,
+    ex: &SweepExecutor<'_>,
     designs: &[DefenseMode],
 ) -> Result<SecurityMatrix, IsaError> {
     let sites = [BranchSite::Crypto, BranchSite::NonCrypto];
@@ -246,8 +248,8 @@ pub fn security_sweep_with(
             let g1 = scenario(site, gadget, 0xffff_ffff_ffff_ffff);
             for design in designs {
                 let cfg = CpuConfig::golden_cove_like().with_defense(*design);
-                let o0 = observe_with(ev, &g0.program, &cfg)?;
-                let o1 = observe_with(ev, &g1.program, &cfg)?;
+                let o0 = observe_with(ex, &g0.program, &cfg)?;
+                let o1 = observe_with(ex, &g1.program, &cfg)?;
                 cells.push(SecurityCell {
                     scenario: name.clone(),
                     site,
@@ -324,8 +326,9 @@ mod tests {
 
     #[test]
     fn security_sweep_matches_the_papers_table2() {
-        let mut ev = Evaluator::new();
-        let matrix = security_sweep_with(&mut ev, &SECURITY_SWEEP_DESIGNS).unwrap();
+        let store = AnalysisStore::new();
+        let matrix =
+            security_sweep_with(&SweepExecutor::new(&store), &SECURITY_SWEEP_DESIGNS).unwrap();
         assert_eq!(matrix.cells.len(), 8 * SECURITY_SWEEP_DESIGNS.len());
         // Cassandra protects every scenario except scenario 8 (non-crypto
         // branch to non-crypto memory gadget — software isolation, which the
@@ -351,7 +354,7 @@ mod tests {
             "the baseline must leak more than Cassandra"
         );
         // Only the Cassandra runs need analyses: 8 scenarios × 2 secrets.
-        assert_eq!(ev.cache_stats().misses, 16);
+        assert_eq!(store.stats().misses, 16);
     }
 
     #[test]

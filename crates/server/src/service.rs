@@ -2,8 +2,7 @@
 //! protocol, safe to drive from any number of threads at once.
 //!
 //! An [`EvalService`] owns the server's [`AnalysisStore`] — the same
-//! thread-safe cache offline [`cassandra_core::eval::Evaluator`] sessions
-//! use — so every
+//! thread-safe cache offline [`SweepExecutor`] runs use — so every
 //! Algorithm-2 analysis is memoized by program fingerprint and shared
 //! across *all* client requests: the second client to sweep a workload pays
 //! zero analysis time, observable through the [`SweepSummary::cache`]
@@ -36,7 +35,6 @@
 //! a single snapshot line periodically and on a clean `Shutdown`.
 
 use crate::protocol::{Request, Response, SweepSummary, WorkloadSpec, PROTOCOL_VERSION};
-use cassandra_core::eval::Evaluator;
 use cassandra_core::eval::{
     AnalysisSnapshot, AnalysisStore, CancelToken, DesignPoint, EvalRecord, SnapshotEntry,
     SweepExecutor, SweepOutcome,
@@ -51,7 +49,7 @@ use cassandra_kernels::workload::Workload;
 use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
 use std::io::{self, Write};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError, Weak};
 
 /// A sink receiving the response stream of one request. `Send` because a
@@ -212,21 +210,43 @@ impl CacheJournal {
         }
     }
 
-    /// Rewrites the file as a single compacted snapshot line of the whole
+    /// Replaces the file with a single compacted snapshot line of the whole
     /// store. Returns how many analyses were written.
     fn compact(&self, store: &AnalysisStore) -> io::Result<usize> {
         let mut state = lock(&self.state);
         self.compact_locked(&mut state, store)
     }
 
+    /// The snapshot goes to a sibling temporary file, synced, then renamed
+    /// over the journal: a kill mid-compaction leaves the old journal whole
+    /// instead of a truncated first line that replay would reject.
     fn compact_locked(&self, state: &mut JournalState, store: &AnalysisStore) -> io::Result<usize> {
         let snapshot = store.snapshot();
         let entries = snapshot.entries.len();
         let mut text = serde_json::to_string(&snapshot).expect("vendored serde_json is infallible");
         text.push('\n');
-        std::fs::write(&self.path, text)?;
+        let mut tmp = self.path.clone().into_os_string();
+        tmp.push(".tmp");
+        let tmp = PathBuf::from(tmp);
+        let replaced = File::create(&tmp)
+            .and_then(|mut file| {
+                file.write_all(text.as_bytes())?;
+                file.sync_all()
+            })
+            .and_then(|()| std::fs::rename(&tmp, &self.path));
+        if let Err(e) = replaced {
+            let _ = std::fs::remove_file(&tmp);
+            return Err(e);
+        }
+        // The append handle still points at the replaced file.
         state.file = None;
         state.appended = 0;
+        // Sync the directory too, so the rename itself survives a crash.
+        let dir = match self.path.parent() {
+            Some(dir) if !dir.as_os_str().is_empty() => dir,
+            _ => Path::new("."),
+        };
+        File::open(dir)?.sync_all()?;
         Ok(entries)
     }
 }
@@ -475,15 +495,12 @@ impl EvalService {
                         if name == "frontier" {
                             return self.run_frontier(reservation, selected, sink);
                         }
-                        // A per-request session over the shared store: the
+                        // A per-request executor over the shared store: the
                         // experiment reuses every analysis any request has
                         // memoized, and leaves its own behind for the next.
-                        let mut ev = Evaluator::builder()
-                            .workloads(selected)
-                            .store(Arc::clone(&self.store))
-                            .build();
+                        let ex = SweepExecutor::new(&self.store);
                         let registry = ExperimentRegistry::standard();
-                        match registry.run(&name, &mut ev) {
+                        match registry.run(&name, &ex, &selected) {
                             Ok(Some(run)) => {
                                 let report = report::render_text(&run.output);
                                 sink(Response::Experiment {
@@ -671,16 +688,12 @@ impl EvalService {
         sink: &mut ResponseSink<'_>,
     ) -> io::Result<()> {
         let token = cancel_token(reservation);
-        let mut ev = Evaluator::builder()
-            .workloads(workloads.clone())
-            .store(Arc::clone(&self.store))
-            .build();
         let mut sink_error: Option<io::Error> = None;
         let outcome = {
             let sink = &mut *sink;
             let sink_error = &mut sink_error;
             frontier::frontier_with(
-                &mut ev,
+                &SweepExecutor::new(&self.store),
                 &workloads,
                 &frontier::standard_grid(),
                 Some(AdaptiveSearch::default()),

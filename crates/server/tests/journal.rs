@@ -5,7 +5,7 @@
 //! without panicking.
 
 use cassandra_server::{serve, Client, EvalService, Request, Response, WorkloadSpec};
-use std::io::Write;
+use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
@@ -112,6 +112,38 @@ fn clean_shutdown_compacts_the_journal_to_one_snapshot_line() {
     let (hits, misses) = lifetime(&path, true);
     assert_eq!(misses, 0, "the snapshot warm-starts the next lifetime");
     assert_eq!(hits, 2);
+    let _ = std::fs::remove_file(&path);
+}
+
+/// Compaction writes a sibling file and renames it over the journal rather
+/// than truncating the live file: a reader that opened the journal before
+/// the compaction still sees every pre-compaction byte (an in-place
+/// rewrite would hand it the new snapshot, or a partial line after a kill
+/// mid-write), and no temporary file is left behind.
+#[test]
+fn compaction_replaces_the_journal_without_truncating_it() {
+    let path = journal_path("replace");
+    let _ = std::fs::remove_file(&path);
+    lifetime(&path, false);
+    let appended = std::fs::read_to_string(&path).expect("both analyses are journaled");
+    let mut early_reader = std::fs::File::open(&path).unwrap();
+
+    let service = EvalService::new().with_cache_file(&path);
+    assert_eq!(service.save_cache().unwrap(), 2);
+    let mut seen = String::new();
+    early_reader.read_to_string(&mut seen).unwrap();
+    assert_eq!(seen, appended, "the pre-compaction file must stay whole");
+    let journal = std::fs::read_to_string(&path).unwrap();
+    assert_eq!(journal.lines().count(), 1, "{journal}");
+    assert!(journal.starts_with("{\"entries\":["), "{journal}");
+
+    let name = path.file_name().unwrap().to_string_lossy().into_owned();
+    let leftovers: Vec<String> = std::fs::read_dir(path.parent().unwrap())
+        .unwrap()
+        .map(|entry| entry.unwrap().file_name().to_string_lossy().into_owned())
+        .filter(|other| other.starts_with(&name) && *other != name)
+        .collect();
+    assert!(leftovers.is_empty(), "temporary files left: {leftovers:?}");
     let _ = std::fs::remove_file(&path);
 }
 

@@ -1,7 +1,7 @@
 //! Loopback integration tests: a real server thread driven over TCP, with
-//! the results cross-checked against a direct offline `Evaluator` run.
+//! the results cross-checked against a direct offline `SweepExecutor` run.
 
-use cassandra_core::eval::{EvalRecord, Evaluator};
+use cassandra_core::eval::{AnalysisStore, EvalRecord, SweepExecutor};
 use cassandra_kernels::suite;
 use cassandra_server::protocol::{MAX_REQUEST_LINE, MAX_RESPONSE_LINE};
 use cassandra_server::{
@@ -108,11 +108,13 @@ fn grid_sweep_matches_offline_evaluator_byte_for_byte() {
     let (records, summary) = split_stream(responses);
 
     // Offline reference: the same grid expanded by the same code, swept by a
-    // fresh Evaluator over the same workloads.
+    // fresh executor over the same workloads.
     let designs = quick_grid().to_grid().unwrap().expand().designs().to_vec();
     let workloads = vec![suite::chacha20_workload(64), suite::des_workload(32)];
-    let mut offline = Evaluator::new();
-    let expected = offline.sweep_matrix(&workloads, &designs).unwrap();
+    let store = AnalysisStore::new();
+    let expected = SweepExecutor::new(&store)
+        .sweep_matrix(&workloads, &designs)
+        .unwrap();
 
     assert_eq!(summary.records, records.len());
     assert_eq!(records.len(), expected.len(), "2 workloads × 4 grid cells");

@@ -4,6 +4,7 @@
 //!
 //! Run with `cargo run --release --example chacha20_end_to_end`.
 
+use cassandra::core::eval::simulate_program;
 use cassandra::kernels::kernel::chacha20;
 use cassandra::kernels::reference::chacha20 as reference;
 use cassandra::prelude::*;
@@ -25,7 +26,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("ciphertext (first 32 bytes): {:02x?}", &ciphertext[..32]);
 
     // Analyze its branches and inspect the compression.
-    let analysis = Evaluator::new().analyze_program(&kernel.program, kernel.step_limit)?;
+    let analysis = AnalysisBundle::analyze(&kernel.program, kernel.step_limit)?;
     println!("\nper-branch trace compression:");
     for branch in analysis.encoded.trace_sizes() {
         println!(
@@ -40,7 +41,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Run it on the Cassandra processor model and decrypt on the reference
     // side to close the loop.
     let cfg = CpuConfig::golden_cove_like().with_defense(DefenseMode::Cassandra);
-    let outcome = Evaluator::simulate_program(&kernel.program, Some(&analysis), &cfg)?;
+    let outcome = simulate_program(&kernel.program, Some(&analysis), &cfg)?;
     println!(
         "\nsimulated on Cassandra: {} cycles, IPC {:.2}, {} crypto branches replayed, 0 mispredictions ({} observed)",
         outcome.stats.cycles,

@@ -16,8 +16,8 @@
 //! `q4`, `security`, `tracegen`, `lint`, `consolidation`, `frontier`),
 //! `all` (every experiment on the full 21-workload suite — takes a few
 //! minutes in release mode), or nothing for a quick subset. All experiments
-//! share one evaluation session, so each workload's Algorithm-2 analysis
-//! runs exactly once. `lint` renders the static
+//! run on one executor over one analysis store, so each workload's
+//! Algorithm-2 analysis runs exactly once. `lint` renders the static
 //! constant-time/speculative-leakage verdict table without running a
 //! single simulation; `--smoke` with a named experiment swaps in the quick
 //! workload subset (CI runs `lint --smoke` and `frontier --smoke`). The
@@ -28,12 +28,13 @@
 //! successive-halving search (full-suite simulation only for cells
 //! surviving the smoke rung).
 //!
-//! `--designs` selects the session's sweep matrix by defense label
-//! (e.g. `--designs UnsafeBaseline,Fence,Tournament,Cassandra-part`); the
-//! labels are parsed with `DefenseMode::from_str`, and the default matrix
-//! enumerates the standard policy registry — no variant is hand-listed
-//! here, so the tournament and partitioned-BTU design points flow through
-//! every driver (fig7, q3, security, sweep) with zero edits to this file.
+//! `--designs` selects the `sweep` experiment's design matrix by defense
+//! label (e.g. `--designs UnsafeBaseline,Fence,Tournament,Cassandra-part`);
+//! the labels are parsed with `DefenseMode::from_str`, and the default
+//! matrix enumerates the standard policy registry — no variant is
+//! hand-listed here, so the tournament and partitioned-BTU design points
+//! flow through the sweep (and the registry-driven security experiment)
+//! with zero edits to this file.
 //! `q4` reports the context-switch cost priced both as whole-BTU flushes
 //! and as partition reassignments on the way-partitioned BTU.
 //!
@@ -57,7 +58,6 @@
 use cassandra::core::experiments::quick_workloads;
 use cassandra::core::frontier::AdaptiveSearch;
 use cassandra::core::registry::{Fig8Experiment, FrontierExperiment, SweepExperiment};
-use cassandra::core::PolicyRegistry;
 use cassandra::kernels::suite;
 use cassandra::prelude::*;
 use cassandra::server::{
@@ -69,7 +69,7 @@ const DEFAULT_ADDR: &str = "127.0.0.1:9417";
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut format = ReportFormat::Text;
-    let mut designs: Option<Vec<DefenseMode>> = None;
+    let mut designs: Option<Vec<DesignPoint>> = None;
     let mut addr = DEFAULT_ADDR.to_string();
     let mut threads: Option<usize> = None;
     let mut smoke = false;
@@ -96,7 +96,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 .ok_or("--designs requires a comma-separated list of defense labels")?;
             designs = Some(
                 spec.split(',')
-                    .map(|label| label.trim().parse::<DefenseMode>())
+                    .map(|label| label.trim().parse().map(DesignPoint::from_defense))
                     .collect::<Result<_, _>>()?,
             );
         } else if arg == "--addr" {
@@ -136,7 +136,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     let mut registry = ExperimentRegistry::standard();
-    registry.register(SweepExperiment);
+    registry.register(match designs {
+        Some(designs) => SweepExperiment { designs },
+        None => SweepExperiment::default(),
+    });
     if adaptive {
         // Replace the registry's exhaustive frontier entry with the
         // successive-halving search over the same grid.
@@ -146,81 +149,47 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         });
     }
 
-    match experiment.as_str() {
+    let store = AnalysisStore::new();
+    let ex = SweepExecutor::new(&store);
+    let runs = match experiment.as_str() {
+        "quick" => registry.run_all(&ex, &quick_workloads())?,
         "all" => {
-            let mut session = full_session(designs.as_deref());
             registry.register(Fig8Experiment { scale: 20 });
-            for run in registry.run_all(&mut session)? {
-                println!("=== {} ===", run.title);
-                println!("{}", report::render(&run.output, format)?);
-            }
-            print_cache_summary(&session);
-        }
-        "quick" => {
-            let mut session = quick_session(designs.as_deref());
-            for run in registry.run_all(&mut session)? {
-                println!("=== {} ===", run.title);
-                println!("{}", report::render(&run.output, format)?);
-            }
-            print_cache_summary(&session);
+            registry.run_all(&ex, &suite::full_suite())?
         }
         name => {
             // `--smoke` trades the paper-sized suite for the quick subset so
             // CI can exercise a single experiment end-to-end in seconds.
-            let mut session = if smoke {
-                quick_session(designs.as_deref())
+            let workloads = if smoke {
+                quick_workloads()
             } else {
-                full_session(designs.as_deref())
+                suite::full_suite()
             };
             registry.register(Fig8Experiment { scale: 20 });
-            match registry.run(name, &mut session)? {
-                Some(run) => {
-                    println!("=== {} ===", run.title);
-                    println!("{}", report::render(&run.output, format)?);
-                    print_cache_summary(&session);
-                }
-                None => {
-                    let mut names = registry.names();
-                    names.push("all");
-                    return Err(format!(
-                        "unknown experiment `{name}`; available: {}",
-                        names.join(", ")
-                    )
-                    .into());
-                }
-            }
+            let Some(run) = registry.run(name, &ex, &workloads)? else {
+                let mut names = registry.names();
+                names.push("all");
+                return Err(format!(
+                    "unknown experiment `{name}`; available: {}",
+                    names.join(", ")
+                )
+                .into());
+            };
+            vec![run]
         }
+    };
+    for run in runs {
+        println!("=== {} ===", run.title);
+        println!("{}", report::render(&run.output, format)?);
     }
-    Ok(())
-}
-
-fn session_for(workloads: Vec<Workload>, designs: Option<&[DefenseMode]>) -> Evaluator {
-    let builder = Evaluator::builder().workloads(workloads);
-    match designs {
-        Some(defenses) => builder.defense_matrix(defenses.iter().copied()).build(),
-        // Default: every policy in the standard registry.
-        None => builder.policies(&PolicyRegistry::standard()).build(),
-    }
-}
-
-/// The paper-sized session: the 21-workload suite × the selected designs.
-fn full_session(designs: Option<&[DefenseMode]>) -> Evaluator {
-    session_for(suite::full_suite(), designs)
-}
-
-/// A fast subset for demos and smoke runs.
-fn quick_session(designs: Option<&[DefenseMode]>) -> Evaluator {
-    session_for(quick_workloads(), designs)
-}
-
-fn print_cache_summary(session: &Evaluator) {
-    let stats = session.cache_stats();
+    let stats = store.stats();
     println!(
         "(analysis cache: {} distinct programs analyzed once, {} cache hits, {} requests)",
         stats.misses,
         stats.hits,
         stats.requests()
     );
+    Ok(())
 }
 
 // ------------------------------------------------------ evaluation service

@@ -17,10 +17,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // 2. Run the paper's Algorithm 2: collect, compress and encode the
-    //    sequential branch traces. The session caches the result, so the
+    //    sequential branch traces. The store caches the result, so the
     //    simulations below reuse it.
-    let mut session = Evaluator::new();
-    let analysis = session.analysis(&workload)?;
+    let store = AnalysisStore::new();
+    let kernel = &workload.kernel;
+    let (analysis, _) = store.entry(&kernel.program, kernel.step_limit)?;
     println!(
         "branch analysis: {} branches analyzed ({} single-target, {} with compressed traces)",
         analysis.analyzed_branches(),
@@ -35,10 +36,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     // 3. Simulate the unsafe baseline and Cassandra.
+    let ex = SweepExecutor::new(&store);
     let base_cfg = CpuConfig::golden_cove_like();
-    let baseline = session.simulate_cached(&workload, &base_cfg)?;
-    let cassandra =
-        session.simulate_cached(&workload, &base_cfg.with_defense(DefenseMode::Cassandra))?;
+    let baseline = ex.simulate(&workload, &base_cfg)?;
+    let cassandra = ex.simulate(&workload, &base_cfg.with_defense(DefenseMode::Cassandra))?;
 
     println!("\n                         baseline      cassandra");
     println!(

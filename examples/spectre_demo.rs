@@ -11,10 +11,10 @@ use cassandra::core::security::observe_with;
 use cassandra::kernels::gadgets::{scenario, BranchSite, LeakGadget};
 use cassandra::prelude::*;
 
-fn transient_trace(session: &mut Evaluator, defense: DefenseMode, secret: u64) -> Vec<u64> {
+fn transient_trace(ex: &SweepExecutor<'_>, defense: DefenseMode, secret: u64) -> Vec<u64> {
     let gadget = scenario(BranchSite::Crypto, LeakGadget::CryptoRegister, secret);
     let cfg = CpuConfig::golden_cove_like().with_defense(defense);
-    let obs = observe_with(session, &gadget.program, &cfg).expect("simulation succeeds");
+    let obs = observe_with(ex, &gadget.program, &cfg).expect("simulation succeeds");
     obs.transient_accesses().to_vec()
 }
 
@@ -33,10 +33,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("Transient register leak (Figure 5a): the branch is never taken");
     println!("architecturally, but its taken path leaks a secret register.\n");
 
-    let mut session = Evaluator::new();
+    let store = AnalysisStore::new();
+    let ex = SweepExecutor::new(&store);
     for defense in defenses {
-        let t0 = transient_trace(&mut session, defense, 0x0000_0000_0000_0000);
-        let t1 = transient_trace(&mut session, defense, 0xffff_ffff_ffff_ffff);
+        let t0 = transient_trace(&ex, defense, 0x0000_0000_0000_0000);
+        let t1 = transient_trace(&ex, defense, 0xffff_ffff_ffff_ffff);
         println!("--- {} ---", defense.label());
         println!("transient accesses with secret bit 0: {t0:x?}");
         println!("transient accesses with secret bit 1: {t1:x?}");

@@ -7,21 +7,23 @@
 //! The paper: *Cassandra: Efficient Enforcement of Sequential Execution for
 //! Cryptographic Programs*, ISCA 2025.
 //!
-//! ## Quickstart: the evaluation session API
+//! ## Quickstart: analyse once, simulate many
 //!
 //! ```
 //! use cassandra::prelude::*;
 //!
-//! // Build an evaluation session: workloads × designs, with the Algorithm-2
-//! // analysis of each program cached and shared across the whole session.
-//! let mut session = Evaluator::builder()
-//!     .workload(cassandra::kernels::suite::chacha20_workload(64))
-//!     .defense_matrix([DefenseMode::UnsafeBaseline, DefenseMode::Cassandra])
-//!     .build();
-//! let records = session.sweep().expect("sweep");
+//! // One store caches the Algorithm-2 analysis of each program; executors
+//! // over it simulate workloads × designs.
+//! let store = AnalysisStore::new();
+//! let workloads = [cassandra::kernels::suite::chacha20_workload(64)];
+//! let designs = [DefenseMode::UnsafeBaseline, DefenseMode::Cassandra]
+//!     .map(DesignPoint::from_defense);
+//! let records = SweepExecutor::new(&store)
+//!     .sweep_matrix(&workloads, &designs)
+//!     .expect("sweep");
 //! assert_eq!(records.len(), 2);
 //! assert!(records.iter().all(|r| r.stats.committed_instructions > 0));
-//! assert_eq!(session.cache_stats().misses, 1); // analyzed once, simulated twice
+//! assert_eq!(store.stats().misses, 1); // analyzed once, simulated twice
 //! ```
 
 pub use cassandra_analysis as analysis;
@@ -37,8 +39,8 @@ pub use cassandra_trace as trace;
 pub mod prelude {
     pub use cassandra_analysis::{analyze, StaticReport, StaticVerdict};
     pub use cassandra_core::eval::{
-        AnalysisSnapshot, AnalysisStore, CancelToken, DesignPoint, EvalRecord, Evaluator,
-        EvaluatorBuilder, SweepExecutor, SweepOutcome,
+        AnalysisSnapshot, AnalysisStore, CancelToken, DesignPoint, EvalRecord, SweepExecutor,
+        SweepOutcome,
     };
     pub use cassandra_core::frontier::{
         frontier_with, AdaptiveSearch, FrontierCell, FrontierPoint, FrontierProgress,

@@ -83,11 +83,11 @@ pub struct Golden {
     pub outcome: SimOutcome,
 }
 
-/// Captures the golden committed stream of a workload through the session
+/// Captures the golden committed stream of a workload through the executor
 /// (the analysis is cached, so capturing goldens never re-runs Algorithm 2).
-pub fn capture_golden(ev: &mut Evaluator, workload: &Workload) -> Golden {
-    let outcome = ev
-        .simulate_cached(workload, &CpuConfig::golden_cove_like())
+pub fn capture_golden(ex: &SweepExecutor<'_>, workload: &Workload) -> Golden {
+    let outcome = ex
+        .simulate(workload, &CpuConfig::golden_cove_like())
         .expect("baseline simulation");
     assert!(outcome.halted, "{}: baseline must halt", workload.name);
     Golden {
@@ -120,16 +120,16 @@ pub fn assert_matches_golden(golden: &Golden, outcome: &SimOutcome, design: &str
 /// `(workload, design, golden, outcome)` to the caller for policy-specific
 /// assertions.
 pub fn run_policy_matrix(
-    ev: &mut Evaluator,
+    ex: &SweepExecutor<'_>,
     workloads: &[Workload],
     registry: &PolicyRegistry,
     mut check: impl FnMut(&Workload, &DesignPoint, &Golden, &SimOutcome),
 ) {
     for w in workloads {
-        let golden = capture_golden(ev, w);
+        let golden = capture_golden(ex, w);
         for design in registry.designs() {
-            let outcome = ev
-                .simulate_cached(w, &design.config)
+            let outcome = ex
+                .simulate(w, &design.config)
                 .unwrap_or_else(|e| panic!("{}: {} failed: {e:?}", w.name, design.label));
             assert_matches_golden(&golden, &outcome, &design.label);
             check(w, design, &golden, &outcome);
@@ -139,8 +139,8 @@ pub fn run_policy_matrix(
 
 /// [`run_policy_matrix`] over the standard registry with no extra checks:
 /// the plain sweep-matrix invariant.
-pub fn assert_standard_matrix_preserves_goldens(ev: &mut Evaluator, workloads: &[Workload]) {
-    run_policy_matrix(ev, workloads, &PolicyRegistry::standard(), |_, _, _, _| {});
+pub fn assert_standard_matrix_preserves_goldens(ex: &SweepExecutor<'_>, workloads: &[Workload]) {
+    run_policy_matrix(ex, workloads, &PolicyRegistry::standard(), |_, _, _, _| {});
 }
 
 // --------------------------------------------------------- security sweep

@@ -14,18 +14,20 @@ use cassandra::prelude::*;
 #[test]
 fn all_designs_preserve_architectural_behaviour() {
     let workloads = [suite::poly1305_workload(64)];
-    let mut ev = Evaluator::new();
-    common::assert_standard_matrix_preserves_goldens(&mut ev, &workloads);
+    let store = AnalysisStore::new();
+    let ex = SweepExecutor::new(&store);
+    common::assert_standard_matrix_preserves_goldens(&ex, &workloads);
 }
 
 /// Cassandra's headline property on real kernels: zero mispredictions, zero
 /// squashes, and all crypto branch redirections served by the BTU or hints.
 #[test]
 fn cassandra_replays_crypto_branches_without_speculation() {
-    let mut ev = Evaluator::new();
+    let store = AnalysisStore::new();
+    let ex = SweepExecutor::new(&store);
     let cfg = CpuConfig::golden_cove_like().with_defense(DefenseMode::Cassandra);
     for workload in common::quick_workloads() {
-        let outcome = ev.simulate_cached(&workload, &cfg).unwrap();
+        let outcome = ex.simulate(&workload, &cfg).unwrap();
         assert_eq!(outcome.stats.mispredictions, 0, "{}", workload.name);
         assert_eq!(outcome.stats.squashed_instructions, 0, "{}", workload.name);
         assert!(
@@ -50,8 +52,9 @@ fn cassandra_replays_crypto_branches_without_speculation() {
 #[test]
 fn baseline_speculates_on_crypto_branches() {
     let workload = suite::sha256_workload(192);
-    let mut ev = Evaluator::new();
-    let golden = common::capture_golden(&mut ev, &workload);
+    let store = AnalysisStore::new();
+    let ex = SweepExecutor::new(&store);
+    let golden = common::capture_golden(&ex, &workload);
     assert!(golden.outcome.stats.bpu.pht_lookups > 0);
     assert!(golden.outcome.stats.mispredictions > 0);
 }
@@ -60,11 +63,12 @@ fn baseline_speculates_on_crypto_branches() {
 /// (the paper reports a small speedup on the full suite).
 #[test]
 fn cassandra_is_not_slower_than_the_baseline_on_crypto_kernels() {
-    let mut ev = Evaluator::new();
+    let store = AnalysisStore::new();
+    let ex = SweepExecutor::new(&store);
     let cass_cfg = CpuConfig::golden_cove_like().with_defense(DefenseMode::Cassandra);
     for workload in suite::quick_suite() {
-        let golden = common::capture_golden(&mut ev, &workload);
-        let cassandra = ev.simulate_cached(&workload, &cass_cfg).unwrap();
+        let golden = common::capture_golden(&ex, &workload);
+        let cassandra = ex.simulate(&workload, &cass_cfg).unwrap();
         common::assert_matches_golden(&golden, &cassandra, "Cassandra");
         assert!(
             cassandra.stats.cycles as f64 <= golden.outcome.stats.cycles as f64 * 1.02,
@@ -86,14 +90,15 @@ fn synthetic_mixes_run_under_prospect_designs() {
         sandbox_pct: 50,
         crypto_pct: 50,
     };
-    let mut ev = Evaluator::new();
+    let store = AnalysisStore::new();
+    let ex = SweepExecutor::new(&store);
     for variant in [CryptoVariant::ChaChaLike, CryptoVariant::CurveLike] {
         let kernel = build_mix(variant, mix, 4);
         let workload = Workload::new("mix", WorkloadGroup::Synthetic, kernel);
-        let golden = common::capture_golden(&mut ev, &workload);
+        let golden = common::capture_golden(&ex, &workload);
         for defense in [DefenseMode::Prospect, DefenseMode::CassandraProspect] {
             let cfg = CpuConfig::golden_cove_like().with_defense(defense);
-            let outcome = ev.simulate_cached(&workload, &cfg).unwrap();
+            let outcome = ex.simulate(&workload, &cfg).unwrap();
             common::assert_matches_golden(&golden, &outcome, defense.label());
         }
     }

@@ -1,8 +1,9 @@
-//! Integration tests for the evaluation session API: analysis caching,
+//! Integration tests for the evaluation API: analysis caching,
 //! registry/driver parity, and JSON round-trips.
 
 mod common;
 
+use cassandra::core::eval::simulate_program;
 use cassandra::core::experiments::{self, FIG7_DESIGNS, Q3_VARIANTS};
 use cassandra::core::registry::{Fig8Experiment, Q4Experiment, SweepExperiment};
 use cassandra::core::security;
@@ -20,45 +21,52 @@ use std::time::Duration;
 fn full_registry_run_analyzes_each_program_exactly_once() {
     let workloads = quick_workloads();
     let n = workloads.len() as u64;
-    let mut session = Evaluator::builder()
-        .workloads(workloads)
-        .defense_matrix(FIG7_DESIGNS)
-        .build();
+    let store = AnalysisStore::new();
+    let ex = SweepExecutor::new(&store);
     let mut registry = ExperimentRegistry::standard();
-    registry.register(SweepExperiment);
-    let runs = registry.run_all(&mut session).unwrap();
+    registry.register(SweepExperiment {
+        designs: FIG7_DESIGNS.map(DesignPoint::from_defense).to_vec(),
+    });
+    let runs = registry.run_all(&ex, &workloads).unwrap();
     assert_eq!(runs.len(), 12);
 
-    let stats = session.cache_stats();
-    // Session workloads + 10 fig8 synthetics + 16 security gadget builds.
+    let stats = store.stats();
+    // The workloads + 10 fig8 synthetics + 16 security gadget builds.
     assert_eq!(
         stats.misses,
         n + 10 + 16,
         "exactly one analysis per program"
     );
-    assert_eq!(session.analyzed_programs() as u64, stats.misses);
-    // Every experiment after the first re-uses the session workloads'
+    assert_eq!(store.len() as u64, stats.misses);
+    // Every experiment after the first re-uses the workloads'
     // analyses: table1/fig7(4 designs)/fig9(2)/q3(2)/q4(3)/tracegen/sweep.
     assert!(stats.hits > 10 * n, "cache hits {} too low", stats.hits);
 
     // Running the whole registry again must add zero analyses.
-    registry.run_all(&mut session).unwrap();
-    assert_eq!(session.cache_stats().misses, stats.misses);
+    registry.run_all(&ex, &workloads).unwrap();
+    assert_eq!(store.stats().misses, stats.misses);
+}
+
+/// Runs `driver` on a fresh executor over a store of its own.
+fn fresh<T, E: std::fmt::Debug>(driver: impl FnOnce(&SweepExecutor<'_>) -> Result<T, E>) -> T {
+    driver(&SweepExecutor::new(&AnalysisStore::new())).unwrap()
 }
 
 /// The registry path must reproduce the `*_with` drivers, each run on a
-/// fresh session, bit-for-bit (same structs, same floats) on a small suite.
+/// fresh store, bit-for-bit (same structs, same floats) on a small suite.
 #[test]
 fn registry_outputs_match_legacy_free_functions() {
     let workloads = quick_workloads();
-    let mut session = Evaluator::builder().workloads(workloads.clone()).build();
+    let store = AnalysisStore::new();
     let mut registry = ExperimentRegistry::standard();
     registry.register(Fig8Experiment { scale: 2 });
     registry.register(Q4Experiment {
         flush_interval: 5_000,
         ..Q4Experiment::default()
     });
-    let runs = registry.run_all(&mut session).unwrap();
+    let runs = registry
+        .run_all(&SweepExecutor::new(&store), &workloads)
+        .unwrap();
     let by_name = |name: &str| {
         runs.iter()
             .find(|r| r.name == name)
@@ -69,60 +77,52 @@ fn registry_outputs_match_legacy_free_functions() {
 
     assert_eq!(
         by_name("table1"),
-        ExperimentOutput::Table1(
-            experiments::table1_with(&mut Evaluator::new(), &workloads).unwrap()
-        )
+        ExperimentOutput::Table1(fresh(|ex| experiments::table1_with(ex, &workloads)))
     );
     assert_eq!(
         by_name("fig7"),
-        ExperimentOutput::Fig7(
-            experiments::figure7_with(&mut Evaluator::new(), &workloads, &FIG7_DESIGNS).unwrap()
-        )
+        ExperimentOutput::Fig7(fresh(|ex| experiments::figure7_with(
+            ex,
+            &workloads,
+            &FIG7_DESIGNS
+        )))
     );
     assert_eq!(
         by_name("fig8"),
-        ExperimentOutput::Fig8(experiments::figure8_with(&mut Evaluator::new(), 2).unwrap())
+        ExperimentOutput::Fig8(fresh(|ex| experiments::figure8_with(ex, 2)))
     );
     assert_eq!(
         by_name("fig9"),
-        ExperimentOutput::Fig9(
-            experiments::figure9_with(&mut Evaluator::new(), &workloads).unwrap()
-        )
+        ExperimentOutput::Fig9(fresh(|ex| experiments::figure9_with(ex, &workloads)))
     );
     assert_eq!(
         by_name("q3"),
-        ExperimentOutput::Q3(
-            experiments::q3_with(&mut Evaluator::new(), &workloads, &Q3_VARIANTS).unwrap()
-        )
+        ExperimentOutput::Q3(fresh(|ex| experiments::q3_with(
+            ex,
+            &workloads,
+            &Q3_VARIANTS
+        )))
     );
     assert_eq!(
         by_name("q4"),
-        ExperimentOutput::Q4(
-            experiments::q4_with(
-                &mut Evaluator::new(),
-                &workloads,
-                5_000,
-                experiments::Q4_PARTITION_CONTEXTS
-            )
-            .unwrap()
-        )
+        ExperimentOutput::Q4(fresh(|ex| experiments::q4_with(
+            ex,
+            &workloads,
+            5_000,
+            experiments::Q4_PARTITION_CONTEXTS
+        )))
     );
     // The registry's security default enumerates the full policy registry;
     // the driver reproduces it when handed the same design list.
     assert_eq!(
         by_name("security"),
-        ExperimentOutput::Security(
-            security::security_sweep_with(
-                &mut Evaluator::new(),
-                &PolicyRegistry::standard().defenses()
-            )
-            .unwrap()
-        )
+        ExperimentOutput::Security(fresh(|ex| security::security_sweep_with(
+            ex,
+            &PolicyRegistry::standard().defenses()
+        )))
     );
     // And the paper's two-design Table 2 is still a plain subset call.
-    let table2 =
-        security::security_sweep_with(&mut Evaluator::new(), &security::SECURITY_SWEEP_DESIGNS)
-            .unwrap();
+    let table2 = fresh(|ex| security::security_sweep_with(ex, &security::SECURITY_SWEEP_DESIGNS));
     assert_eq!(table2.cells.len(), 16);
 }
 
@@ -131,13 +131,17 @@ fn registry_outputs_match_legacy_free_functions() {
 /// exact `{secs, nanos}` pairs and floats use shortest-roundtrip text).
 #[test]
 fn experiment_outputs_round_trip_through_json() {
-    let mut session = Evaluator::builder()
-        .workloads(quick_workloads())
-        .defense_matrix([DefenseMode::UnsafeBaseline, DefenseMode::Cassandra])
-        .build();
+    let store = AnalysisStore::new();
     let mut registry = ExperimentRegistry::standard();
-    registry.register(SweepExperiment);
-    for run in registry.run_all(&mut session).unwrap() {
+    registry.register(SweepExperiment {
+        designs: [DefenseMode::UnsafeBaseline, DefenseMode::Cassandra]
+            .map(DesignPoint::from_defense)
+            .to_vec(),
+    });
+    let runs = registry
+        .run_all(&SweepExecutor::new(&store), &quick_workloads())
+        .unwrap();
+    for run in runs {
         let json = report::render_json(&run.output).unwrap();
         let back: ExperimentOutput = serde_json::from_str(&json).unwrap();
         assert_eq!(back, run.output, "JSON round trip of {}", run.name);
@@ -145,24 +149,24 @@ fn experiment_outputs_round_trip_through_json() {
 }
 
 /// EvalRecords carry everything the figures need, and the sweep honours the
-/// configured matrix ordering.
+/// given matrix ordering.
 #[test]
 fn sweep_records_are_complete_and_ordered() {
     let workloads = quick_workloads();
     let n = workloads.len();
-    let mut session = Evaluator::builder()
-        .workloads(workloads)
-        .designs([
-            DesignPoint::from_defense(DefenseMode::UnsafeBaseline),
-            DesignPoint::new(
-                "Cassandra+flush",
-                CpuConfig::golden_cove_like()
-                    .with_defense(DefenseMode::Cassandra)
-                    .with_btu_flush_interval(5_000),
-            ),
-        ])
-        .build();
-    let records = session.sweep().unwrap();
+    let designs = [
+        DesignPoint::from_defense(DefenseMode::UnsafeBaseline),
+        DesignPoint::new(
+            "Cassandra+flush",
+            CpuConfig::golden_cove_like()
+                .with_defense(DefenseMode::Cassandra)
+                .with_btu_flush_interval(5_000),
+        ),
+    ];
+    let store = AnalysisStore::new();
+    let records = SweepExecutor::new(&store)
+        .sweep_matrix(&workloads, &designs)
+        .unwrap();
     assert_eq!(records.len(), 2 * n);
     for pair in records.chunks(2) {
         assert_eq!(pair[0].workload, pair[1].workload);
@@ -209,7 +213,7 @@ fn serial_and_parallel_sweeps_stream_identical_records() {
     assert_eq!(serial, stream(4));
 }
 
-/// `Evaluator::sweep` output is pinned byte-for-byte (wall-times zeroed)
+/// `SweepExecutor::sweep_matrix` output is pinned byte-for-byte (wall-times zeroed)
 /// against a committed golden fixture captured before the
 /// AnalysisStore/SweepExecutor split, so refactors of the evaluation layer
 /// cannot silently change a single record field. Besides the standard
@@ -226,12 +230,16 @@ fn sweep_matches_committed_golden_records() {
             .with_btu_flush_interval(500);
         [flushed, flushed.with_btu_switch_contexts(2)].map(DesignPoint::from_config)
     });
-    let mut session = Evaluator::builder()
-        .workloads([suite::chacha20_workload(64), suite::des_workload(4)])
-        .policies(&PolicyRegistry::standard())
-        .designs(switching)
-        .build();
-    let lines = zeroed_lines(&session.sweep().unwrap());
+    let mut designs = PolicyRegistry::standard().designs().to_vec();
+    designs.extend(switching);
+    let store = AnalysisStore::new();
+    let records = SweepExecutor::new(&store)
+        .sweep_matrix(
+            &[suite::chacha20_workload(64), suite::des_workload(4)],
+            &designs,
+        )
+        .unwrap();
+    let lines = zeroed_lines(&records);
 
     let golden_path = concat!(
         env!("CARGO_MANIFEST_DIR"),
@@ -256,37 +264,39 @@ fn sweep_matches_committed_golden_records() {
     }
 }
 
-/// The uncached primitives (`Evaluator::analyze_once` and
-/// `Evaluator::simulate_program`) and the session produce identical
+/// The uncached primitives (`AnalysisBundle::analyze` and
+/// `simulate_program`) and the executor over a store produce identical
 /// simulation statistics.
 #[test]
 fn free_function_shims_match_the_session() {
     let w = suite::poly1305_workload(32);
     let cfg = CpuConfig::golden_cove_like().with_defense(DefenseMode::CassandraStl);
 
-    let legacy_analysis = Evaluator::analyze_once(&w.kernel.program, w.kernel.step_limit).unwrap();
+    let legacy_analysis = AnalysisBundle::analyze(&w.kernel.program, w.kernel.step_limit).unwrap();
     let mut legacy_cfg = cfg;
     legacy_cfg.max_instructions = legacy_cfg.max_instructions.max(w.kernel.step_limit);
-    let legacy =
-        Evaluator::simulate_program(&w.kernel.program, Some(&legacy_analysis), &legacy_cfg)
-            .unwrap();
+    let legacy = simulate_program(&w.kernel.program, Some(&legacy_analysis), &legacy_cfg).unwrap();
 
-    let mut session = Evaluator::new();
-    let outcome = session.simulate_cached(&w, &cfg).unwrap();
+    let store = AnalysisStore::new();
+    let ex = SweepExecutor::new(&store);
+    let outcome = ex.simulate(&w, &cfg).unwrap();
     assert_eq!(outcome.stats, legacy.stats);
 
-    let record = session.eval(&w, &DesignPoint::new("stl", cfg)).unwrap();
+    let record = ex
+        .sweep_matrix(std::slice::from_ref(&w), &[DesignPoint::new("stl", cfg)])
+        .unwrap()
+        .remove(0);
     assert_eq!(record.stats, legacy.stats);
     assert!(record.timing.analysis_cached, "second use hits the cache");
 
-    // The one-shot analysis and the session's cached one are identical in
+    // The one-shot analysis and the store's cached one are identical in
     // full replay form, once the wall-clock timing is normalised.
-    let session_analysis = session.analysis(&w).unwrap();
+    let (stored_analysis, _) = store.entry(&w.kernel.program, w.kernel.step_limit).unwrap();
     let mut legacy_analysis = legacy_analysis;
-    legacy_analysis.summary.timing = session_analysis.summary.timing;
+    legacy_analysis.summary.timing = stored_analysis.summary.timing;
     assert_eq!(
-        legacy_analysis, *session_analysis,
-        "one-shot and session analyses must replay the same traces"
+        legacy_analysis, *stored_analysis,
+        "one-shot and stored analyses must replay the same traces"
     );
 }
 

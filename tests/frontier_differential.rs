@@ -2,7 +2,7 @@
 //! suite, `AdaptiveSearch` must report a frontier **identical** to the
 //! exhaustive `FrontierResult` while simulating strictly fewer full-suite
 //! cells, and a repeat adaptive run must be served entirely from the
-//! session's `AnalysisStore` (zero new cache misses).
+//! shared `AnalysisStore` (zero new cache misses).
 
 mod common;
 
@@ -12,10 +12,11 @@ use cassandra::prelude::*;
 #[test]
 fn adaptive_frontier_matches_exhaustive_with_fewer_full_suite_cells() {
     let workloads = common::quick_workloads();
-    let mut ev = Evaluator::new();
+    let store = AnalysisStore::new();
+    let ex = SweepExecutor::new(&store);
     let cancel = CancelToken::new();
 
-    let exhaustive = frontier_with(&mut ev, &workloads, &standard_grid(), None, &cancel, |_| {})
+    let exhaustive = frontier_with(&ex, &workloads, &standard_grid(), None, &cancel, |_| {})
         .expect("exhaustive run")
         .expect("not cancelled");
     assert_eq!(
@@ -24,7 +25,7 @@ fn adaptive_frontier_matches_exhaustive_with_fewer_full_suite_cells() {
     );
 
     let adaptive = frontier_with(
-        &mut ev,
+        &ex,
         &workloads,
         &standard_grid(),
         Some(AdaptiveSearch::default()),
@@ -60,9 +61,9 @@ fn adaptive_frontier_matches_exhaustive_with_fewer_full_suite_cells() {
 
     // A repeat adaptive run re-simulates but re-analyzes nothing: pure
     // AnalysisStore cache hits.
-    let misses_before = ev.cache_stats().misses;
+    let misses_before = store.stats().misses;
     let repeat = frontier_with(
-        &mut ev,
+        &ex,
         &workloads,
         &standard_grid(),
         Some(AdaptiveSearch::default()),
@@ -73,7 +74,7 @@ fn adaptive_frontier_matches_exhaustive_with_fewer_full_suite_cells() {
     .expect("not cancelled");
     assert_eq!(repeat, adaptive, "the repeat run must reproduce the result");
     assert_eq!(
-        ev.cache_stats().misses,
+        store.stats().misses,
         misses_before,
         "the repeat adaptive run must be pure analysis-cache hits"
     );

@@ -17,12 +17,10 @@ use cassandra::prelude::*;
 
 #[test]
 fn frontier_experiment_stream_matches_the_blessed_golden_fixture() {
-    let mut session = Evaluator::builder()
-        .workloads(common::quick_workloads())
-        .build();
-    let registry = ExperimentRegistry::standard();
-    let run = registry
-        .run("frontier", &mut session)
+    let store = AnalysisStore::new();
+    let workloads = common::quick_workloads();
+    let run = ExperimentRegistry::standard()
+        .run("frontier", &SweepExecutor::new(&store), &workloads)
         .expect("frontier experiment")
         .expect("frontier is a standard registry entry");
     let ExperimentOutput::Frontier(result) = &run.output else {

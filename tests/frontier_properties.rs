@@ -15,9 +15,7 @@
 
 mod common;
 
-use cassandra::core::frontier::{
-    frontier_with_threads, standard_grid, AdaptiveSearch, FrontierResult,
-};
+use cassandra::core::frontier::{frontier_with, standard_grid, AdaptiveSearch, FrontierResult};
 use cassandra::prelude::*;
 
 /// Independent dominance oracle: no worse on both axes, strictly better on
@@ -27,20 +25,19 @@ fn dominated_by(a: (f64, usize), b: (f64, usize)) -> bool {
 }
 
 fn run(
-    ev: &mut Evaluator,
+    store: &AnalysisStore,
     workloads: &[Workload],
     grid: &GridSweep,
     adaptive: Option<AdaptiveSearch>,
     threads: usize,
 ) -> FrontierResult {
-    frontier_with_threads(
-        ev,
+    frontier_with(
+        &SweepExecutor::new(store).with_threads(Some(threads)),
         workloads,
         grid,
         adaptive,
         &CancelToken::new(),
         |_| {},
-        Some(threads),
     )
     .expect("frontier run")
     .expect("not cancelled")
@@ -133,15 +130,15 @@ fn random_grid_frontiers_satisfy_the_dominance_invariants() {
     const SEED: u64 = 0x5eed_f00d;
     let workloads = common::quick_workloads();
     let mut rng = common::Rng::new(SEED);
-    let mut ev = Evaluator::new();
+    let store = AnalysisStore::new();
     for round in 0..3 {
         let grid = random_grid(&mut rng);
         let context = format!("seed {SEED:#x} round {round}");
-        let serial = run(&mut ev, &workloads, &grid, None, 1);
+        let serial = run(&store, &workloads, &grid, None, 1);
         assert_frontier_invariants(&serial, &context);
         // Thread-count determinism: the whole result — scores, dominance
         // counts, frontier order — is identical under 4 workers.
-        let threaded = run(&mut ev, &workloads, &grid, None, 4);
+        let threaded = run(&store, &workloads, &grid, None, 4);
         assert_eq!(
             serial, threaded,
             "{context}: thread count changed the result"
@@ -152,11 +149,11 @@ fn random_grid_frontiers_satisfy_the_dominance_invariants() {
 #[test]
 fn adaptive_search_is_deterministic_across_thread_counts() {
     let workloads = common::quick_workloads();
-    let mut ev = Evaluator::new();
+    let store = AnalysisStore::new();
     let adaptive = Some(AdaptiveSearch::default());
-    let serial = run(&mut ev, &workloads, &standard_grid(), adaptive, 1);
+    let serial = run(&store, &workloads, &standard_grid(), adaptive, 1);
     assert_frontier_invariants(&serial, "adaptive standard grid");
-    let threaded = run(&mut ev, &workloads, &standard_grid(), adaptive, 4);
+    let threaded = run(&store, &workloads, &standard_grid(), adaptive, 4);
     assert_eq!(serial, threaded);
     assert!(serial.adaptive && serial.rungs.len() == 2);
 }

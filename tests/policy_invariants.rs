@@ -25,8 +25,9 @@ fn every_registered_policy_preserves_the_architectural_trace() {
     let workloads = [suite::chacha20_workload(64), suite::des_workload(4)];
     let registry = PolicyRegistry::standard();
     assert_eq!(registry.len(), DefenseMode::ALL.len());
-    let mut ev = Evaluator::new();
-    common::run_policy_matrix(&mut ev, &workloads, &registry, |_, _, _, _| {});
+    let store = AnalysisStore::new();
+    let ex = SweepExecutor::new(&store);
+    common::run_policy_matrix(&ex, &workloads, &registry, |_, _, _, _| {});
 }
 
 /// Standard-registry labels are unique and every one round-trips through
@@ -65,8 +66,9 @@ fn new_policies_run_through_fig7_unchanged() {
         DefenseMode::CassandraPartitioned,
         DefenseMode::Tournament,
     ];
-    let mut ev = Evaluator::new();
-    let fig7 = figure7_with(&mut ev, &workloads, &designs).unwrap();
+    let store = AnalysisStore::new();
+    let ex = SweepExecutor::new(&store);
+    let fig7 = figure7_with(&ex, &workloads, &designs).unwrap();
     let cassandra = fig7.geomean[DefenseMode::Cassandra.label()];
     let fence = fig7.geomean[DefenseMode::Fence.label()];
     let no_tc = fig7.geomean[DefenseMode::CassandraNoTc.label()];
@@ -97,9 +99,10 @@ fn new_policies_run_through_fig7_unchanged() {
 #[test]
 fn new_policies_run_through_q3_unchanged() {
     let workloads = [suite::chacha20_workload(64)];
-    let mut ev = Evaluator::new();
+    let store = AnalysisStore::new();
+    let ex = SweepExecutor::new(&store);
     let rows = q3_with(
-        &mut ev,
+        &ex,
         &workloads,
         &[
             DefenseMode::Fence,
@@ -128,13 +131,14 @@ fn new_policies_run_through_q3_unchanged() {
 #[test]
 fn cassandra_no_tc_streams_every_multi_target_lookup() {
     let w = suite::sha256_workload(96);
-    let mut ev = Evaluator::new();
+    let store = AnalysisStore::new();
+    let ex = SweepExecutor::new(&store);
     let base = CpuConfig::golden_cove_like();
-    let full = ev
-        .simulate_cached(&w, &base.with_defense(DefenseMode::Cassandra))
+    let full = ex
+        .simulate(&w, &base.with_defense(DefenseMode::Cassandra))
         .unwrap();
-    let no_tc = ev
-        .simulate_cached(&w, &base.with_defense(DefenseMode::CassandraNoTc))
+    let no_tc = ex
+        .simulate(&w, &base.with_defense(DefenseMode::CassandraNoTc))
         .unwrap();
     assert_eq!(no_tc.stats.mispredictions, 0, "replay is still exact");
     assert!(no_tc.stats.btu.misses > 0, "every lookup streams");
@@ -149,21 +153,26 @@ fn cassandra_no_tc_streams_every_multi_target_lookup() {
 #[test]
 fn grid_btu_entries_give_cassandra_no_tc_a_trace_cache() {
     let w = suite::chacha20_workload(64);
-    let mut ev = Evaluator::new();
+    let store = AnalysisStore::new();
+    let ex = SweepExecutor::new(&store);
     let grid =
         GridSweep::over([DefenseMode::CassandraNoTc, DefenseMode::Cassandra]).btu_entries([8]);
     let stats: Vec<_> = grid
         .design_points()
         .iter()
-        .map(|point| ev.eval(&w, point).unwrap())
-        .map(|record| (record.design, record.stats))
+        .map(|point| {
+            (
+                point.label.clone(),
+                ex.simulate(&w, &point.config).unwrap().stats,
+            )
+        })
         .collect();
     assert_eq!(stats[0].0, "Cassandra-noTC+btu8");
     assert_eq!(stats[1].0, "Cassandra+btu8");
     assert!(stats[0].1.btu.hits > 0, "the 8-entry Trace Cache hits");
     assert_eq!(stats[0].1, stats[1].1);
-    let no_tc = ev
-        .simulate_cached(
+    let no_tc = ex
+        .simulate(
             &w,
             &CpuConfig::golden_cove_like().with_defense(DefenseMode::CassandraNoTc),
         )
@@ -179,10 +188,11 @@ fn grid_btu_entries_give_cassandra_no_tc_a_trace_cache() {
 #[test]
 fn tournament_uses_both_components_and_matches_the_golden_stream() {
     let w = suite::sha256_workload(96);
-    let mut ev = Evaluator::new();
-    let golden = common::capture_golden(&mut ev, &w);
-    let outcome = ev
-        .simulate_cached(
+    let store = AnalysisStore::new();
+    let ex = SweepExecutor::new(&store);
+    let golden = common::capture_golden(&ex, &w);
+    let outcome = ex
+        .simulate(
             &w,
             &CpuConfig::golden_cove_like().with_defense(DefenseMode::Tournament),
         )
@@ -208,14 +218,15 @@ fn tournament_uses_both_components_and_matches_the_golden_stream() {
 /// crypto-branch scenarios that full Cassandra blocks.
 #[test]
 fn new_policies_run_through_the_security_sweep_unchanged() {
-    let mut ev = Evaluator::new();
+    let store = AnalysisStore::new();
+    let ex = SweepExecutor::new(&store);
     let designs = [
         DefenseMode::Fence,
         DefenseMode::CassandraNoTc,
         DefenseMode::CassandraPartitioned,
         DefenseMode::Tournament,
     ];
-    let matrix = security_sweep_with(&mut ev, &designs).unwrap();
+    let matrix = security_sweep_with(&ex, &designs).unwrap();
     assert_eq!(matrix.cells.len(), 8 * designs.len());
     assert!(matrix.all_protected_under(DefenseMode::Fence.label()));
     for cell in &matrix.cells {
@@ -253,21 +264,20 @@ fn new_policies_run_through_the_security_sweep_unchanged() {
     );
 }
 
-/// The policy registry drives the sweep through the builder: one record per
-/// workload × registered policy, in registry order.
+/// The policy registry drives the sweep: one record per workload ×
+/// registered policy, in registry order.
 #[test]
 fn builder_policies_sweep_the_whole_registry() {
     let registry = PolicyRegistry::standard();
-    let mut session = Evaluator::builder()
-        .workload(suite::chacha20_workload(64))
-        .policies(&registry)
-        .build();
-    let records = session.sweep().unwrap();
+    let store = AnalysisStore::new();
+    let records = SweepExecutor::new(&store)
+        .sweep_matrix(&[suite::chacha20_workload(64)], registry.designs())
+        .unwrap();
     assert_eq!(records.len(), registry.len());
     let labels: Vec<&str> = records.iter().map(|r| r.design.as_str()).collect();
     assert_eq!(labels, registry.labels());
     assert_eq!(
-        session.cache_stats().misses,
+        store.stats().misses,
         1,
         "one analysis, {} designs",
         registry.len()

@@ -37,12 +37,13 @@ fn policy_matrix_outcomes_match_the_blessed_golden_fixture() {
         "the fixture must cover every registered defense"
     );
 
-    let mut session = Evaluator::new();
+    let store = AnalysisStore::new();
+    let ex = SweepExecutor::new(&store);
     let mut lines: Vec<String> = Vec::new();
     for workload in &workloads {
         for design in registry.designs() {
-            let outcome = session
-                .simulate_cached(workload, &design.config)
+            let outcome = ex
+                .simulate(workload, &design.config)
                 .unwrap_or_else(|e| panic!("{} under {}: {e:?}", workload.name, design.label));
             let cell = GoldenCell {
                 workload: workload.name.clone(),

@@ -80,8 +80,9 @@ fn suite_and_gadget_static_verdicts() {
 /// matrix no longer reports bare counts).
 #[test]
 fn every_dynamic_leak_is_statically_flagged_across_all_defenses() {
-    let mut ev = Evaluator::new();
-    let matrix = security::security_sweep_with(&mut ev, &DefenseMode::ALL).unwrap();
+    let store = AnalysisStore::new();
+    let ex = SweepExecutor::new(&store);
+    let matrix = security::security_sweep_with(&ex, &DefenseMode::ALL).unwrap();
     assert_eq!(matrix.cells.len(), 8 * DefenseMode::ALL.len());
 
     let mut leaks = 0;
@@ -146,14 +147,15 @@ fn statically_clean_kernels_never_leak_under_any_defense() {
         ),
     ];
 
-    let mut ev = Evaluator::new();
+    let store = AnalysisStore::new();
+    let ex = SweepExecutor::new(&store);
     for (name, k0, k1) in &pairs {
         let report = analyze(&k0.program);
         assert!(report.is_ct_clean(), "{name}: {:#?}", report.findings);
         for defense in DefenseMode::ALL {
             let cfg = CpuConfig::golden_cove_like().with_defense(defense);
-            let o0 = security::observe_with(&mut ev, &k0.program, &cfg).unwrap();
-            let o1 = security::observe_with(&mut ev, &k1.program, &cfg).unwrap();
+            let o0 = security::observe_with(&ex, &k0.program, &cfg).unwrap();
+            let o1 = security::observe_with(&ex, &k1.program, &cfg).unwrap();
             let v = ScenarioVerdict::from_observations(*name, &o0, &o1);
             assert!(v.contract_equal, "{name}: not constant-time?");
             assert!(
@@ -171,8 +173,8 @@ fn statically_clean_kernels_never_leak_under_any_defense() {
     assert_eq!(analyze(&a0.program).verdict(), StaticVerdict::ArchLeak);
     for defense in [DefenseMode::UnsafeBaseline, DefenseMode::Cassandra] {
         let cfg = CpuConfig::golden_cove_like().with_defense(defense);
-        let o0 = security::observe_with(&mut ev, &a0.program, &cfg).unwrap();
-        let o1 = security::observe_with(&mut ev, &a1.program, &cfg).unwrap();
+        let o0 = security::observe_with(&ex, &a0.program, &cfg).unwrap();
+        let o1 = security::observe_with(&ex, &a1.program, &cfg).unwrap();
         let v = ScenarioVerdict::from_observations("aes128", &o0, &o1);
         assert!(
             !v.attacker_trace_equal && !v.divergent_accesses.is_empty(),
@@ -282,21 +284,20 @@ fn random_programs_respect_the_static_cfg_and_taint_verdicts() {
 /// `BLESS_GOLDEN=1 cargo test --test static_differential lint_report`.
 #[test]
 fn lint_report_matches_committed_golden() {
-    let mut session = Evaluator::builder()
-        .workloads([
-            suite::chacha20_workload(64),
-            suite::des_workload(4),
-            suite::aes_ctr_workload(32),
-        ])
-        .build();
+    let workloads = [
+        suite::chacha20_workload(64),
+        suite::des_workload(4),
+        suite::aes_ctr_workload(32),
+    ];
+    let store = AnalysisStore::new();
     let run = ExperimentRegistry::standard()
-        .run("lint", &mut session)
+        .run("lint", &SweepExecutor::new(&store), &workloads)
         .unwrap()
         .expect("lint is a standard experiment");
     let ExperimentOutput::Lint(rows) = &run.output else {
         panic!("lint produced {:?}", run.output);
     };
-    assert_eq!(session.cache_stats().misses, 0, "lint must stay static");
+    assert_eq!(store.stats().misses, 0, "lint must stay static");
     let lines: Vec<String> = rows
         .iter()
         .map(|r| serde_json::to_string(r).unwrap())

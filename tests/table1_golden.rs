@@ -6,7 +6,7 @@
 //! Regenerate (only when a behavioral change is intended and reviewed) with
 //! `BLESS_GOLDEN=1 cargo test --test table1_golden`.
 
-use cassandra::core::eval::Evaluator;
+use cassandra::core::AnalysisBundle;
 use cassandra::kernels::suite;
 
 #[test]
@@ -15,7 +15,7 @@ fn paper_program_table1_rows_match_the_golden_fixture() {
         .iter()
         .map(|w| {
             let kernel = &w.kernel;
-            let analysis = Evaluator::analyze_once(&kernel.program, kernel.step_limit)
+            let analysis = AnalysisBundle::analyze(&kernel.program, kernel.step_limit)
                 .unwrap_or_else(|e| panic!("{}: {e:?}", w.name));
             serde_json::to_string(&analysis.branch_row()).expect("serializable row")
         })
