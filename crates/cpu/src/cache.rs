@@ -29,29 +29,43 @@ impl CacheStats {
 /// and never reach `u64::MAX`.
 const NO_LINE: u64 = u64::MAX;
 
-/// One set-associative cache with LRU replacement.
+/// Entries of the line → way memo (a power of two).
+const MEMO_ENTRIES: usize = 1024;
+
+/// One set-associative cache with exact LRU replacement.
 ///
-/// Set storage is sparse: `slot_of[set]` maps a set to a 1-based slot in a
-/// grow-on-demand arena of `ways`-sized tag groups (0 = never touched), so
-/// constructing a cache zeroes 4 bytes per set instead of a full tag array
-/// — the 30 MiB L3 of the paper's Table 3 has 30 720 sets, and sweeps pay
-/// that construction once per cell. Within a group the `lens[slot]` valid
-/// tags are ordered LRU → MRU, so an access is a bounded scan of one
-/// contiguous slice and an in-place shift. When the geometry is a power of
+/// Set storage is sparse: `slot_of[set]` maps a set to a 1-based group in
+/// a grow-on-demand arena of `ways`-sized way groups (0 = never touched),
+/// so constructing a cache zeroes 4 bytes per set instead of a full tag
+/// array — the 30 MiB L3 of the paper's Table 3 has 30 720 sets, and sweeps
+/// pay that construction once per cell. When the geometry is a power of
 /// two (every configured level), set indexing is shift/mask instead of
-/// hardware division. `mru_line` caches the most recently accessed line:
-/// re-accessing it is a guaranteed hit that needs no LRU reorder (it is
-/// already most-recent in its set), which short-circuits the common
-/// sequential-fetch case.
+/// hardware division.
+///
+/// LRU order is kept as a last-use *stamp* per way, taken from a per-cache
+/// counter that every access advances: the least recently used line of a
+/// set is the way with the smallest stamp, and an empty way (stamp 0) loses
+/// to every resident line. A hit writes one stamp instead of shifting the
+/// set, and only a miss scans the set for its victim. This is exactly the
+/// order a most-recent-last list would keep.
+///
+/// Two fast paths sit in front of the set scan. `mru_line` is the most
+/// recently accessed line: re-accessing it is a guaranteed hit whose stamp
+/// is already the largest in its set, so nothing moves. `memo` remembers
+/// the arena way each recently accessed line landed in, indexed by the low
+/// line bits; a memo entry is only trusted when that way still holds the
+/// line, so a stale entry costs one compare and never a wrong answer.
 #[derive(Debug, Clone)]
 pub struct Cache {
-    /// set → 1-based arena slot of its tag group; 0 = set never accessed.
+    /// set → 1-based arena group of its ways; 0 = set never accessed.
     slot_of: Vec<u32>,
-    /// Arena of `ways`-sized tag groups, one per touched set; entries
-    /// `[slot*ways, slot*ways + lens[slot])` are resident, oldest first.
-    tags: Vec<u64>,
-    /// Number of valid ways per touched set, indexed by arena slot.
-    lens: Vec<u16>,
+    /// Arena of `ways`-sized groups, one per touched set.
+    arena: Vec<Way>,
+    /// Low line bits → arena way of the line last accessed there.
+    memo: Vec<u32>,
+    /// The stamp the next access writes; starts at 1 so empty ways sort
+    /// first.
+    next_stamp: u64,
     ways: usize,
     set_count: u64,
     /// `set_count - 1` when `set_count` is a power of two.
@@ -65,7 +79,23 @@ pub struct Cache {
     /// fast-path cache: that line is resident and MRU in its set.
     mru_line: u64,
     latency: u64,
-    stats: CacheStats,
+    hits: u64,
+    misses: u64,
+}
+
+/// One way of a set: its resident line (`NO_LINE` while empty) and the
+/// stamp of its last use (0 while empty).
+#[derive(Debug, Clone, Copy)]
+struct Way {
+    line: u64,
+    stamp: u64,
+}
+
+impl Way {
+    const EMPTY: Way = Way {
+        line: NO_LINE,
+        stamp: 0,
+    };
 }
 
 impl Cache {
@@ -76,8 +106,9 @@ impl Cache {
         let line_bytes = config.line_bytes as u64;
         Cache {
             slot_of: vec![0; set_count as usize],
-            tags: Vec::new(),
-            lens: Vec::new(),
+            arena: Vec::new(),
+            memo: vec![0; MEMO_ENTRIES],
+            next_stamp: 1,
             ways: config.ways,
             set_count,
             set_mask: set_count.wrapping_sub(1),
@@ -87,22 +118,9 @@ impl Cache {
             line_pow2: line_bytes.is_power_of_two(),
             mru_line: NO_LINE,
             latency: config.latency,
-            stats: CacheStats::default(),
+            hits: 0,
+            misses: 0,
         }
-    }
-
-    /// The arena slot of `set`, allocating its tag group on first touch.
-    #[inline]
-    fn slot_mut(&mut self, set: usize) -> usize {
-        let slot = self.slot_of[set];
-        if slot != 0 {
-            return (slot - 1) as usize;
-        }
-        let idx = self.lens.len();
-        self.slot_of[set] = (idx + 1) as u32;
-        self.tags.resize(self.tags.len() + self.ways, 0);
-        self.lens.push(0);
-        idx
     }
 
     /// Hit latency of this level.
@@ -114,7 +132,11 @@ impl Cache {
     /// Accumulated statistics.
     #[inline]
     pub fn stats(&self) -> CacheStats {
-        self.stats
+        CacheStats {
+            accesses: self.hits + self.misses,
+            hits: self.hits,
+            misses: self.misses,
+        }
     }
 
     #[inline]
@@ -135,41 +157,77 @@ impl Cache {
         }) as usize
     }
 
+    #[inline]
+    fn memo_index(line: u64) -> usize {
+        line as usize & (MEMO_ENTRIES - 1)
+    }
+
     /// Accesses `addr`, returns `true` on hit, inserting the line (LRU) in
     /// either case.
-    #[inline]
+    ///
+    /// The MRU and memo hits are inline; a set scan (a memo miss or a real
+    /// cache miss) goes through the out-of-line [`Cache::access_set`].
+    #[inline(always)]
     pub fn access(&mut self, addr: u64) -> bool {
-        self.stats.accesses += 1;
         let line = self.line_of(addr);
         if line == self.mru_line {
             // Still resident and still MRU: nothing was accessed since.
-            self.stats.hits += 1;
+            self.hits += 1;
             return true;
         }
         self.mru_line = line;
-        let set = self.set_of(line);
-        let slot = self.slot_mut(set);
-        let base = slot * self.ways;
-        let len = self.lens[slot] as usize;
-        let ways = &mut self.tags[base..base + len];
-        if let Some(pos) = ways.iter().position(|&l| l == line) {
-            // Promote to MRU: shift younger lines down, put `line` last.
-            ways.copy_within(pos + 1.., pos);
-            ways[len - 1] = line;
-            self.stats.hits += 1;
-            true
-        } else {
-            if len >= self.ways {
-                // Evict the LRU (slot 0) by shifting the set down.
-                ways.copy_within(1.., 0);
-                ways[len - 1] = line;
-            } else {
-                self.tags[base + len] = line;
-                self.lens[slot] = (len + 1) as u16;
+        let memo = self.memo[Self::memo_index(line)] as usize;
+        if let Some(way) = self.arena.get_mut(memo) {
+            if way.line == line {
+                way.stamp = self.next_stamp;
+                self.next_stamp += 1;
+                self.hits += 1;
+                return true;
             }
-            self.stats.misses += 1;
-            false
         }
+        self.access_set(line)
+    }
+
+    /// The set-scan half of [`Cache::access`]: finds `line` in its set (a
+    /// hit) or replaces the set's least recently used way with it (a miss),
+    /// allocating the set's ways on first touch.
+    #[inline(never)]
+    fn access_set(&mut self, line: u64) -> bool {
+        let set = self.set_of(line);
+        let group = match self.slot_of[set] {
+            0 => {
+                let group = self.arena.len() / self.ways;
+                self.slot_of[set] = (group + 1) as u32;
+                self.arena.resize(self.arena.len() + self.ways, Way::EMPTY);
+                group
+            }
+            slot => (slot - 1) as usize,
+        };
+        let base = group * self.ways;
+        let ways = &mut self.arena[base..base + self.ways];
+        let hit = ways.iter().position(|w| w.line == line);
+        // On a miss the victim is the oldest stamp, or the first empty way.
+        let way = hit.unwrap_or_else(|| {
+            let mut victim = 0;
+            for (way, w) in ways.iter().enumerate().skip(1) {
+                if w.stamp < ways[victim].stamp {
+                    victim = way;
+                }
+            }
+            victim
+        });
+        ways[way] = Way {
+            line,
+            stamp: self.next_stamp,
+        };
+        self.next_stamp += 1;
+        self.memo[Self::memo_index(line)] = (base + way) as u32;
+        if hit.is_some() {
+            self.hits += 1;
+        } else {
+            self.misses += 1;
+        }
+        hit.is_some()
     }
 
     /// Whether the address is currently cached (does not update LRU or stats;
@@ -181,14 +239,15 @@ impl Cache {
             return false;
         }
         let base = (slot - 1) as usize * self.ways;
-        self.tags[base..base + self.lens[(slot - 1) as usize] as usize].contains(&line)
+        self.arena[base..base + self.ways]
+            .iter()
+            .any(|w| w.line == line)
     }
 
     /// Invalidates the whole cache.
     pub fn flush(&mut self) {
         self.slot_of.fill(0);
-        self.tags.clear();
-        self.lens.clear();
+        self.arena.clear();
         self.mru_line = NO_LINE;
     }
 }
@@ -235,11 +294,11 @@ impl CacheHierarchy {
     /// would be a guaranteed hit at base latency with no replacement-state
     /// change — only the counters move, and they can move in bulk.
     pub fn note_instr_hits(&mut self, n: u64) {
-        self.l1i.stats.accesses += n;
-        self.l1i.stats.hits += n;
+        self.l1i.hits += n;
     }
 
     /// Access latency for an instruction fetch at byte address `addr`.
+    #[inline(always)]
     pub fn access_instr(&mut self, addr: u64) -> u64 {
         if self.l1i.access(addr) {
             return self.l1i.latency();
@@ -248,6 +307,7 @@ impl CacheHierarchy {
     }
 
     /// Access latency for a data access at byte address `addr`.
+    #[inline(always)]
     pub fn access_data(&mut self, addr: u64) -> u64 {
         if self.l1d.access(addr) {
             return self.l1d.latency();
@@ -255,6 +315,9 @@ impl CacheHierarchy {
         self.lower_levels(addr, self.l1d.latency())
     }
 
+    /// The L2/L3/memory walk after an L1 miss, kept out of line so the L1
+    /// hit path stays small where it is inlined.
+    #[inline(never)]
     fn lower_levels(&mut self, addr: u64, l1_latency: u64) -> u64 {
         if self.l2.access(addr) {
             return l1_latency + self.l2.latency();

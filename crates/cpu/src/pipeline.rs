@@ -14,6 +14,34 @@
 //! evaluation depends on is present: branch misprediction penalties, frontend
 //! stalls, BTU-driven fetch redirection, store-to-load forwarding (and its
 //! removal), SPT-style transmitter delays and ProSpeCT-style taint blocking.
+//!
+//! # The correct-path loop
+//!
+//! [`Simulator::run`] and the multi-tenant quantum driver share one loop,
+//! `Simulator::run_until`, and it is the whole cost of a simulation. It is
+//! written so the host keeps its state in registers:
+//!
+//! * `Simulator::new` decodes the program once into a table of `Decoded`
+//!   instructions. Each entry folds the ALU operation, memory width or
+//!   branch condition into a flat `Op`, carries its register slots and
+//!   immediate, and knows whether its PC lies in a crypto range. The loop
+//!   dispatches on `Op` exactly once per instruction; register-immediate
+//!   ALU operations read a constant-zero register slot as their second
+//!   operand, so they share the register-register arms.
+//! * The PC, the commit count and a [`Clock`] of the per-instruction timing
+//!   scalars (fetch and commit cycles, slot counts, ROB head, the
+//!   speculation-window bound, the periodic-switch counter and the
+//!   same-line fetch filter) live in locals for the whole run and are
+//!   written back to the simulator when the loop exits.
+//! * Branch resolution, wrong-path excursions, periodic BTU switches and
+//!   every cache miss are out-of-line calls; the straight-line path inlines
+//!   fetch, issue, the L1 hit, store-to-load forwarding and commit.
+//! * The store queue is a fixed ring of `sq_entries` slots.
+//!
+//! Every simulated cycle, counter and access trace is the same as a
+//! straightforward per-instruction interpreter would produce; the paper
+//! suite's statistics and trace digests are pinned by
+//! `tests/golden/paper_stats.jsonl`.
 
 use crate::cache::CacheHierarchy;
 use crate::config::CpuConfig;
@@ -23,15 +51,27 @@ use crate::stats::SimStats;
 use crate::taint::TaintSet;
 use cassandra_btu::unit::{BranchTraceUnit, ContextBtuStats};
 use cassandra_isa::error::IsaError;
-use cassandra_isa::instr::{BranchKind, Instr};
+use cassandra_isa::instr::{AluOp, BranchCond, BranchKind, Instr, MemWidth};
 use cassandra_isa::memory::Memory;
 use cassandra_isa::program::{Program, STACK_TOP};
 use cassandra_isa::reg::{Reg, NUM_REGS, SP};
 use serde::{Deserialize, Serialize};
-use std::collections::VecDeque;
 
 /// Maximum number of wrong-path instructions executed per misprediction.
 const WRONG_PATH_CAP: u64 = 64;
+
+/// Register-file slots: the architectural registers, then the write sink of
+/// the zero register (`SINK_SLOT`), then a constant-zero operand
+/// (`IMM_SLOT`) that no instruction ever writes. One slot per `u8` value, so
+/// indexing with a decoded register byte needs no bounds check; the slots
+/// past `IMM_SLOT` are never touched.
+const REG_SLOTS: usize = 256;
+/// Where writes of the architectural zero register land.
+const SINK_SLOT: usize = NUM_REGS;
+/// The second operand of a decoded register-immediate ALU operation: its
+/// value is 0, its taint false and its ready cycle 0, so `regs[IMM_SLOT] +
+/// imm` is the immediate and the operation times like its register form.
+const IMM_SLOT: u8 = (NUM_REGS + 1) as u8;
 
 /// The result of a simulation run.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
@@ -69,7 +109,259 @@ impl SimOutcome {
     }
 }
 
+/// An instruction's operation with its ALU operation, memory width or
+/// branch condition folded in, so the correct-path loop dispatches once.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Op {
+    Add,
+    Sub,
+    And,
+    Or,
+    Xor,
+    Sll,
+    Srl,
+    Sra,
+    Rotl,
+    Rotr,
+    Mul,
+    Mulhu,
+    Slt,
+    Sltu,
+    LoadImm,
+    Declassify,
+    LoadByte,
+    LoadWord,
+    LoadDouble,
+    StoreByte,
+    StoreWord,
+    StoreDouble,
+    Beq,
+    Bne,
+    Blt,
+    Bge,
+    Bltu,
+    Bgeu,
+    Jump,
+    JumpIndirect,
+    Call,
+    CallIndirect,
+    Ret,
+    Nop,
+    Halt,
+}
+
+impl Op {
+    fn alu(op: AluOp) -> Op {
+        match op {
+            AluOp::Add => Op::Add,
+            AluOp::Sub => Op::Sub,
+            AluOp::And => Op::And,
+            AluOp::Or => Op::Or,
+            AluOp::Xor => Op::Xor,
+            AluOp::Sll => Op::Sll,
+            AluOp::Srl => Op::Srl,
+            AluOp::Sra => Op::Sra,
+            AluOp::Rotl => Op::Rotl,
+            AluOp::Rotr => Op::Rotr,
+            AluOp::Mul => Op::Mul,
+            AluOp::Mulhu => Op::Mulhu,
+            AluOp::Slt => Op::Slt,
+            AluOp::Sltu => Op::Sltu,
+        }
+    }
+
+    fn load(width: MemWidth) -> Op {
+        match width {
+            MemWidth::Byte => Op::LoadByte,
+            MemWidth::Word => Op::LoadWord,
+            MemWidth::Double => Op::LoadDouble,
+        }
+    }
+
+    fn store(width: MemWidth) -> Op {
+        match width {
+            MemWidth::Byte => Op::StoreByte,
+            MemWidth::Word => Op::StoreWord,
+            MemWidth::Double => Op::StoreDouble,
+        }
+    }
+
+    fn branch(cond: BranchCond) -> Op {
+        match cond {
+            BranchCond::Eq => Op::Beq,
+            BranchCond::Ne => Op::Bne,
+            BranchCond::Lt => Op::Blt,
+            BranchCond::Ge => Op::Bge,
+            BranchCond::Ltu => Op::Bltu,
+            BranchCond::Geu => Op::Bgeu,
+        }
+    }
+}
+
+/// One instruction as the correct-path loop consumes it (16 bytes).
 #[derive(Debug, Clone, Copy)]
+struct Decoded {
+    op: Op,
+    /// Destination register: the slot whose ready cycle the result sets.
+    rd: u8,
+    /// Destination value slot: `rd`, or `SINK_SLOT` for the zero register.
+    rd_slot: u8,
+    /// First source: ALU/branch operand, load/store base, indirect target.
+    rs1: u8,
+    /// Second source: ALU/branch operand (`IMM_SLOT` for an immediate
+    /// form) or the stored register.
+    rs2: u8,
+    /// Whether the PC lies inside a crypto range.
+    is_crypto: bool,
+    /// ALU immediate (0 in register form), memory offset, load-immediate
+    /// value or direct target.
+    imm: u64,
+}
+
+impl Decoded {
+    fn new(instr: Instr, is_crypto: bool) -> Self {
+        let slot = |r: Reg| r.index() as u8;
+        let mut d = Decoded {
+            op: Op::Nop,
+            rd: 0,
+            rd_slot: SINK_SLOT as u8,
+            rs1: 0,
+            rs2: 0,
+            is_crypto,
+            imm: 0,
+        };
+        let dest = |d: &mut Decoded, rd: Reg| {
+            d.rd = slot(rd);
+            d.rd_slot = if rd.is_zero() {
+                SINK_SLOT as u8
+            } else {
+                slot(rd)
+            };
+        };
+        match instr {
+            Instr::Alu { op, rd, rs1, rs2 } => {
+                d.op = Op::alu(op);
+                dest(&mut d, rd);
+                d.rs1 = slot(rs1);
+                d.rs2 = slot(rs2);
+            }
+            Instr::AluImm { op, rd, rs1, imm } => {
+                d.op = Op::alu(op);
+                dest(&mut d, rd);
+                d.rs1 = slot(rs1);
+                d.rs2 = IMM_SLOT;
+                d.imm = imm as u64;
+            }
+            Instr::LoadImm { rd, imm } => {
+                d.op = Op::LoadImm;
+                dest(&mut d, rd);
+                d.imm = imm;
+            }
+            Instr::Declassify { rd, rs1 } => {
+                d.op = Op::Declassify;
+                dest(&mut d, rd);
+                d.rs1 = slot(rs1);
+            }
+            Instr::Load {
+                rd,
+                base,
+                offset,
+                width,
+            } => {
+                d.op = Op::load(width);
+                dest(&mut d, rd);
+                d.rs1 = slot(base);
+                d.imm = offset as u64;
+            }
+            Instr::Store {
+                src,
+                base,
+                offset,
+                width,
+            } => {
+                d.op = Op::store(width);
+                d.rs1 = slot(base);
+                d.rs2 = slot(src);
+                d.imm = offset as u64;
+            }
+            Instr::Branch {
+                cond,
+                rs1,
+                rs2,
+                target,
+            } => {
+                d.op = Op::branch(cond);
+                d.rs1 = slot(rs1);
+                d.rs2 = slot(rs2);
+                d.imm = target as u64;
+            }
+            Instr::Jump { target } => {
+                d.op = Op::Jump;
+                d.imm = target as u64;
+            }
+            Instr::JumpIndirect { rs1 } => {
+                d.op = Op::JumpIndirect;
+                d.rs1 = slot(rs1);
+            }
+            Instr::Call { target } => {
+                d.op = Op::Call;
+                d.imm = target as u64;
+            }
+            Instr::CallIndirect { rs1 } => {
+                d.op = Op::CallIndirect;
+                d.rs1 = slot(rs1);
+            }
+            Instr::Ret => d.op = Op::Ret,
+            Instr::Nop => d.op = Op::Nop,
+            Instr::Halt => d.op = Op::Halt,
+        }
+        d
+    }
+
+    /// The decoded text of `program`.
+    fn table(program: &Program) -> Vec<Decoded> {
+        program
+            .instrs
+            .iter()
+            .enumerate()
+            .map(|(pc, &instr)| Decoded::new(instr, program.is_crypto_pc(pc)))
+            .collect()
+    }
+}
+
+/// The per-instruction timing scalars: a local of the correct-path loop,
+/// parked in [`Simulator`] between runs.
+#[derive(Debug, Clone, Copy)]
+struct Clock {
+    fetch_cycle: u64,
+    fetch_slots_used: u64,
+    /// The L1I line of the most recent correct-path fetch. Mirrors the
+    /// L1I's MRU line exactly (every instruction access flows through
+    /// `Simulator::fetch`), so a fetch staying on this line is a
+    /// guaranteed hit at base latency and skips the cache model entirely.
+    cur_fetch_line: u64,
+    commit_cycle: u64,
+    commits_in_cycle: u64,
+    /// Next slot of the ROB ring (see `Simulator::rob`).
+    rob_head: usize,
+    /// Resolve cycle of the youngest branch that opened a speculation
+    /// window: instructions issuing earlier are speculative.
+    older_branches_resolved: u64,
+    /// The commit count after which the next periodic BTU switch of the
+    /// Q4 experiment happens (`u64::MAX` without one).
+    next_switch: u64,
+}
+
+/// The instruction in flight in the correct-path loop: its PC and the
+/// cycles it was fetched and dispatched at.
+#[derive(Debug, Clone, Copy)]
+struct Step {
+    pc: usize,
+    fetch_cycle: u64,
+    dispatch: u64,
+}
+
+#[derive(Debug, Clone, Copy, Default)]
 struct InflightStore {
     granule: u64,
     data_ready: u64,
@@ -97,8 +389,9 @@ struct UndoEntry {
 #[derive(Debug)]
 pub(crate) struct TenantCheckpoint<'p> {
     program: &'p Program,
-    regs: [u64; NUM_REGS + 1],
-    reg_taint: [bool; NUM_REGS + 1],
+    decoded: Vec<Decoded>,
+    regs: [u64; REG_SLOTS],
+    reg_taint: [bool; REG_SLOTS],
     mem: Memory,
     mem_taint: TaintSet,
     call_depth: u64,
@@ -120,12 +413,13 @@ impl<'p> TenantCheckpoint<'p> {
         for region in &program.data {
             mem.write_bytes(region.addr, &region.bytes);
         }
-        let mut regs = [0u64; NUM_REGS + 1];
+        let mut regs = [0u64; REG_SLOTS];
         regs[SP.index()] = STACK_TOP;
         TenantCheckpoint {
             program,
+            decoded: Decoded::table(program),
             regs,
-            reg_taint: [false; NUM_REGS + 1],
+            reg_taint: [false; REG_SLOTS],
             mem,
             mem_taint: TaintSet::new(),
             call_depth: 0,
@@ -158,6 +452,8 @@ impl<'p> TenantCheckpoint<'p> {
 #[derive(Debug)]
 pub struct Simulator<'p> {
     program: &'p Program,
+    /// `program`'s text as the correct-path loop reads it.
+    decoded: Vec<Decoded>,
     config: CpuConfig,
     /// The defense policy, resolved once from `config.defense`; the pipeline
     /// consults only this (and the frontend below), never the mode itself.
@@ -169,14 +465,12 @@ pub struct Simulator<'p> {
 
     // Speculative architectural state (correct path).
     //
-    // The register file carries one extra slot: writes to the architectural
-    // zero register land in slot `NUM_REGS` (a write sink) instead of being
-    // guarded by a data-dependent `is_zero` branch, so reads are plain
-    // loads — slot 0 provably stays `0`/untainted. Operand registers vary
-    // per instruction, which made the old read-side guard an unpredictable
-    // host branch on the interpreter's hottest path.
-    regs: [u64; NUM_REGS + 1],
-    reg_taint: [bool; NUM_REGS + 1],
+    // The register file carries two extra slots (see `REG_SLOTS`): writes
+    // to the architectural zero register land in the sink slot instead of
+    // being guarded by a data-dependent `is_zero` branch, so reads are
+    // plain loads — slot 0 provably stays `0`/untainted.
+    regs: [u64; REG_SLOTS],
+    reg_taint: [bool; REG_SLOTS],
     mem: Memory,
     mem_taint: TaintSet,
     call_depth: u64,
@@ -186,31 +480,24 @@ pub struct Simulator<'p> {
     mem_undo: Vec<UndoEntry>,
 
     // Timing state.
-    fetch_cycle: u64,
-    fetch_slots_used: u64,
-    /// `log2(l1i.line_bytes)` when that is a power of two — enables the
-    /// same-line fetch short-circuit in [`Self::fetch_slot`].
-    fetch_line_shift: Option<u32>,
-    /// The L1I line of the most recent correct-path fetch. Mirrors the
-    /// L1I's MRU line exactly (every instruction access flows through
-    /// `fetch_slot`), so a fetch staying on this line is a guaranteed hit
-    /// at base latency and skips the cache model entirely.
-    cur_fetch_line: u64,
-    /// Same-line fetch hits not yet folded into the L1I counters; drained
-    /// once at the end of `run` via `CacheHierarchy::note_instr_hits`.
-    pending_fetch_hits: u64,
-    reg_ready: [u64; NUM_REGS],
+    clock: Clock,
+    /// `log2(l1i.line_bytes)` when that is a power of two, else 0: the
+    /// same-line fetch short-circuit in [`Self::fetch`] then only catches a
+    /// refetch of the same address, which is just as surely an MRU hit.
+    fetch_line_shift: u32,
+    reg_ready: [u64; REG_SLOTS],
     /// Commit cycles of the last `rob_entries` instructions, as a flat ring:
-    /// `rob[rob_head]` is the slot of the instruction `rob_entries` back
-    /// (zero while the window is still filling — a no-op under `max`), so
-    /// the "stall dispatch until the oldest ROB entry retires" rule is one
-    /// read and one write per instruction instead of `VecDeque` traffic.
+    /// `rob[clock.rob_head]` is the slot of the instruction `rob_entries`
+    /// back (zero while the window is still filling — a no-op under `max`),
+    /// so the "stall dispatch until the oldest ROB entry retires" rule is
+    /// one read and one write per instruction.
     rob: Vec<u64>,
-    rob_head: usize,
-    commit_cycle: u64,
-    commits_in_cycle: u64,
-    inflight_stores: VecDeque<InflightStore>,
-    /// Counting filter over `inflight_stores` granules: bucket
+    /// The store queue: a ring of `max(sq_entries, 1)` slots holding the
+    /// `sq_len` youngest stores, the oldest at `sq_head`.
+    store_queue: Vec<InflightStore>,
+    sq_head: usize,
+    sq_len: usize,
+    /// Counting filter over the store-queue granules: bucket
     /// [`Self::filter_bucket`] holds how many queued stores hash there. A
     /// load whose bucket is zero provably has no forwarding match and skips
     /// the store-queue scan entirely (the queue sits at `sq_entries` ≈ 100
@@ -224,8 +511,6 @@ pub struct Simulator<'p> {
     /// "reload of a long-retired spill slot" case a membership count alone
     /// cannot.
     store_filter_bound: Vec<u64>,
-    older_branches_resolved: u64,
-    committed_since_flush: u64,
     /// The application context currently "running" for the periodic
     /// context-switch experiment (Q4 partition-reassignment variant).
     current_context: u64,
@@ -251,7 +536,7 @@ impl<'p> Simulator<'p> {
         for region in &program.data {
             mem.write_bytes(region.addr, &region.bytes);
         }
-        let mut regs = [0u64; NUM_REGS + 1];
+        let mut regs = [0u64; REG_SLOTS];
         regs[SP.index()] = STACK_TOP;
         let policy = config.resolved_policy();
         let mut frontend = Frontend::new(program, &config, btu);
@@ -269,35 +554,44 @@ impl<'p> Simulator<'p> {
         let access_hint = config.max_instructions.min(1 << 16) as usize;
         Simulator {
             program,
+            decoded: Decoded::table(program),
             frontend,
             policy,
             caches: CacheHierarchy::new(&config),
             stats: SimStats::default(),
             regs,
-            reg_taint: [false; NUM_REGS + 1],
+            reg_taint: [false; REG_SLOTS],
             mem,
             mem_taint: TaintSet::new(),
             call_depth: 0,
             pc: 0,
             halted: false,
             mem_undo: Vec::with_capacity(2 * WRONG_PATH_CAP as usize),
-            fetch_cycle: 0,
-            fetch_slots_used: 0,
-            fetch_line_shift: (config.l1i.line_bytes as u64)
-                .is_power_of_two()
-                .then(|| (config.l1i.line_bytes as u64).trailing_zeros()),
-            cur_fetch_line: u64::MAX,
-            pending_fetch_hits: 0,
-            reg_ready: [0; NUM_REGS],
+            clock: Clock {
+                fetch_cycle: 0,
+                fetch_slots_used: 0,
+                cur_fetch_line: u64::MAX,
+                commit_cycle: 0,
+                commits_in_cycle: 0,
+                rob_head: 0,
+                older_branches_resolved: 0,
+                next_switch: match config.btu_flush_interval {
+                    0 => u64::MAX,
+                    interval => interval,
+                },
+            },
+            fetch_line_shift: if config.l1i.line_bytes.is_power_of_two() {
+                config.l1i.line_bytes.trailing_zeros()
+            } else {
+                0
+            },
+            reg_ready: [0; REG_SLOTS],
             rob: vec![0; config.rob_entries.max(1)],
-            rob_head: 0,
-            commit_cycle: 0,
-            commits_in_cycle: 0,
-            inflight_stores: VecDeque::with_capacity(config.sq_entries + 1),
+            store_queue: vec![InflightStore::default(); config.sq_entries.max(1)],
+            sq_head: 0,
+            sq_len: 0,
             store_filter: vec![0; Self::FILTER_BUCKETS],
             store_filter_bound: vec![0; Self::FILTER_BUCKETS],
-            older_branches_resolved: 0,
-            committed_since_flush: 0,
             current_context: 0,
             addr_salt: 0,
             architectural_accesses: Vec::with_capacity(access_hint),
@@ -315,9 +609,7 @@ impl<'p> Simulator<'p> {
     /// underflows the call stack (wrong-path faults are swallowed, as in
     /// hardware).
     pub fn run(mut self) -> Result<SimOutcome, IsaError> {
-        while !self.halted && self.stats.committed_instructions < self.config.max_instructions {
-            self.step_correct_path()?;
-        }
+        self.run_until(self.config.max_instructions)?;
         Ok(self.into_outcome())
     }
 
@@ -326,18 +618,20 @@ impl<'p> Simulator<'p> {
     /// simulator drives one quantum at a time through this.
     pub(crate) fn run_bounded(&mut self, budget: u64) -> Result<u64, IsaError> {
         let start = self.stats.committed_instructions;
-        while !self.halted && self.stats.committed_instructions - start < budget {
-            self.step_correct_path()?;
-        }
+        self.run_until(start.saturating_add(budget))?;
         Ok(self.stats.committed_instructions - start)
     }
 
     /// Folds the deferred counters into the statistics and consumes the
     /// simulator into its outcome.
     pub(crate) fn into_outcome(mut self) -> SimOutcome {
-        self.stats.cycles = self.commit_cycle.max(self.fetch_cycle);
-        self.caches.note_instr_hits(self.pending_fetch_hits);
-        self.pending_fetch_hits = 0;
+        self.stats.cycles = self.current_cycle();
+        // Every committed instruction was fetched exactly once, and only
+        // the fetches that left the previous fetch's line reached the L1I
+        // model: the rest were same-line hits, counted here in bulk.
+        let modelled = self.caches.stats().l1i.accesses;
+        self.caches
+            .note_instr_hits(self.stats.committed_instructions - modelled);
         self.stats.bpu = self.frontend.bpu_stats();
         if let Some(btu) = self.frontend.btu_stats() {
             self.stats.btu = btu;
@@ -355,7 +649,7 @@ impl<'p> Simulator<'p> {
     /// The cycle the run has reached so far (commit or fetch, whichever is
     /// further); monotone, so quantum deltas attribute cycles to tenants.
     pub(crate) fn current_cycle(&self) -> u64 {
-        self.commit_cycle.max(self.fetch_cycle)
+        self.clock.commit_cycle.max(self.clock.fetch_cycle)
     }
 
     /// Whether the active program has halted.
@@ -386,6 +680,7 @@ impl<'p> Simulator<'p> {
     /// addresses).
     pub(crate) fn swap_tenant(&mut self, slot: &mut TenantCheckpoint<'p>, salt: u64) {
         std::mem::swap(&mut self.program, &mut slot.program);
+        std::mem::swap(&mut self.decoded, &mut slot.decoded);
         std::mem::swap(&mut self.regs, &mut slot.regs);
         std::mem::swap(&mut self.reg_taint, &mut slot.reg_taint);
         std::mem::swap(&mut self.mem, &mut slot.mem);
@@ -403,7 +698,7 @@ impl<'p> Simulator<'p> {
         // The same-line fetch filter mirrors the L1I's MRU line for the
         // *previous* tenant's salted text; invalidate it so the incoming
         // tenant's first fetch consults the cache model.
-        self.cur_fetch_line = u64::MAX;
+        self.clock.cur_fetch_line = u64::MAX;
     }
 
     // ------------------------------------------------------------ registers
@@ -417,9 +712,9 @@ impl<'p> Simulator<'p> {
 
     #[inline(always)]
     fn set_reg(&mut self, r: Reg, value: u64, tainted: bool) {
-        // Redirect zero-register writes to the sink slot `NUM_REGS`; the
-        // index select compiles to a cmov instead of a data-dependent branch.
-        let slot = if r.is_zero() { NUM_REGS } else { r.index() };
+        // Redirect zero-register writes to the sink slot; the index select
+        // compiles to a cmov instead of a data-dependent branch.
+        let slot = if r.is_zero() { SINK_SLOT } else { r.index() };
         self.regs[slot] = value;
         self.reg_taint[slot] = tainted;
     }
@@ -427,6 +722,15 @@ impl<'p> Simulator<'p> {
     #[inline(always)]
     fn taint_of(&self, r: Reg) -> bool {
         self.reg_taint[r.index()]
+    }
+
+    /// Writes a decoded instruction's result: value and taint to its value
+    /// slot, the ready cycle to its register.
+    #[inline(always)]
+    fn write_rd(&mut self, d: &Decoded, value: u64, tainted: bool, ready: u64) {
+        self.regs[d.rd_slot as usize] = value;
+        self.reg_taint[d.rd_slot as usize] = tainted;
+        self.reg_ready[d.rd as usize] = ready;
     }
 
     fn granule(addr: u64) -> u64 {
@@ -458,57 +762,42 @@ impl<'p> Simulator<'p> {
 
     /// Allocates a fetch slot for the instruction at `pc`, accounting for
     /// fetch width and instruction-cache misses. Returns the fetch cycle.
-    fn fetch_slot(&mut self, pc: usize) -> u64 {
+    #[inline(always)]
+    fn fetch(&mut self, clock: &mut Clock, pc: usize) -> u64 {
         let addr = self.salted(Program::byte_addr(pc));
-        if let Some(shift) = self.fetch_line_shift {
-            if addr >> shift == self.cur_fetch_line {
-                // Same line as the previous fetch: a guaranteed L1I hit at
-                // base latency (the line is the L1I's MRU line and repeated
-                // MRU accesses change no replacement state), so only the
-                // fetch-width bookkeeping and a deferred hit count remain.
-                self.pending_fetch_hits += 1;
-                if self.fetch_slots_used >= self.config.fetch_width {
-                    self.fetch_cycle += 1;
-                    self.fetch_slots_used = 0;
-                }
-                self.fetch_slots_used += 1;
-                return self.fetch_cycle;
+        let line = addr >> self.fetch_line_shift;
+        if line == clock.cur_fetch_line {
+            // Same line as the previous fetch: a guaranteed L1I hit at base
+            // latency (the line is the L1I's MRU line and repeated MRU
+            // accesses change no replacement state), so only the fetch-width
+            // bookkeeping remains; `into_outcome` counts the hit.
+        } else {
+            clock.cur_fetch_line = line;
+            let latency = self.caches.access_instr(addr);
+            let extra = latency.saturating_sub(self.config.l1i.latency);
+            if extra > 0 {
+                clock.fetch_cycle += extra;
+                clock.fetch_slots_used = 0;
             }
-            self.cur_fetch_line = addr >> shift;
         }
-        let latency = self.caches.access_instr(addr);
-        let extra = latency.saturating_sub(self.config.l1i.latency);
-        if extra > 0 {
-            self.fetch_cycle += extra;
-            self.fetch_slots_used = 0;
+        if clock.fetch_slots_used >= self.config.fetch_width {
+            clock.fetch_cycle += 1;
+            clock.fetch_slots_used = 0;
         }
-        if self.fetch_slots_used >= self.config.fetch_width {
-            self.fetch_cycle += 1;
-            self.fetch_slots_used = 0;
-        }
-        self.fetch_slots_used += 1;
-        self.fetch_cycle
+        clock.fetch_slots_used += 1;
+        clock.fetch_cycle
     }
 
-    /// Redirects fetch to resume at `cycle` (stall or squash recovery).
-    fn redirect_fetch(&mut self, cycle: u64) {
-        if cycle > self.fetch_cycle {
-            self.fetch_cycle = cycle;
-            self.fetch_slots_used = 0;
-        }
-    }
-
-    // ------------------------------------------------------------ main step
+    // ------------------------------------------------------------ main loop
 
     /// Issue cycle of an instruction dispatched at `dispatch` whose operands
     /// are ready at `ready`, applying the defense policies that delay
     /// execution while speculative. `is_mem_or_branch` and `tainted_source`
-    /// are the per-instruction predicates those policies test (the caller
-    /// knows them statically per opcode, so no opcode re-dispatch happens
-    /// here).
+    /// are the per-instruction predicates those policies test.
     #[inline(always)]
     fn issue_at(
         &mut self,
+        clock: &Clock,
         dispatch: u64,
         ready: u64,
         is_mem_or_branch: bool,
@@ -517,291 +806,386 @@ impl<'p> Simulator<'p> {
         let mut start = dispatch.max(ready);
         if self.policy.delay_transmitters
             && is_mem_or_branch
-            && start < self.older_branches_resolved
+            && start < clock.older_branches_resolved
         {
-            start = self.older_branches_resolved;
+            start = clock.older_branches_resolved;
             self.stats.defense_delayed_instructions += 1;
         }
-        if self.policy.block_tainted && tainted_source && start < self.older_branches_resolved {
-            start = self.older_branches_resolved;
+        if self.policy.block_tainted && tainted_source && start < clock.older_branches_resolved {
+            start = clock.older_branches_resolved;
             self.stats.defense_delayed_instructions += 1;
         }
         start
     }
 
-    /// Fetches, functionally executes and times one correct-path instruction.
+    /// Fetches, functionally executes, times and commits correct-path
+    /// instructions until `limit` instructions have committed in total or
+    /// the program halts.
     ///
-    /// The opcode is dispatched exactly once: every arm computes its own
-    /// operand readiness, defense delay, latency and functional effect
-    /// inline. The interpreter's cost is dominated by indirect-branch
-    /// mispredictions on the host, so folding the former `sources()` /
-    /// `is_mem()` / `base_latency()` pre-passes into the one `match` — they
-    /// each re-dispatched on the opcode — is a measured win, not a style
-    /// choice.
-    fn step_correct_path(&mut self) -> Result<(), IsaError> {
-        let pc = self.pc;
-        let instr = *self.program.instr(pc).ok_or(IsaError::PcOutOfRange {
-            pc,
-            len: self.program.len(),
-        })?;
-        let fetch_cycle = self.fetch_slot(pc);
+    /// The PC, the commit count and the [`Clock`] stay in locals for the
+    /// whole loop and the decoded text and ROB ring are moved out of `self`
+    /// for its duration, so the per-instruction state never round-trips
+    /// through the simulator. Each `Op` arm computes its own operand
+    /// readiness, defense delay, latency and functional effect; the ALU
+    /// operation, width or condition is a constant in its arm.
+    fn run_until(&mut self, limit: u64) -> Result<(), IsaError> {
+        let mut limit = if self.halted {
+            self.stats.committed_instructions
+        } else {
+            limit
+        };
+        let decoded = std::mem::take(&mut self.decoded);
+        let mut rob = std::mem::take(&mut self.rob);
+        let mut clock = self.clock;
+        let mut pc = self.pc;
+        let mut committed = self.stats.committed_instructions;
+        let frontend_depth = self.config.frontend_depth;
+        let commit_width = self.config.commit_width;
 
-        // Dispatch is limited by the frontend depth and ROB occupancy: the
-        // slot about to be overwritten holds the commit cycle of the
-        // instruction `rob_entries` back (0 while the window fills).
-        let dispatch = (fetch_cycle + self.config.frontend_depth).max(self.rob[self.rob_head]);
-        let brl = self.config.branch_resolve_latency;
-
-        let complete;
-        let mut next_pc = pc + 1;
-        let mut branch_outcome: Option<(BranchKind, bool, usize, Option<usize>)> = None;
-
-        match instr {
-            Instr::Alu { op, rd, rs1, rs2 } => {
-                let ready = self.reg_ready[rs1.index()].max(self.reg_ready[rs2.index()]);
-                let t = self.taint_of(rs1) || self.taint_of(rs2);
-                let start = self.issue_at(dispatch, ready, false, t);
-                complete = start + op.latency();
-                let v = op.apply(self.reg(rs1), self.reg(rs2));
-                self.set_reg(rd, v, t);
-                self.reg_ready[rd.index()] = complete;
+        let result = loop {
+            if committed >= limit {
+                break Ok(());
             }
-            Instr::AluImm { op, rd, rs1, imm } => {
-                let ready = self.reg_ready[rs1.index()];
-                let t = self.taint_of(rs1);
-                let start = self.issue_at(dispatch, ready, false, t);
-                complete = start + op.latency();
-                let v = op.apply(self.reg(rs1), imm as u64);
-                self.set_reg(rd, v, t);
-                self.reg_ready[rd.index()] = complete;
-            }
-            Instr::LoadImm { rd, imm } => {
-                let start = self.issue_at(dispatch, 0, false, false);
-                complete = start + 1;
-                self.set_reg(rd, imm, false);
-                self.reg_ready[rd.index()] = complete;
-            }
-            Instr::Declassify { rd, rs1 } => {
-                let ready = self.reg_ready[rs1.index()];
-                let start = self.issue_at(dispatch, ready, false, self.taint_of(rs1));
-                complete = start + 1;
-                let v = self.reg(rs1);
-                self.set_reg(rd, v, false);
-                self.reg_ready[rd.index()] = complete;
-            }
-            Instr::Load {
-                rd,
-                base,
-                offset,
-                width,
-            } => {
-                let ready = self.reg_ready[base.index()];
-                let start = self.issue_at(dispatch, ready, true, self.taint_of(base));
-                let addr = self.reg(base).wrapping_add(offset as u64);
-                let v = self.mem.read(addr, width);
-                let tainted = self.program.is_secret_addr(addr)
-                    || self.mem_taint.contains(Self::granule(addr));
-                self.set_reg(rd, v, tainted);
-                complete = self.time_load(start, addr);
-                self.reg_ready[rd.index()] = complete;
-                self.architectural_accesses.push(addr);
-            }
-            Instr::Store {
-                src,
-                base,
-                offset,
-                width,
-            } => {
-                let ready = self.reg_ready[src.index()].max(self.reg_ready[base.index()]);
-                let t = self.taint_of(src) || self.taint_of(base);
-                let start = self.issue_at(dispatch, ready, true, t);
-                let addr = self.reg(base).wrapping_add(offset as u64);
-                let v = self.reg(src);
-                self.mem.write(addr, v, width);
-                if self.taint_of(src) {
-                    self.mem_taint.insert(Self::granule(addr));
-                } else {
-                    self.mem_taint.remove(Self::granule(addr));
-                }
-                complete = start + 1;
-                self.record_store(addr, complete);
-                let timing_addr = self.salted(addr);
-                let _ = self.caches.access_data(timing_addr);
-                self.architectural_accesses.push(addr);
-            }
-            Instr::Branch {
-                cond,
-                rs1,
-                rs2,
-                target,
-            } => {
-                let ready = self.reg_ready[rs1.index()].max(self.reg_ready[rs2.index()]);
-                let t = self.taint_of(rs1) || self.taint_of(rs2);
-                let start = self.issue_at(dispatch, ready, true, t);
-                complete = start + brl;
-                let taken = cond.eval(self.reg(rs1), self.reg(rs2));
-                next_pc = if taken { target } else { pc + 1 };
-                branch_outcome = Some((BranchKind::CondDirect, taken, next_pc, Some(target)));
-            }
-            Instr::Jump { target } => {
-                let start = self.issue_at(dispatch, 0, true, false);
-                complete = start + brl;
-                next_pc = target;
-                branch_outcome = Some((BranchKind::UncondDirect, true, target, Some(target)));
-            }
-            Instr::JumpIndirect { rs1 } => {
-                let ready = self.reg_ready[rs1.index()];
-                let start = self.issue_at(dispatch, ready, true, self.taint_of(rs1));
-                complete = start + brl;
-                next_pc = self.reg(rs1) as usize;
-                branch_outcome = Some((BranchKind::Indirect, true, next_pc, None));
-            }
-            Instr::Call { target } => {
-                let ready = self.reg_ready[SP.index()];
-                let start = self.issue_at(dispatch, ready, true, false);
-                complete = start + brl;
-                next_pc = target;
-                let sp = self.reg(SP).wrapping_sub(8);
-                self.set_reg(SP, sp, false);
-                self.mem.write_u64(sp, (pc + 1) as u64);
-                self.call_depth += 1;
-                self.record_store(sp, complete);
-                let timing_sp = self.salted(sp);
-                let _ = self.caches.access_data(timing_sp);
-                self.architectural_accesses.push(sp);
-                self.reg_ready[SP.index()] = complete;
-                branch_outcome = Some((BranchKind::Call, true, target, Some(target)));
-            }
-            Instr::CallIndirect { rs1 } => {
-                let ready = self.reg_ready[rs1.index()].max(self.reg_ready[SP.index()]);
-                let start = self.issue_at(dispatch, ready, true, self.taint_of(rs1));
-                complete = start + brl;
-                next_pc = self.reg(rs1) as usize;
-                let sp = self.reg(SP).wrapping_sub(8);
-                self.set_reg(SP, sp, false);
-                self.mem.write_u64(sp, (pc + 1) as u64);
-                self.call_depth += 1;
-                self.record_store(sp, complete);
-                let timing_sp = self.salted(sp);
-                let _ = self.caches.access_data(timing_sp);
-                self.architectural_accesses.push(sp);
-                self.reg_ready[SP.index()] = complete;
-                branch_outcome = Some((BranchKind::CallIndirect, true, next_pc, None));
-            }
-            Instr::Ret => {
-                if self.call_depth == 0 {
-                    return Err(IsaError::ReturnWithoutCall { pc });
-                }
-                let ready = self.reg_ready[SP.index()];
-                let start = self.issue_at(dispatch, ready, true, false);
-                self.call_depth -= 1;
-                let sp = self.reg(SP);
-                let ret = self.mem.read_u64(sp) as usize;
-                self.set_reg(SP, sp.wrapping_add(8), false);
-                complete = (start + brl).max(self.time_load(start, sp));
-                self.reg_ready[SP.index()] = complete;
-                self.architectural_accesses.push(sp);
-                next_pc = ret;
-                branch_outcome = Some((BranchKind::Return, true, ret, None));
-            }
-            Instr::Nop => {
-                let start = self.issue_at(dispatch, 0, false, false);
-                complete = start + 1;
-            }
-            Instr::Halt => {
-                let start = self.issue_at(dispatch, 0, false, false);
-                complete = start + 1;
-                self.halted = true;
-            }
-        }
-
-        // Branch handling: frontend redirection, prediction and penalties.
-        if let Some((kind, taken, actual_target, direct_target)) = branch_outcome {
-            // Only branches consult the crypto ranges; keep the range scan
-            // off the straight-line path.
-            let is_crypto = self.program.is_crypto_pc(pc);
-            self.stats.committed_branches += 1;
-            if is_crypto {
-                self.stats.committed_crypto_branches += 1;
-            }
-            let event = BranchEvent {
-                pc,
-                kind,
-                taken,
-                actual_target,
-                direct_target,
-                fallthrough: pc + 1,
-                is_crypto,
+            let Some(d) = decoded.get(pc) else {
+                break Err(IsaError::PcOutOfRange {
+                    pc,
+                    len: decoded.len(),
+                });
             };
-            self.handle_branch_frontend(&event, fetch_cycle, complete);
-        }
-
-        // In-order commit with commit-width constraint. Written with
-        // conditional moves rather than an if/else ladder: whether an
-        // instruction advances the commit cycle alternates data-dependently,
-        // which made this branch a steady source of host mispredictions.
-        let proposed = complete + 1;
-        let advanced = proposed > self.commit_cycle;
-        let width_full = !advanced && self.commits_in_cycle >= self.config.commit_width;
-        self.commit_cycle = if advanced {
-            proposed
-        } else {
-            self.commit_cycle + u64::from(width_full)
-        };
-        self.commits_in_cycle = if advanced || width_full {
-            1
-        } else {
-            self.commits_in_cycle + 1
-        };
-        self.rob[self.rob_head] = self.commit_cycle;
-        self.rob_head += 1;
-        if self.rob_head == self.rob.len() {
-            self.rob_head = 0;
-        }
-        self.stats.committed_instructions += 1;
-
-        // Periodic context-switch experiment (Q4): price each switch either
-        // as a whole-unit flush (the paper's model) or as a BTU partition
-        // reassignment rotating through `btu_switch_contexts` applications.
-        if self.config.btu_flush_interval > 0 {
-            self.committed_since_flush += 1;
-            if self.committed_since_flush >= self.config.btu_flush_interval {
-                self.committed_since_flush = 0;
-                if self.config.btu_switch_contexts > 0 {
-                    self.current_context =
-                        (self.current_context + 1) % self.config.btu_switch_contexts;
-                    if self.frontend.on_context_switch(self.current_context) {
-                        self.stats.context_switches += 1;
-                    }
-                } else if self.frontend.flush() {
-                    self.stats.periodic_btu_flushes += 1;
+            let fetch_cycle = self.fetch(&mut clock, pc);
+            // Dispatch is limited by the frontend depth and ROB occupancy:
+            // the slot about to be overwritten holds the commit cycle of the
+            // instruction `rob_entries` back (0 while the window fills).
+            let dispatch = (fetch_cycle + frontend_depth).max(rob[clock.rob_head]);
+            let at = Step {
+                pc,
+                fetch_cycle,
+                dispatch,
+            };
+            let mut next_pc = pc + 1;
+            let complete = match d.op {
+                Op::Add => self.alu(&clock, d, at, AluOp::Add),
+                Op::Sub => self.alu(&clock, d, at, AluOp::Sub),
+                Op::And => self.alu(&clock, d, at, AluOp::And),
+                Op::Or => self.alu(&clock, d, at, AluOp::Or),
+                Op::Xor => self.alu(&clock, d, at, AluOp::Xor),
+                Op::Sll => self.alu(&clock, d, at, AluOp::Sll),
+                Op::Srl => self.alu(&clock, d, at, AluOp::Srl),
+                Op::Sra => self.alu(&clock, d, at, AluOp::Sra),
+                Op::Rotl => self.alu(&clock, d, at, AluOp::Rotl),
+                Op::Rotr => self.alu(&clock, d, at, AluOp::Rotr),
+                Op::Mul => self.alu(&clock, d, at, AluOp::Mul),
+                Op::Mulhu => self.alu(&clock, d, at, AluOp::Mulhu),
+                Op::Slt => self.alu(&clock, d, at, AluOp::Slt),
+                Op::Sltu => self.alu(&clock, d, at, AluOp::Sltu),
+                Op::LoadImm => {
+                    let complete = self.issue_at(&clock, dispatch, 0, false, false) + 1;
+                    self.write_rd(d, d.imm, false, complete);
+                    complete
                 }
-            }
-        }
+                Op::Declassify => {
+                    let rs1 = d.rs1 as usize;
+                    let ready = self.reg_ready[rs1];
+                    let tainted = self.reg_taint[rs1];
+                    let complete = self.issue_at(&clock, dispatch, ready, false, tainted) + 1;
+                    self.write_rd(d, self.regs[rs1], false, complete);
+                    complete
+                }
+                Op::LoadByte => self.load(&clock, d, at, MemWidth::Byte),
+                Op::LoadWord => self.load(&clock, d, at, MemWidth::Word),
+                Op::LoadDouble => self.load(&clock, d, at, MemWidth::Double),
+                Op::StoreByte => self.store(&clock, d, at, MemWidth::Byte),
+                Op::StoreWord => self.store(&clock, d, at, MemWidth::Word),
+                Op::StoreDouble => self.store(&clock, d, at, MemWidth::Double),
+                Op::Beq => self.cond_branch(&mut clock, d, at, BranchCond::Eq, &mut next_pc),
+                Op::Bne => self.cond_branch(&mut clock, d, at, BranchCond::Ne, &mut next_pc),
+                Op::Blt => self.cond_branch(&mut clock, d, at, BranchCond::Lt, &mut next_pc),
+                Op::Bge => self.cond_branch(&mut clock, d, at, BranchCond::Ge, &mut next_pc),
+                Op::Bltu => self.cond_branch(&mut clock, d, at, BranchCond::Ltu, &mut next_pc),
+                Op::Bgeu => self.cond_branch(&mut clock, d, at, BranchCond::Geu, &mut next_pc),
+                Op::Jump => {
+                    let complete = self.issue_at(&clock, dispatch, 0, true, false)
+                        + self.config.branch_resolve_latency;
+                    next_pc = d.imm as usize;
+                    let target = Some(next_pc);
+                    self.branch(
+                        &mut clock,
+                        d,
+                        at,
+                        BranchKind::UncondDirect,
+                        true,
+                        next_pc,
+                        target,
+                        complete,
+                    );
+                    complete
+                }
+                Op::JumpIndirect => {
+                    let rs1 = d.rs1 as usize;
+                    let ready = self.reg_ready[rs1];
+                    let tainted = self.reg_taint[rs1];
+                    let complete = self.issue_at(&clock, dispatch, ready, true, tainted)
+                        + self.config.branch_resolve_latency;
+                    next_pc = self.regs[rs1] as usize;
+                    self.branch(
+                        &mut clock,
+                        d,
+                        at,
+                        BranchKind::Indirect,
+                        true,
+                        next_pc,
+                        None,
+                        complete,
+                    );
+                    complete
+                }
+                Op::Call | Op::CallIndirect => {
+                    let indirect = d.op == Op::CallIndirect;
+                    let rs1 = d.rs1 as usize;
+                    let (ready, tainted) = if indirect {
+                        (
+                            self.reg_ready[rs1].max(self.reg_ready[SP.index()]),
+                            self.reg_taint[rs1],
+                        )
+                    } else {
+                        (self.reg_ready[SP.index()], false)
+                    };
+                    let complete = self.issue_at(&clock, dispatch, ready, true, tainted)
+                        + self.config.branch_resolve_latency;
+                    // The target is read before SP moves (`callr sp`).
+                    next_pc = if indirect {
+                        self.regs[rs1] as usize
+                    } else {
+                        d.imm as usize
+                    };
+                    let sp = self.regs[SP.index()].wrapping_sub(8);
+                    self.set_reg(SP, sp, false);
+                    self.mem.write_u64(sp, (pc + 1) as u64);
+                    self.call_depth += 1;
+                    self.record_store(sp, complete);
+                    let timing_sp = self.salted(sp);
+                    let _ = self.caches.access_data(timing_sp);
+                    self.architectural_accesses.push(sp);
+                    self.reg_ready[SP.index()] = complete;
+                    let (kind, direct) = if indirect {
+                        (BranchKind::CallIndirect, None)
+                    } else {
+                        (BranchKind::Call, Some(next_pc))
+                    };
+                    self.branch(&mut clock, d, at, kind, true, next_pc, direct, complete);
+                    complete
+                }
+                Op::Ret => {
+                    if self.call_depth == 0 {
+                        break Err(IsaError::ReturnWithoutCall { pc });
+                    }
+                    let ready = self.reg_ready[SP.index()];
+                    let start = self.issue_at(&clock, dispatch, ready, true, false);
+                    self.call_depth -= 1;
+                    let sp = self.regs[SP.index()];
+                    next_pc = self.mem.read_u64(sp) as usize;
+                    self.set_reg(SP, sp.wrapping_add(8), false);
+                    let complete =
+                        (start + self.config.branch_resolve_latency).max(self.time_load(start, sp));
+                    self.reg_ready[SP.index()] = complete;
+                    self.architectural_accesses.push(sp);
+                    self.branch(
+                        &mut clock,
+                        d,
+                        at,
+                        BranchKind::Return,
+                        true,
+                        next_pc,
+                        None,
+                        complete,
+                    );
+                    complete
+                }
+                Op::Nop => self.issue_at(&clock, dispatch, 0, false, false) + 1,
+                Op::Halt => {
+                    // The run ends once the `halt` commits.
+                    self.halted = true;
+                    limit = committed + 1;
+                    self.issue_at(&clock, dispatch, 0, false, false) + 1
+                }
+            };
 
-        self.pc = next_pc;
-        Ok(())
+            // In-order commit with commit-width constraint. Written with
+            // conditional moves rather than an if/else ladder: whether an
+            // instruction advances the commit cycle alternates
+            // data-dependently, which made this branch a steady source of
+            // host mispredictions.
+            let proposed = complete + 1;
+            let advanced = proposed > clock.commit_cycle;
+            let width_full = !advanced && clock.commits_in_cycle >= commit_width;
+            clock.commit_cycle = if advanced {
+                proposed
+            } else {
+                clock.commit_cycle + u64::from(width_full)
+            };
+            clock.commits_in_cycle = if advanced || width_full {
+                1
+            } else {
+                clock.commits_in_cycle + 1
+            };
+            rob[clock.rob_head] = clock.commit_cycle;
+            clock.rob_head += 1;
+            if clock.rob_head == rob.len() {
+                clock.rob_head = 0;
+            }
+            committed += 1;
+
+            // Periodic context-switch experiment (Q4).
+            if committed == clock.next_switch {
+                clock.next_switch += self.config.btu_flush_interval;
+                self.periodic_switch();
+            }
+            pc = next_pc;
+        };
+
+        self.decoded = decoded;
+        self.rob = rob;
+        self.clock = clock;
+        self.pc = pc;
+        self.stats.committed_instructions = committed;
+        result
+    }
+
+    /// A register-register or register-immediate ALU operation; `op` is a
+    /// constant at every call site, so `apply` and `latency` fold away.
+    #[inline(always)]
+    fn alu(&mut self, clock: &Clock, d: &Decoded, at: Step, op: AluOp) -> u64 {
+        let (rs1, rs2) = (d.rs1 as usize, d.rs2 as usize);
+        let ready = self.reg_ready[rs1].max(self.reg_ready[rs2]);
+        let tainted = self.reg_taint[rs1] | self.reg_taint[rs2];
+        let complete = self.issue_at(clock, at.dispatch, ready, false, tainted) + op.latency();
+        let value = op.apply(self.regs[rs1], self.regs[rs2].wrapping_add(d.imm));
+        self.write_rd(d, value, tainted, complete);
+        complete
+    }
+
+    /// A load of `width` bytes at `rs1 + imm`.
+    #[inline(always)]
+    fn load(&mut self, clock: &Clock, d: &Decoded, at: Step, width: MemWidth) -> u64 {
+        let base = d.rs1 as usize;
+        let (ready, tainted) = (self.reg_ready[base], self.reg_taint[base]);
+        let start = self.issue_at(clock, at.dispatch, ready, true, tainted);
+        let addr = self.regs[base].wrapping_add(d.imm);
+        let value = self.mem.read(addr, width);
+        let secret =
+            self.program.is_secret_addr(addr) || self.mem_taint.contains(Self::granule(addr));
+        let complete = self.time_load(start, addr);
+        self.write_rd(d, value, secret, complete);
+        self.architectural_accesses.push(addr);
+        complete
+    }
+
+    /// A store of `width` bytes of `rs2` at `rs1 + imm`.
+    #[inline(always)]
+    fn store(&mut self, clock: &Clock, d: &Decoded, at: Step, width: MemWidth) -> u64 {
+        let (base, src) = (d.rs1 as usize, d.rs2 as usize);
+        let ready = self.reg_ready[src].max(self.reg_ready[base]);
+        let src_tainted = self.reg_taint[src];
+        let tainted = src_tainted | self.reg_taint[base];
+        let start = self.issue_at(clock, at.dispatch, ready, true, tainted);
+        let addr = self.regs[base].wrapping_add(d.imm);
+        self.mem.write(addr, self.regs[src], width);
+        if src_tainted {
+            self.mem_taint.insert(Self::granule(addr));
+        } else {
+            self.mem_taint.remove(Self::granule(addr));
+        }
+        let complete = start + 1;
+        self.record_store(addr, complete);
+        let timing_addr = self.salted(addr);
+        let _ = self.caches.access_data(timing_addr);
+        self.architectural_accesses.push(addr);
+        complete
+    }
+
+    /// A conditional direct branch; `cond` is a constant at every call site.
+    #[inline(always)]
+    fn cond_branch(
+        &mut self,
+        clock: &mut Clock,
+        d: &Decoded,
+        at: Step,
+        cond: BranchCond,
+        next_pc: &mut usize,
+    ) -> u64 {
+        let (rs1, rs2) = (d.rs1 as usize, d.rs2 as usize);
+        let ready = self.reg_ready[rs1].max(self.reg_ready[rs2]);
+        let tainted = self.reg_taint[rs1] | self.reg_taint[rs2];
+        let complete = self.issue_at(clock, at.dispatch, ready, true, tainted)
+            + self.config.branch_resolve_latency;
+        let taken = cond.eval(self.regs[rs1], self.regs[rs2]);
+        let target = d.imm as usize;
+        *next_pc = if taken { target } else { at.pc + 1 };
+        self.branch(
+            clock,
+            d,
+            at,
+            BranchKind::CondDirect,
+            taken,
+            *next_pc,
+            Some(target),
+            complete,
+        );
+        complete
+    }
+
+    /// Hands a committed branch to [`Self::resolve_branch`] and applies the
+    /// verdict to the clock: a fetch redirect and, for a branch that keeps
+    /// younger instructions speculative, the speculation-window bound.
+    #[allow(clippy::too_many_arguments)]
+    #[inline(always)]
+    fn branch(
+        &mut self,
+        clock: &mut Clock,
+        d: &Decoded,
+        at: Step,
+        kind: BranchKind,
+        taken: bool,
+        actual_target: usize,
+        direct_target: Option<usize>,
+        resolve: u64,
+    ) {
+        let event = BranchEvent {
+            pc: at.pc,
+            kind,
+            taken,
+            actual_target,
+            direct_target,
+            fallthrough: at.pc + 1,
+            is_crypto: d.is_crypto,
+        };
+        let (redirect, opens_window) = self.resolve_branch(&event, at.fetch_cycle, resolve);
+        if redirect > clock.fetch_cycle {
+            clock.fetch_cycle = redirect;
+            clock.fetch_slots_used = 0;
+        }
+        if opens_window {
+            clock.older_branches_resolved = clock.older_branches_resolved.max(resolve);
+        }
     }
 
     /// Store-to-load forwarding / memory timing for a load starting at
     /// `start` and accessing `addr`.
+    #[inline(always)]
     fn time_load(&mut self, start: u64, addr: u64) -> u64 {
         let addr = self.salted(addr);
         let granule = Self::granule(addr);
         // Zero bucket ⇒ no queued store shares this granule; bound ≤ start
         // ⇒ no member can pass the scan's `commit_cycle > start` test. In
-        // either case the scan below provably cannot match; otherwise it
-        // falls through to the exact scan, so the filter never changes
-        // which store (if any) forwards.
+        // either case the scan provably cannot match; otherwise the exact
+        // scan runs, so the filter never changes which store (if any)
+        // forwards.
         let bucket = Self::filter_bucket(granule);
         let forwarding =
             if self.store_filter[bucket] == 0 || self.store_filter_bound[bucket] <= start {
                 None
             } else {
-                self.inflight_stores
-                    .iter()
-                    .rev()
-                    .find(|s| s.granule == granule && s.commit_cycle > start)
+                self.forwarding_store(granule, start)
             };
         let latency = self.caches.access_data(addr);
         match forwarding {
@@ -820,35 +1204,94 @@ impl<'p> Simulator<'p> {
         }
     }
 
+    /// The youngest queued store to `granule` that commits after `start`.
+    #[inline(never)]
+    fn forwarding_store(&self, granule: u64, start: u64) -> Option<InflightStore> {
+        let cap = self.store_queue.len();
+        (0..self.sq_len).rev().find_map(|age| {
+            let mut slot = self.sq_head + age;
+            if slot >= cap {
+                slot -= cap;
+            }
+            let store = self.store_queue[slot];
+            (store.granule == granule && store.commit_cycle > start).then_some(store)
+        })
+    }
+
+    #[inline(always)]
     fn record_store(&mut self, addr: u64, data_ready: u64) {
         let addr = self.salted(addr);
         let commit_cycle = data_ready + self.config.frontend_depth;
-        if self.inflight_stores.len() >= self.config.sq_entries {
-            if let Some(evicted) = self.inflight_stores.pop_front() {
-                self.store_filter[Self::filter_bucket(evicted.granule)] -= 1;
+        let cap = self.store_queue.len();
+        let slot = if self.sq_len == cap {
+            // Full: the oldest store leaves and its slot takes the new one.
+            let slot = self.sq_head;
+            let evicted = self.store_queue[slot].granule;
+            self.store_filter[Self::filter_bucket(evicted)] -= 1;
+            self.sq_head = if slot + 1 == cap { 0 } else { slot + 1 };
+            slot
+        } else {
+            let slot = self.sq_head + self.sq_len;
+            self.sq_len += 1;
+            if slot >= cap {
+                slot - cap
+            } else {
+                slot
             }
-        }
+        };
         let granule = Self::granule(addr);
         let bucket = Self::filter_bucket(granule);
         self.store_filter[bucket] += 1;
         self.store_filter_bound[bucket] = self.store_filter_bound[bucket].max(commit_cycle);
-        self.inflight_stores.push_back(InflightStore {
+        self.store_queue[slot] = InflightStore {
             granule,
             data_ready,
             commit_cycle,
-        });
+        };
     }
 
-    /// Frontend behaviour at a branch: the [`Frontend`] decides (replay, prediction, integrity stall, fence); the pipeline
-    /// only interprets the decision — redirects, wrong-path excursions and
-    /// squash recovery. No defense-specific branching lives here.
-    fn handle_branch_frontend(&mut self, event: &BranchEvent, fetch_cycle: u64, resolve: u64) {
+    /// One periodic context switch of the Q4 experiment: price it either as
+    /// a whole-unit flush (the paper's model) or as a BTU partition
+    /// reassignment rotating through `btu_switch_contexts` applications.
+    #[inline(never)]
+    fn periodic_switch(&mut self) {
+        if self.config.btu_switch_contexts > 0 {
+            self.current_context = (self.current_context + 1) % self.config.btu_switch_contexts;
+            if self.frontend.on_context_switch(self.current_context) {
+                self.stats.context_switches += 1;
+            }
+        } else if self.frontend.flush() {
+            self.stats.periodic_btu_flushes += 1;
+        }
+    }
+
+    /// Frontend behaviour at a committed branch: the [`Frontend`] decides
+    /// (replay, prediction, integrity stall, fence); the pipeline only
+    /// interprets the decision — wrong-path excursions and squash recovery
+    /// here, the fetch redirect and speculation window in the returned
+    /// verdict. No defense-specific branching lives here.
+    ///
+    /// Returns the cycle fetch resumes at (0 when fetch is not redirected)
+    /// and whether the branch opens a speculation window.
+    #[inline(never)]
+    fn resolve_branch(
+        &mut self,
+        event: &BranchEvent,
+        fetch_cycle: u64,
+        resolve: u64,
+    ) -> (u64, bool) {
+        self.stats.committed_branches += 1;
+        if event.is_crypto {
+            self.stats.committed_crypto_branches += 1;
+        }
         let decision = self.frontend.on_branch(event);
         let mut squash_after_commit = false;
-        match decision.outcome {
+        let redirect = match decision.outcome {
             FetchOutcome::Proceed { extra_latency } => {
                 if extra_latency > 0 {
-                    self.redirect_fetch(fetch_cycle + extra_latency);
+                    fetch_cycle + extra_latency
+                } else {
+                    0
                 }
             }
             FetchOutcome::Mispredict { wrong_target } => {
@@ -859,15 +1302,15 @@ impl<'p> Simulator<'p> {
                     .min(WRONG_PATH_CAP)
                     .min(self.config.rob_entries as u64);
                 self.run_wrong_path(wrong_target, budget);
-                self.redirect_fetch(resolve + self.config.mispredict_redirect_penalty);
                 squash_after_commit = true;
+                resolve + self.config.mispredict_redirect_penalty
             }
             FetchOutcome::Stall => {
                 // No usable target: fetch waits for the branch to resolve.
                 self.stats.fetch_stalls += 1;
-                self.redirect_fetch(resolve + 1);
+                resolve + 1
             }
-        }
+        };
         // The mispredicted branch itself retires architecturally: commit its
         // frontend state *before* the squash, so frontends whose crypto
         // branches can mispredict (a cold tournament branch) roll their
@@ -879,9 +1322,7 @@ impl<'p> Simulator<'p> {
         }
         // Replayed branches do not open a speculation window (§6.2); every
         // other branch keeps younger instructions speculative until resolve.
-        if decision.opens_speculation_window {
-            self.older_branches_resolved = self.older_branches_resolved.max(resolve);
-        }
+        (redirect, decision.opens_speculation_window)
     }
 
     /// Records the bytes a wrong-path store is about to overwrite in the

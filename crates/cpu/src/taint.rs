@@ -5,9 +5,9 @@
 //! hashes on every load and — worse — must be cloned wholesale to checkpoint
 //! around wrong-path excursions. [`TaintSet`] instead mirrors the sparse
 //! page layout of [`cassandra_isa::memory::Memory`]: a sorted `Vec` of
-//! (page index, 512-bit granule bitmap) pairs with a last-page hint, so the
-//! common same-page probe is two array indexings and no hashing, and the
-//! whole structure is cheap to scan.
+//! (page index, 512-bit granule bitmap) pairs with the same 16-entry page
+//! hint, so a probe of a recently touched page is two array indexings and
+//! no hashing, and the whole structure is cheap to scan.
 
 use std::cell::Cell;
 
@@ -20,13 +20,31 @@ const WORDS_PER_PAGE: usize = (PAGE_SIZE / 8 / 64) as usize;
 ///
 /// Addresses passed in must be granule-aligned (the pipeline always masks
 /// with `granule()` first); the low three bits are ignored regardless.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct TaintSet {
     /// (page index, granule bitmap) pairs, sorted by page index.
     pages: Vec<(u64, Box<[u64; WORDS_PER_PAGE]>)>,
-    /// Index into `pages` of the most recently probed page. Pure cache,
-    /// never observable.
-    hint: Cell<usize>,
+    /// `(page, index into pages or ABSENT)` of recently probed pages, slot
+    /// `page % HINTS`. Pure cache, never observable.
+    hints: [Cell<(u64, usize)>; HINTS],
+}
+
+/// Entries of the page hint (a power of two).
+const HINTS: usize = 16;
+
+/// A hint slot that matches no page (page indices are `addr / PAGE_SIZE`).
+const NO_HINT: (u64, usize) = (u64::MAX, 0);
+
+/// The index a hint slot records for a page that is not allocated.
+const ABSENT: usize = usize::MAX;
+
+impl Default for TaintSet {
+    fn default() -> Self {
+        TaintSet {
+            pages: Vec::new(),
+            hints: std::array::from_fn(|_| Cell::new(NO_HINT)),
+        }
+    }
 }
 
 impl TaintSet {
@@ -44,19 +62,37 @@ impl TaintSet {
 
     #[inline]
     fn page_slot(&self, page: u64) -> Option<usize> {
-        let hint = self.hint.get();
-        if let Some((p, _)) = self.pages.get(hint) {
-            if *p == page {
-                return Some(hint);
-            }
+        let (p, i) = self.hints[page as usize % HINTS].get();
+        if p == page {
+            return (i != ABSENT).then_some(i);
         }
-        match self.pages.binary_search_by_key(&page, |(p, _)| *p) {
-            Ok(i) => {
-                self.hint.set(i);
-                Some(i)
-            }
-            Err(_) => None,
+        self.search_page(page)
+    }
+
+    /// The hint-miss half of [`TaintSet::page_slot`]: a binary search whose
+    /// answer, found or [`ABSENT`], is remembered in the page's hint slot.
+    #[inline(never)]
+    fn search_page(&self, page: u64) -> Option<usize> {
+        let found = self.pages.binary_search_by_key(&page, |(p, _)| *p).ok();
+        self.hints[page as usize % HINTS].set((page, found.unwrap_or(ABSENT)));
+        found
+    }
+
+    /// Allocates the absent `page` (zeroed) and returns its index.
+    #[inline(never)]
+    fn insert_page(&mut self, page: u64) -> usize {
+        let i = self
+            .pages
+            .binary_search_by_key(&page, |(p, _)| *p)
+            .unwrap_err();
+        self.pages
+            .insert(i, (page, Box::new([0u64; WORDS_PER_PAGE])));
+        // Every page at or after `i` moved up one slot.
+        for hint in &self.hints {
+            hint.set(NO_HINT);
         }
+        self.hints[page as usize % HINTS].set((page, i));
+        i
     }
 
     /// Whether the granule containing `addr` is tainted.
@@ -75,16 +111,7 @@ impl TaintSet {
         let (page, word, mask) = Self::split(addr);
         let i = match self.page_slot(page) {
             Some(i) => i,
-            None => {
-                let i = self
-                    .pages
-                    .binary_search_by_key(&page, |(p, _)| *p)
-                    .unwrap_err();
-                self.pages
-                    .insert(i, (page, Box::new([0u64; WORDS_PER_PAGE])));
-                self.hint.set(i);
-                i
-            }
+            None => self.insert_page(page),
         };
         self.pages[i].1[word] |= mask;
     }

@@ -49,6 +49,7 @@ impl AluOp {
     /// All operations are total: shifts and rotates mask the shift amount,
     /// arithmetic wraps. This keeps the functional executor free of
     /// data-dependent faults, as expected from constant-time code.
+    #[inline]
     pub fn apply(self, a: u64, b: u64) -> u64 {
         match self {
             AluOp::Add => a.wrapping_add(b),
@@ -69,6 +70,7 @@ impl AluOp {
     }
 
     /// Execution latency of the operation in cycles, used by the timing model.
+    #[inline]
     pub fn latency(self) -> u64 {
         match self {
             AluOp::Mul | AluOp::Mulhu => 3,
@@ -118,6 +120,7 @@ pub enum BranchCond {
 
 impl BranchCond {
     /// Evaluates the branch condition on two operand values.
+    #[inline]
     pub fn eval(self, a: u64, b: u64) -> bool {
         match self {
             BranchCond::Eq => a == b,

@@ -5,11 +5,12 @@
 //! accesses are little-endian.
 //!
 //! The page table is a `Vec` sorted by page index rather than a hash map:
-//! kernels touch a handful of pages with strong locality, so a last-page
-//! hint makes the common same-page access a single bounds check, and the
-//! fallback is a binary search over a few cache-resident entries instead of
-//! hashing the address on every byte. All multi-byte accessors copy through
-//! fixed stack buffers — nothing on the read path allocates.
+//! kernels touch a handful of pages with strong locality. A 16-entry hint,
+//! direct-mapped by the low page bits, remembers where recently touched
+//! pages sit in the table, so the stack and table pages a kernel
+//! alternates between each stay one compare away; only a hint miss pays
+//! the binary search. All multi-byte accessors copy through fixed stack
+//! buffers — nothing on the read path allocates.
 
 use crate::instr::MemWidth;
 use std::cell::Cell;
@@ -32,14 +33,32 @@ pub const PAGE_SIZE: u64 = 4096;
 /// assert_eq!(mem.read_u8(0x1000), 0x0d); // little endian
 /// assert_eq!(mem.read_u64(0x9999), 0);
 /// ```
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct Memory {
     /// Allocated pages, sorted by page index.
     pages: Vec<(u64, Box<[u8; PAGE_SIZE as usize]>)>,
-    /// Index into `pages` of the most recently touched page. Pure cache:
-    /// never observable, hence interior-mutable behind `&self` reads and
-    /// excluded from equality.
-    hint: Cell<usize>,
+    /// `(page, index into pages or ABSENT)` of recently touched pages, slot
+    /// `page % HINTS`. Pure cache: never observable, hence
+    /// interior-mutable behind `&self` reads and excluded from equality.
+    hints: [Cell<(u64, usize)>; HINTS],
+}
+
+/// Entries of the page hint (a power of two).
+const HINTS: usize = 16;
+
+/// A hint slot that matches no page (page indices are `addr / PAGE_SIZE`).
+const NO_HINT: (u64, usize) = (u64::MAX, 0);
+
+/// The index a hint slot records for a page that is not allocated.
+const ABSENT: usize = usize::MAX;
+
+impl Default for Memory {
+    fn default() -> Self {
+        Memory {
+            pages: Vec::new(),
+            hints: std::array::from_fn(|_| Cell::new(NO_HINT)),
+        }
+    }
 }
 
 impl PartialEq for Memory {
@@ -62,23 +81,41 @@ impl Memory {
         self.pages.len()
     }
 
-    /// Index of `page` in the sorted table, trying the last-used hint
+    /// Index of `page` in the sorted table, trying the page's hint slot
     /// before falling back to binary search.
     #[inline]
     fn page_slot(&self, page: u64) -> Option<usize> {
-        let hint = self.hint.get();
-        if let Some((p, _)) = self.pages.get(hint) {
-            if *p == page {
-                return Some(hint);
-            }
+        let (p, i) = self.hints[page as usize % HINTS].get();
+        if p == page {
+            return (i != ABSENT).then_some(i);
         }
-        match self.pages.binary_search_by_key(&page, |(p, _)| *p) {
-            Ok(i) => {
-                self.hint.set(i);
-                Some(i)
-            }
-            Err(_) => None,
+        self.search_page(page)
+    }
+
+    /// The hint-miss half of [`Memory::page_slot`]: a binary search whose
+    /// answer, found or [`ABSENT`], is remembered in the page's hint slot.
+    #[inline(never)]
+    fn search_page(&self, page: u64) -> Option<usize> {
+        let found = self.pages.binary_search_by_key(&page, |(p, _)| *p).ok();
+        self.hints[page as usize % HINTS].set((page, found.unwrap_or(ABSENT)));
+        found
+    }
+
+    /// Allocates the absent `page` (zeroed) and returns its index.
+    #[inline(never)]
+    fn insert_page(&mut self, page: u64) -> usize {
+        let i = self
+            .pages
+            .binary_search_by_key(&page, |(p, _)| *p)
+            .unwrap_err();
+        self.pages
+            .insert(i, (page, Box::new([0u8; PAGE_SIZE as usize])));
+        // Every page at or after `i` moved up one slot.
+        for hint in &self.hints {
+            hint.set(NO_HINT);
         }
+        self.hints[page as usize % HINTS].set((page, i));
+        i
     }
 
     /// The backing array of `page`, if allocated.
@@ -88,19 +125,11 @@ impl Memory {
     }
 
     /// The backing array of `page`, allocating a zeroed page on first write.
+    #[inline]
     fn page_mut(&mut self, page: u64) -> &mut [u8; PAGE_SIZE as usize] {
         let i = match self.page_slot(page) {
             Some(i) => i,
-            None => {
-                let i = self
-                    .pages
-                    .binary_search_by_key(&page, |(p, _)| *p)
-                    .unwrap_err();
-                self.pages
-                    .insert(i, (page, Box::new([0u8; PAGE_SIZE as usize])));
-                self.hint.set(i);
-                i
-            }
+            None => self.insert_page(page),
         };
         &mut self.pages[i].1
     }
