@@ -191,6 +191,7 @@ impl Cache {
     /// The set-scan half of [`Cache::access`]: finds `line` in its set (a
     /// hit) or replaces the set's least recently used way with it (a miss),
     /// allocating the set's ways on first touch.
+    #[cold]
     #[inline(never)]
     fn access_set(&mut self, line: u64) -> bool {
         let set = self.set_of(line);
@@ -317,6 +318,7 @@ impl CacheHierarchy {
 
     /// The L2/L3/memory walk after an L1 miss, kept out of line so the L1
     /// hit path stays small where it is inlined.
+    #[cold]
     #[inline(never)]
     fn lower_levels(&mut self, addr: u64, l1_latency: u64) -> u64 {
         if self.l2.access(addr) {

@@ -361,6 +361,43 @@ struct Step {
     dispatch: u64,
 }
 
+/// A control-flow instruction the inner loop has executed, waiting for the
+/// frontend to resolve it: its event, fetch cycle and resolve cycle.
+#[derive(Debug, Clone, Copy)]
+struct Branch {
+    event: BranchEvent,
+    fetch_cycle: u64,
+    resolve: u64,
+}
+
+impl Branch {
+    /// A taken branch of `kind` at `at` to `actual_target`, resolving at
+    /// `resolve`, with no decode-time target.
+    #[inline(always)]
+    fn new(d: &Decoded, at: Step, kind: BranchKind, actual_target: usize, resolve: u64) -> Self {
+        Branch {
+            event: BranchEvent {
+                pc: at.pc,
+                kind,
+                taken: true,
+                actual_target,
+                direct_target: None,
+                fallthrough: at.pc + 1,
+                is_crypto: d.is_crypto,
+            },
+            fetch_cycle: at.fetch_cycle,
+            resolve,
+        }
+    }
+
+    /// The same branch with its decode-time target.
+    #[inline(always)]
+    fn direct(mut self, target: usize) -> Self {
+        self.event.direct_target = Some(target);
+        self
+    }
+}
+
 #[derive(Debug, Clone, Copy, Default)]
 struct InflightStore {
     granule: u64,
@@ -823,11 +860,17 @@ impl<'p> Simulator<'p> {
     /// the program halts.
     ///
     /// The PC, the commit count and the [`Clock`] stay in locals for the
-    /// whole loop and the decoded text and ROB ring are moved out of `self`
+    /// whole run, and the decoded text and ROB ring are moved out of `self`
     /// for its duration, so the per-instruction state never round-trips
-    /// through the simulator. Each `Op` arm computes its own operand
-    /// readiness, defense delay, latency and functional effect; the ALU
-    /// operation, width or condition is a constant in its arm.
+    /// through the simulator. The loop is a nest: the inner loop runs the
+    /// straight-line stretch up to and including the next control-flow
+    /// instruction, whose arm executes it and leaves with its
+    /// [`BranchEvent`]; the outer loop resolves that branch — the one hot
+    /// call, into the frontend — and commits it. With no hot call left in
+    /// the inner loop, the host keeps the clock in registers there. Each
+    /// `Op` arm computes its own operand readiness, defense delay, latency
+    /// and functional effect; the ALU operation, width or condition is a
+    /// constant in its arm.
     fn run_until(&mut self, limit: u64) -> Result<(), IsaError> {
         let mut limit = if self.halted {
             self.stats.committed_instructions
@@ -839,208 +882,116 @@ impl<'p> Simulator<'p> {
         let mut clock = self.clock;
         let mut pc = self.pc;
         let mut committed = self.stats.committed_instructions;
-        let frontend_depth = self.config.frontend_depth;
-        let commit_width = self.config.commit_width;
 
-        let result = loop {
-            if committed >= limit {
-                break Ok(());
-            }
-            let Some(d) = decoded.get(pc) else {
-                break Err(IsaError::PcOutOfRange {
+        let result = 'run: loop {
+            let branch = loop {
+                if committed >= limit {
+                    break 'run Ok(());
+                }
+                let Some(d) = decoded.get(pc) else {
+                    break 'run Err(IsaError::PcOutOfRange {
+                        pc,
+                        len: decoded.len(),
+                    });
+                };
+                let fetch_cycle = self.fetch(&mut clock, pc);
+                // Dispatch is limited by the frontend depth and ROB
+                // occupancy: the slot about to be overwritten holds the
+                // commit cycle of the instruction `rob_entries` back (0
+                // while the window fills).
+                let dispatch = (fetch_cycle + self.config.frontend_depth).max(rob[clock.rob_head]);
+                let at = Step {
                     pc,
-                    len: decoded.len(),
-                });
-            };
-            let fetch_cycle = self.fetch(&mut clock, pc);
-            // Dispatch is limited by the frontend depth and ROB occupancy:
-            // the slot about to be overwritten holds the commit cycle of the
-            // instruction `rob_entries` back (0 while the window fills).
-            let dispatch = (fetch_cycle + frontend_depth).max(rob[clock.rob_head]);
-            let at = Step {
-                pc,
-                fetch_cycle,
-                dispatch,
-            };
-            let mut next_pc = pc + 1;
-            let complete = match d.op {
-                Op::Add => self.alu(&clock, d, at, AluOp::Add),
-                Op::Sub => self.alu(&clock, d, at, AluOp::Sub),
-                Op::And => self.alu(&clock, d, at, AluOp::And),
-                Op::Or => self.alu(&clock, d, at, AluOp::Or),
-                Op::Xor => self.alu(&clock, d, at, AluOp::Xor),
-                Op::Sll => self.alu(&clock, d, at, AluOp::Sll),
-                Op::Srl => self.alu(&clock, d, at, AluOp::Srl),
-                Op::Sra => self.alu(&clock, d, at, AluOp::Sra),
-                Op::Rotl => self.alu(&clock, d, at, AluOp::Rotl),
-                Op::Rotr => self.alu(&clock, d, at, AluOp::Rotr),
-                Op::Mul => self.alu(&clock, d, at, AluOp::Mul),
-                Op::Mulhu => self.alu(&clock, d, at, AluOp::Mulhu),
-                Op::Slt => self.alu(&clock, d, at, AluOp::Slt),
-                Op::Sltu => self.alu(&clock, d, at, AluOp::Sltu),
-                Op::LoadImm => {
-                    let complete = self.issue_at(&clock, dispatch, 0, false, false) + 1;
-                    self.write_rd(d, d.imm, false, complete);
-                    complete
-                }
-                Op::Declassify => {
-                    let rs1 = d.rs1 as usize;
-                    let ready = self.reg_ready[rs1];
-                    let tainted = self.reg_taint[rs1];
-                    let complete = self.issue_at(&clock, dispatch, ready, false, tainted) + 1;
-                    self.write_rd(d, self.regs[rs1], false, complete);
-                    complete
-                }
-                Op::LoadByte => self.load(&clock, d, at, MemWidth::Byte),
-                Op::LoadWord => self.load(&clock, d, at, MemWidth::Word),
-                Op::LoadDouble => self.load(&clock, d, at, MemWidth::Double),
-                Op::StoreByte => self.store(&clock, d, at, MemWidth::Byte),
-                Op::StoreWord => self.store(&clock, d, at, MemWidth::Word),
-                Op::StoreDouble => self.store(&clock, d, at, MemWidth::Double),
-                Op::Beq => self.cond_branch(&mut clock, d, at, BranchCond::Eq, &mut next_pc),
-                Op::Bne => self.cond_branch(&mut clock, d, at, BranchCond::Ne, &mut next_pc),
-                Op::Blt => self.cond_branch(&mut clock, d, at, BranchCond::Lt, &mut next_pc),
-                Op::Bge => self.cond_branch(&mut clock, d, at, BranchCond::Ge, &mut next_pc),
-                Op::Bltu => self.cond_branch(&mut clock, d, at, BranchCond::Ltu, &mut next_pc),
-                Op::Bgeu => self.cond_branch(&mut clock, d, at, BranchCond::Geu, &mut next_pc),
-                Op::Jump => {
-                    let complete = self.issue_at(&clock, dispatch, 0, true, false)
-                        + self.config.branch_resolve_latency;
-                    next_pc = d.imm as usize;
-                    let target = Some(next_pc);
-                    self.branch(
-                        &mut clock,
-                        d,
-                        at,
-                        BranchKind::UncondDirect,
-                        true,
-                        next_pc,
-                        target,
-                        complete,
-                    );
-                    complete
-                }
-                Op::JumpIndirect => {
-                    let rs1 = d.rs1 as usize;
-                    let ready = self.reg_ready[rs1];
-                    let tainted = self.reg_taint[rs1];
-                    let complete = self.issue_at(&clock, dispatch, ready, true, tainted)
-                        + self.config.branch_resolve_latency;
-                    next_pc = self.regs[rs1] as usize;
-                    self.branch(
-                        &mut clock,
-                        d,
-                        at,
-                        BranchKind::Indirect,
-                        true,
-                        next_pc,
-                        None,
-                        complete,
-                    );
-                    complete
-                }
-                Op::Call | Op::CallIndirect => {
-                    let indirect = d.op == Op::CallIndirect;
-                    let rs1 = d.rs1 as usize;
-                    let (ready, tainted) = if indirect {
-                        (
-                            self.reg_ready[rs1].max(self.reg_ready[SP.index()]),
-                            self.reg_taint[rs1],
-                        )
-                    } else {
-                        (self.reg_ready[SP.index()], false)
-                    };
-                    let complete = self.issue_at(&clock, dispatch, ready, true, tainted)
-                        + self.config.branch_resolve_latency;
-                    // The target is read before SP moves (`callr sp`).
-                    next_pc = if indirect {
-                        self.regs[rs1] as usize
-                    } else {
-                        d.imm as usize
-                    };
-                    let sp = self.regs[SP.index()].wrapping_sub(8);
-                    self.set_reg(SP, sp, false);
-                    self.mem.write_u64(sp, (pc + 1) as u64);
-                    self.call_depth += 1;
-                    self.record_store(sp, complete);
-                    let timing_sp = self.salted(sp);
-                    let _ = self.caches.access_data(timing_sp);
-                    self.architectural_accesses.push(sp);
-                    self.reg_ready[SP.index()] = complete;
-                    let (kind, direct) = if indirect {
-                        (BranchKind::CallIndirect, None)
-                    } else {
-                        (BranchKind::Call, Some(next_pc))
-                    };
-                    self.branch(&mut clock, d, at, kind, true, next_pc, direct, complete);
-                    complete
-                }
-                Op::Ret => {
-                    if self.call_depth == 0 {
-                        break Err(IsaError::ReturnWithoutCall { pc });
+                    fetch_cycle,
+                    dispatch,
+                };
+                let complete = match d.op {
+                    Op::Add => self.alu(&clock, d, at, AluOp::Add),
+                    Op::Sub => self.alu(&clock, d, at, AluOp::Sub),
+                    Op::And => self.alu(&clock, d, at, AluOp::And),
+                    Op::Or => self.alu(&clock, d, at, AluOp::Or),
+                    Op::Xor => self.alu(&clock, d, at, AluOp::Xor),
+                    Op::Sll => self.alu(&clock, d, at, AluOp::Sll),
+                    Op::Srl => self.alu(&clock, d, at, AluOp::Srl),
+                    Op::Sra => self.alu(&clock, d, at, AluOp::Sra),
+                    Op::Rotl => self.alu(&clock, d, at, AluOp::Rotl),
+                    Op::Rotr => self.alu(&clock, d, at, AluOp::Rotr),
+                    Op::Mul => self.alu(&clock, d, at, AluOp::Mul),
+                    Op::Mulhu => self.alu(&clock, d, at, AluOp::Mulhu),
+                    Op::Slt => self.alu(&clock, d, at, AluOp::Slt),
+                    Op::Sltu => self.alu(&clock, d, at, AluOp::Sltu),
+                    Op::LoadImm => {
+                        let complete = self.issue_at(&clock, dispatch, 0, false, false) + 1;
+                        self.write_rd(d, d.imm, false, complete);
+                        complete
                     }
-                    let ready = self.reg_ready[SP.index()];
-                    let start = self.issue_at(&clock, dispatch, ready, true, false);
-                    self.call_depth -= 1;
-                    let sp = self.regs[SP.index()];
-                    next_pc = self.mem.read_u64(sp) as usize;
-                    self.set_reg(SP, sp.wrapping_add(8), false);
-                    let complete =
-                        (start + self.config.branch_resolve_latency).max(self.time_load(start, sp));
-                    self.reg_ready[SP.index()] = complete;
-                    self.architectural_accesses.push(sp);
-                    self.branch(
-                        &mut clock,
-                        d,
-                        at,
-                        BranchKind::Return,
-                        true,
-                        next_pc,
-                        None,
-                        complete,
-                    );
-                    complete
-                }
-                Op::Nop => self.issue_at(&clock, dispatch, 0, false, false) + 1,
-                Op::Halt => {
-                    // The run ends once the `halt` commits.
-                    self.halted = true;
-                    limit = committed + 1;
-                    self.issue_at(&clock, dispatch, 0, false, false) + 1
-                }
+                    Op::Declassify => {
+                        let rs1 = d.rs1 as usize;
+                        let ready = self.reg_ready[rs1];
+                        let tainted = self.reg_taint[rs1];
+                        let complete = self.issue_at(&clock, dispatch, ready, false, tainted) + 1;
+                        self.write_rd(d, self.regs[rs1], false, complete);
+                        complete
+                    }
+                    Op::LoadByte => self.load(&clock, d, at, MemWidth::Byte),
+                    Op::LoadWord => self.load(&clock, d, at, MemWidth::Word),
+                    Op::LoadDouble => self.load(&clock, d, at, MemWidth::Double),
+                    Op::StoreByte => self.store(&clock, d, at, MemWidth::Byte),
+                    Op::StoreWord => self.store(&clock, d, at, MemWidth::Word),
+                    Op::StoreDouble => self.store(&clock, d, at, MemWidth::Double),
+                    Op::Nop => self.issue_at(&clock, dispatch, 0, false, false) + 1,
+                    Op::Halt => {
+                        // The run ends once the `halt` commits.
+                        self.halted = true;
+                        limit = committed + 1;
+                        self.issue_at(&clock, dispatch, 0, false, false) + 1
+                    }
+                    Op::Beq => break self.cond_branch(&clock, d, at, BranchCond::Eq),
+                    Op::Bne => break self.cond_branch(&clock, d, at, BranchCond::Ne),
+                    Op::Blt => break self.cond_branch(&clock, d, at, BranchCond::Lt),
+                    Op::Bge => break self.cond_branch(&clock, d, at, BranchCond::Ge),
+                    Op::Bltu => break self.cond_branch(&clock, d, at, BranchCond::Ltu),
+                    Op::Bgeu => break self.cond_branch(&clock, d, at, BranchCond::Geu),
+                    Op::Jump => {
+                        let complete = self.issue_at(&clock, dispatch, 0, true, false)
+                            + self.config.branch_resolve_latency;
+                        let target = d.imm as usize;
+                        break Branch::new(d, at, BranchKind::UncondDirect, target, complete)
+                            .direct(target);
+                    }
+                    Op::JumpIndirect => {
+                        let rs1 = d.rs1 as usize;
+                        let ready = self.reg_ready[rs1];
+                        let tainted = self.reg_taint[rs1];
+                        let complete = self.issue_at(&clock, dispatch, ready, true, tainted)
+                            + self.config.branch_resolve_latency;
+                        let target = self.regs[rs1] as usize;
+                        break Branch::new(d, at, BranchKind::Indirect, target, complete);
+                    }
+                    Op::Call => break self.call(&clock, d, at, false),
+                    Op::CallIndirect => break self.call(&clock, d, at, true),
+                    Op::Ret => {
+                        if self.call_depth == 0 {
+                            break 'run Err(IsaError::ReturnWithoutCall { pc });
+                        }
+                        break self.ret(&clock, d, at);
+                    }
+                };
+                self.commit(&mut clock, &mut rob, &mut committed, complete);
+                pc += 1;
             };
 
-            // In-order commit with commit-width constraint. Written with
-            // conditional moves rather than an if/else ladder: whether an
-            // instruction advances the commit cycle alternates
-            // data-dependently, which made this branch a steady source of
-            // host mispredictions.
-            let proposed = complete + 1;
-            let advanced = proposed > clock.commit_cycle;
-            let width_full = !advanced && clock.commits_in_cycle >= commit_width;
-            clock.commit_cycle = if advanced {
-                proposed
-            } else {
-                clock.commit_cycle + u64::from(width_full)
-            };
-            clock.commits_in_cycle = if advanced || width_full {
-                1
-            } else {
-                clock.commits_in_cycle + 1
-            };
-            rob[clock.rob_head] = clock.commit_cycle;
-            clock.rob_head += 1;
-            if clock.rob_head == rob.len() {
-                clock.rob_head = 0;
+            let (redirect, opens_window) =
+                self.resolve_branch(&branch.event, branch.fetch_cycle, branch.resolve);
+            if redirect > clock.fetch_cycle {
+                clock.fetch_cycle = redirect;
+                clock.fetch_slots_used = 0;
             }
-            committed += 1;
-
-            // Periodic context-switch experiment (Q4).
-            if committed == clock.next_switch {
-                clock.next_switch += self.config.btu_flush_interval;
-                self.periodic_switch();
+            if opens_window {
+                clock.older_branches_resolved = clock.older_branches_resolved.max(branch.resolve);
             }
-            pc = next_pc;
+            self.commit(&mut clock, &mut rob, &mut committed, branch.resolve);
+            pc = branch.event.actual_target;
         };
 
         self.decoded = decoded;
@@ -1049,6 +1000,40 @@ impl<'p> Simulator<'p> {
         self.pc = pc;
         self.stats.committed_instructions = committed;
         result
+    }
+
+    /// In-order commit of an instruction that completes at `complete`, under
+    /// the commit-width constraint, and the periodic BTU switch it may
+    /// trigger.
+    ///
+    /// Written with conditional moves rather than an if/else ladder: whether
+    /// an instruction advances the commit cycle alternates data-dependently,
+    /// which made this branch a steady source of host mispredictions.
+    #[inline(always)]
+    fn commit(&mut self, clock: &mut Clock, rob: &mut [u64], committed: &mut u64, complete: u64) {
+        let proposed = complete + 1;
+        let advanced = proposed > clock.commit_cycle;
+        let width_full = !advanced && clock.commits_in_cycle >= self.config.commit_width;
+        clock.commit_cycle = if advanced {
+            proposed
+        } else {
+            clock.commit_cycle + u64::from(width_full)
+        };
+        clock.commits_in_cycle = if advanced || width_full {
+            1
+        } else {
+            clock.commits_in_cycle + 1
+        };
+        rob[clock.rob_head] = clock.commit_cycle;
+        clock.rob_head += 1;
+        if clock.rob_head == rob.len() {
+            clock.rob_head = 0;
+        }
+        *committed += 1;
+        if *committed == clock.next_switch {
+            clock.next_switch += self.config.btu_flush_interval;
+            self.periodic_switch();
+        }
     }
 
     /// A register-register or register-immediate ALU operation; `op` is a
@@ -1105,14 +1090,7 @@ impl<'p> Simulator<'p> {
 
     /// A conditional direct branch; `cond` is a constant at every call site.
     #[inline(always)]
-    fn cond_branch(
-        &mut self,
-        clock: &mut Clock,
-        d: &Decoded,
-        at: Step,
-        cond: BranchCond,
-        next_pc: &mut usize,
-    ) -> u64 {
+    fn cond_branch(&mut self, clock: &Clock, d: &Decoded, at: Step, cond: BranchCond) -> Branch {
         let (rs1, rs2) = (d.rs1 as usize, d.rs2 as usize);
         let ready = self.reg_ready[rs1].max(self.reg_ready[rs2]);
         let tainted = self.reg_taint[rs1] | self.reg_taint[rs2];
@@ -1120,53 +1098,61 @@ impl<'p> Simulator<'p> {
             + self.config.branch_resolve_latency;
         let taken = cond.eval(self.regs[rs1], self.regs[rs2]);
         let target = d.imm as usize;
-        *next_pc = if taken { target } else { at.pc + 1 };
-        self.branch(
-            clock,
-            d,
-            at,
-            BranchKind::CondDirect,
-            taken,
-            *next_pc,
-            Some(target),
-            complete,
-        );
-        complete
+        let next_pc = if taken { target } else { at.pc + 1 };
+        let mut branch =
+            Branch::new(d, at, BranchKind::CondDirect, next_pc, complete).direct(target);
+        branch.event.taken = taken;
+        branch
     }
 
-    /// Hands a committed branch to [`Self::resolve_branch`] and applies the
-    /// verdict to the clock: a fetch redirect and, for a branch that keeps
-    /// younger instructions speculative, the speculation-window bound.
-    #[allow(clippy::too_many_arguments)]
+    /// A direct or indirect call: pushes the return address.
     #[inline(always)]
-    fn branch(
-        &mut self,
-        clock: &mut Clock,
-        d: &Decoded,
-        at: Step,
-        kind: BranchKind,
-        taken: bool,
-        actual_target: usize,
-        direct_target: Option<usize>,
-        resolve: u64,
-    ) {
-        let event = BranchEvent {
-            pc: at.pc,
-            kind,
-            taken,
-            actual_target,
-            direct_target,
-            fallthrough: at.pc + 1,
-            is_crypto: d.is_crypto,
+    fn call(&mut self, clock: &Clock, d: &Decoded, at: Step, indirect: bool) -> Branch {
+        let rs1 = d.rs1 as usize;
+        let sp_ready = self.reg_ready[SP.index()];
+        let (ready, tainted) = if indirect {
+            (self.reg_ready[rs1].max(sp_ready), self.reg_taint[rs1])
+        } else {
+            (sp_ready, false)
         };
-        let (redirect, opens_window) = self.resolve_branch(&event, at.fetch_cycle, resolve);
-        if redirect > clock.fetch_cycle {
-            clock.fetch_cycle = redirect;
-            clock.fetch_slots_used = 0;
+        let complete = self.issue_at(clock, at.dispatch, ready, true, tainted)
+            + self.config.branch_resolve_latency;
+        // The target is read before SP moves (`callr sp`).
+        let target = if indirect {
+            self.regs[rs1] as usize
+        } else {
+            d.imm as usize
+        };
+        let sp = self.regs[SP.index()].wrapping_sub(8);
+        self.set_reg(SP, sp, false);
+        self.mem.write_u64(sp, (at.pc + 1) as u64);
+        self.call_depth += 1;
+        self.record_store(sp, complete);
+        let timing_sp = self.salted(sp);
+        let _ = self.caches.access_data(timing_sp);
+        self.architectural_accesses.push(sp);
+        self.reg_ready[SP.index()] = complete;
+        if indirect {
+            Branch::new(d, at, BranchKind::CallIndirect, target, complete)
+        } else {
+            Branch::new(d, at, BranchKind::Call, target, complete).direct(target)
         }
-        if opens_window {
-            clock.older_branches_resolved = clock.older_branches_resolved.max(resolve);
-        }
+    }
+
+    /// A return (the caller has checked the call depth): pops the return
+    /// address.
+    #[inline(always)]
+    fn ret(&mut self, clock: &Clock, d: &Decoded, at: Step) -> Branch {
+        let ready = self.reg_ready[SP.index()];
+        let start = self.issue_at(clock, at.dispatch, ready, true, false);
+        self.call_depth -= 1;
+        let sp = self.regs[SP.index()];
+        let target = self.mem.read_u64(sp) as usize;
+        self.set_reg(SP, sp.wrapping_add(8), false);
+        let complete = (start + self.config.branch_resolve_latency).max(self.time_load(start, sp));
+        self.reg_ready[SP.index()] = complete;
+        self.architectural_accesses.push(sp);
+        Branch::new(d, at, BranchKind::Return, target, complete)
     }
 
     /// Store-to-load forwarding / memory timing for a load starting at
@@ -1253,6 +1239,7 @@ impl<'p> Simulator<'p> {
     /// One periodic context switch of the Q4 experiment: price it either as
     /// a whole-unit flush (the paper's model) or as a BTU partition
     /// reassignment rotating through `btu_switch_contexts` applications.
+    #[cold]
     #[inline(never)]
     fn periodic_switch(&mut self) {
         if self.config.btu_switch_contexts > 0 {

@@ -94,6 +94,7 @@ impl Memory {
 
     /// The hint-miss half of [`Memory::page_slot`]: a binary search whose
     /// answer, found or [`ABSENT`], is remembered in the page's hint slot.
+    #[cold]
     #[inline(never)]
     fn search_page(&self, page: u64) -> Option<usize> {
         let found = self.pages.binary_search_by_key(&page, |(p, _)| *p).ok();
@@ -102,6 +103,7 @@ impl Memory {
     }
 
     /// Allocates the absent `page` (zeroed) and returns its index.
+    #[cold]
     #[inline(never)]
     fn insert_page(&mut self, page: u64) -> usize {
         let i = self
