@@ -108,17 +108,58 @@ pub struct GridSpec {
     pub redirect_penalties: Vec<u64>,
 }
 
+/// Largest accepted `btu_partitions` axis value. The BTU allocates one
+/// partition per value, so an unbounded count is an unbounded allocation.
+pub const MAX_GRID_BTU_PARTITIONS: usize = 64;
+
+/// Largest accepted `btu_entries` axis value (the paper's unit has 16).
+pub const MAX_GRID_BTU_ENTRIES: usize = 4096;
+
+/// Largest accepted `miss_penalties` or `redirect_penalties` axis value, in
+/// cycles. The timing model adds a penalty to a cycle count per branch, so
+/// a value near `u64::MAX` would overflow it.
+pub const MAX_GRID_PENALTY: u64 = 1_000_000;
+
+/// The first value of `values` above `max`, as an error naming the axis.
+fn check_axis<T: Copy + PartialOrd + std::fmt::Display>(
+    axis: &str,
+    values: &[T],
+    max: T,
+) -> Result<(), String> {
+    match values.iter().find(|&&v| v > max) {
+        Some(v) => Err(format!(
+            "GridSweep {axis} value {v} is above the limit of {max}"
+        )),
+        None => Ok(()),
+    }
+}
+
 impl GridSpec {
-    /// Parses the defense labels and builds the typed grid.
+    /// Parses the defense labels, checks every axis value against its limit
+    /// and builds the typed grid.
     ///
     /// # Errors
     ///
-    /// Returns a human-readable message for an empty defense list or an
-    /// unknown label.
+    /// Returns a human-readable message for an empty defense list, an
+    /// unknown label or an axis value above its limit
+    /// ([`MAX_GRID_BTU_PARTITIONS`], [`MAX_GRID_BTU_ENTRIES`],
+    /// [`MAX_GRID_PENALTY`]).
     pub fn to_grid(&self) -> Result<GridSweep, String> {
         if self.defenses.is_empty() {
             return Err("GridSweep requires at least one defense label".to_string());
         }
+        check_axis(
+            "btu_partitions",
+            &self.btu_partitions,
+            MAX_GRID_BTU_PARTITIONS,
+        )?;
+        check_axis("btu_entries", &self.btu_entries, MAX_GRID_BTU_ENTRIES)?;
+        check_axis("miss_penalties", &self.miss_penalties, MAX_GRID_PENALTY)?;
+        check_axis(
+            "redirect_penalties",
+            &self.redirect_penalties,
+            MAX_GRID_PENALTY,
+        )?;
         let defenses: Vec<DefenseMode> = self
             .defenses
             .iter()
@@ -570,6 +611,46 @@ mod tests {
             ..empty
         };
         assert!(unknown.to_grid().unwrap_err().contains("NotADefense"));
+    }
+
+    #[test]
+    fn grid_spec_bounds_every_limited_axis() {
+        let at_limits = GridSpec {
+            defenses: vec!["Cassandra".to_string()],
+            tournament_thresholds: vec![u32::MAX],
+            btu_partitions: vec![MAX_GRID_BTU_PARTITIONS],
+            btu_entries: vec![MAX_GRID_BTU_ENTRIES],
+            miss_penalties: vec![MAX_GRID_PENALTY],
+            redirect_penalties: vec![MAX_GRID_PENALTY],
+        };
+        assert!(at_limits.to_grid().is_ok());
+        let over = [
+            GridSpec {
+                btu_partitions: vec![2, MAX_GRID_BTU_PARTITIONS + 1],
+                ..at_limits.clone()
+            },
+            GridSpec {
+                btu_entries: vec![MAX_GRID_BTU_ENTRIES + 1],
+                ..at_limits.clone()
+            },
+            GridSpec {
+                miss_penalties: vec![MAX_GRID_PENALTY + 1],
+                ..at_limits.clone()
+            },
+            GridSpec {
+                redirect_penalties: vec![u64::MAX],
+                ..at_limits.clone()
+            },
+        ];
+        for (spec, axis) in over.iter().zip([
+            "btu_partitions",
+            "btu_entries",
+            "miss_penalties",
+            "redirect_penalties",
+        ]) {
+            let message = spec.to_grid().unwrap_err();
+            assert!(message.contains(axis), "{message}");
+        }
     }
 
     #[test]

@@ -345,6 +345,68 @@ fn malformed_requests_get_an_error_envelope_and_the_connection_survives() {
 }
 
 #[test]
+fn out_of_range_grid_values_get_an_error_and_the_connection_survives() {
+    let (_handle, mut client) = start();
+    submit_quick_pair(&mut client);
+    let registered = client.request(&Request::ListPolicies).unwrap();
+    let grid = |defense: &str| GridSpec {
+        defenses: vec![defense.to_string()],
+        tournament_thresholds: Vec::new(),
+        btu_partitions: Vec::new(),
+        btu_entries: Vec::new(),
+        miss_penalties: Vec::new(),
+        redirect_penalties: Vec::new(),
+    };
+    // Each value once aborted the process (a 2^40-partition BTU) or
+    // overflowed a cycle count (a penalty of u64::MAX).
+    let hostile = [
+        GridSpec {
+            btu_partitions: vec![1 << 40],
+            ..grid("Cassandra-part")
+        },
+        GridSpec {
+            btu_entries: vec![usize::MAX],
+            ..grid("Cassandra")
+        },
+        GridSpec {
+            btu_entries: vec![0],
+            miss_penalties: vec![u64::MAX],
+            ..grid("Cassandra")
+        },
+        GridSpec {
+            redirect_penalties: vec![u64::MAX],
+            ..grid("UnsafeBaseline")
+        },
+    ];
+    for (spec, axis) in hostile.into_iter().zip([
+        "btu_partitions",
+        "btu_entries",
+        "miss_penalties",
+        "redirect_penalties",
+    ]) {
+        let responses = client
+            .request(&Request::GridSweep {
+                workloads: Vec::new(),
+                grid: spec,
+            })
+            .unwrap();
+        assert!(
+            matches!(&responses[..], [Response::Error { message }] if message.contains(axis)),
+            "{responses:?}"
+        );
+        let responses = client.request(&Request::Ping).unwrap();
+        assert_eq!(
+            responses,
+            [Response::Pong {
+                protocol: PROTOCOL_VERSION
+            }]
+        );
+    }
+    // Nothing was registered for the rejected grids.
+    assert_eq!(client.request(&Request::ListPolicies).unwrap(), registered);
+}
+
+#[test]
 fn two_clients_share_one_session() {
     let (handle, mut first) = start();
     submit_quick_pair(&mut first);
