@@ -1,4 +1,17 @@
 //! Set-associative cache model and the four-level hierarchy of Table 3.
+//!
+//! Replacement is exact LRU, kept as a last-use stamp per way rather than
+//! as an ordered list: an access takes the next value of a per-cache
+//! counter, a hit writes it into its way, and a miss replaces the way with
+//! the smallest stamp (an empty way has stamp 0 and goes first). A repeat
+//! of the most recently used line already holds the newest stamp and
+//! takes none. The
+//! victim is therefore always the least recently used line, as with a
+//! most-recent-last list, but a hit moves nothing. A hit on the most
+//! recently used line or through the line → way memo is inline at every
+//! call site; the set scan is out of line, as is the L2/L3/memory walk
+//! after an L1 miss. `tests/cache_lru_differential.rs` checks every level
+//! and the hierarchy against an ordered-list reference.
 
 use crate::config::{CacheConfig, CpuConfig};
 use serde::{Deserialize, Serialize};
@@ -43,11 +56,11 @@ const MEMO_ENTRIES: usize = 1024;
 /// hardware division.
 ///
 /// LRU order is kept as a last-use *stamp* per way, taken from a per-cache
-/// counter that every access advances: the least recently used line of a
-/// set is the way with the smallest stamp, and an empty way (stamp 0) loses
-/// to every resident line. A hit writes one stamp instead of shifting the
-/// set, and only a miss scans the set for its victim. This is exactly the
-/// order a most-recent-last list would keep.
+/// counter: the least recently used line of a set is the way with the
+/// smallest stamp, and an empty way (stamp 0) is chosen before any resident
+/// line. A hit writes one stamp instead of shifting the set, and only a
+/// miss scans the set for its victim. This is exactly the order a
+/// most-recent-last list would keep.
 ///
 /// Two fast paths sit in front of the set scan. `mru_line` is the most
 /// recently accessed line: re-accessing it is a guaranteed hit whose stamp
@@ -166,7 +179,7 @@ impl Cache {
     /// either case.
     ///
     /// The MRU and memo hits are inline; a set scan (a memo miss or a real
-    /// cache miss) goes through the out-of-line [`Cache::access_set`].
+    /// cache miss) goes through the out-of-line `Cache::access_set`.
     #[inline(always)]
     pub fn access(&mut self, addr: u64) -> bool {
         let line = self.line_of(addr);

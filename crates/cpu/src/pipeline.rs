@@ -18,8 +18,9 @@
 //! # The correct-path loop
 //!
 //! [`Simulator::run`] and the multi-tenant quantum driver share one loop,
-//! `Simulator::run_until`, and it is the whole cost of a simulation. It is
-//! written so the host keeps its state in registers:
+//! `Simulator::run_until`, and it is nearly the whole cost of a
+//! simulation. It is written to keep the per-instruction work small and
+//! its state out of the simulator's fields:
 //!
 //! * `Simulator::new` decodes the program once into a table of `Decoded`
 //!   instructions. Each entry folds the ALU operation, memory width or
@@ -28,14 +29,18 @@
 //!   dispatches on `Op` exactly once per instruction; register-immediate
 //!   ALU operations read a constant-zero register slot as their second
 //!   operand, so they share the register-register arms.
-//! * The PC, the commit count and a [`Clock`] of the per-instruction timing
+//! * The PC, the commit count and a `Clock` of the per-instruction timing
 //!   scalars (fetch and commit cycles, slot counts, ROB head, the
-//!   speculation-window bound, the periodic-switch counter and the
+//!   speculation-window bound, the next periodic BTU switch and the
 //!   same-line fetch filter) live in locals for the whole run and are
 //!   written back to the simulator when the loop exits.
-//! * Branch resolution, wrong-path excursions, periodic BTU switches and
-//!   every cache miss are out-of-line calls; the straight-line path inlines
-//!   fetch, issue, the L1 hit, store-to-load forwarding and commit.
+//! * The loop is a nest. The inner loop executes a straight-line stretch
+//!   up to and including the next control-flow instruction and inlines
+//!   fetch, issue, the L1 hit, the page lookups, store-to-load forwarding
+//!   and commit; what it calls out of line (cache misses, page-table
+//!   searches, periodic BTU switches) is cold. The outer loop hands the
+//!   branch to the frontend, which may run a wrong-path excursion, and
+//!   commits it.
 //! * The store queue is a fixed ring of `sq_entries` slots.
 //!
 //! Every simulated cycle, counter and access trace is the same as a
