@@ -845,17 +845,14 @@ impl<'p> Simulator<'p> {
         is_mem_or_branch: bool,
         tainted_source: bool,
     ) -> u64 {
-        let mut start = dispatch.max(ready);
-        if self.policy.delay_transmitters
-            && is_mem_or_branch
-            && start < clock.older_branches_resolved
-        {
-            start = clock.older_branches_resolved;
+        let start = dispatch.max(ready);
+        // SPT delays speculative transmitters, ProSpeCT speculative
+        // instructions with a tainted operand, until older branches resolve.
+        let held = (self.policy.delay_transmitters && is_mem_or_branch)
+            || (self.policy.block_tainted && tainted_source);
+        if held && start < clock.older_branches_resolved {
             self.stats.defense_delayed_instructions += 1;
-        }
-        if self.policy.block_tainted && tainted_source && start < clock.older_branches_resolved {
-            start = clock.older_branches_resolved;
-            self.stats.defense_delayed_instructions += 1;
+            return clock.older_branches_resolved;
         }
         start
     }
