@@ -36,11 +36,11 @@
 //!   written back to the simulator when the loop exits.
 //! * The loop is a nest. The inner loop executes a straight-line stretch
 //!   up to and including the next control-flow instruction and inlines
-//!   fetch, issue, the L1 hit, the page lookups, store-to-load forwarding
-//!   and commit; what it calls out of line (cache misses, page-table
-//!   searches, periodic BTU switches) is cold. The outer loop hands the
-//!   branch to the frontend, which may run a wrong-path excursion, and
-//!   commits it.
+//!   fetch, issue, the L1 hit, the page lookups and commit; its out-of-line
+//!   calls are cold (cache misses, page-table searches, periodic BTU
+//!   switches) or rare (the store-queue scan the forwarding filter cannot
+//!   rule out). The outer loop hands the branch to the frontend, which may
+//!   run a wrong-path excursion, and commits it.
 //! * The store queue is a fixed ring of `sq_entries` slots.
 //!
 //! Every simulated cycle, counter and access trace is the same as a
@@ -225,8 +225,8 @@ struct Decoded {
 
 impl Decoded {
     fn new(instr: Instr, is_crypto: bool) -> Self {
-        let slot = |r: Reg| r.index() as u8;
-        let mut d = Decoded {
+        let r = |reg: Reg| reg.index() as u8;
+        let none = Decoded {
             op: Op::Nop,
             rd: 0,
             rd_slot: SINK_SLOT as u8,
@@ -235,92 +235,82 @@ impl Decoded {
             is_crypto,
             imm: 0,
         };
-        let dest = |d: &mut Decoded, rd: Reg| {
-            d.rd = slot(rd);
-            d.rd_slot = if rd.is_zero() {
-                SINK_SLOT as u8
-            } else {
-                slot(rd)
-            };
+        let writes = |op, rd: Reg, rs1, rs2, imm| Decoded {
+            op,
+            rd: r(rd),
+            rd_slot: if rd.is_zero() { SINK_SLOT as u8 } else { r(rd) },
+            rs1,
+            rs2,
+            imm,
+            ..none
         };
         match instr {
-            Instr::Alu { op, rd, rs1, rs2 } => {
-                d.op = Op::alu(op);
-                dest(&mut d, rd);
-                d.rs1 = slot(rs1);
-                d.rs2 = slot(rs2);
-            }
+            Instr::Alu { op, rd, rs1, rs2 } => writes(Op::alu(op), rd, r(rs1), r(rs2), 0),
             Instr::AluImm { op, rd, rs1, imm } => {
-                d.op = Op::alu(op);
-                dest(&mut d, rd);
-                d.rs1 = slot(rs1);
-                d.rs2 = IMM_SLOT;
-                d.imm = imm as u64;
+                writes(Op::alu(op), rd, r(rs1), IMM_SLOT, imm as u64)
             }
-            Instr::LoadImm { rd, imm } => {
-                d.op = Op::LoadImm;
-                dest(&mut d, rd);
-                d.imm = imm;
-            }
-            Instr::Declassify { rd, rs1 } => {
-                d.op = Op::Declassify;
-                dest(&mut d, rd);
-                d.rs1 = slot(rs1);
-            }
+            Instr::LoadImm { rd, imm } => writes(Op::LoadImm, rd, 0, 0, imm),
+            Instr::Declassify { rd, rs1 } => writes(Op::Declassify, rd, r(rs1), 0, 0),
             Instr::Load {
                 rd,
                 base,
                 offset,
                 width,
-            } => {
-                d.op = Op::load(width);
-                dest(&mut d, rd);
-                d.rs1 = slot(base);
-                d.imm = offset as u64;
-            }
+            } => writes(Op::load(width), rd, r(base), 0, offset as u64),
             Instr::Store {
                 src,
                 base,
                 offset,
                 width,
-            } => {
-                d.op = Op::store(width);
-                d.rs1 = slot(base);
-                d.rs2 = slot(src);
-                d.imm = offset as u64;
-            }
+            } => Decoded {
+                op: Op::store(width),
+                rs1: r(base),
+                rs2: r(src),
+                imm: offset as u64,
+                ..none
+            },
             Instr::Branch {
                 cond,
                 rs1,
                 rs2,
                 target,
-            } => {
-                d.op = Op::branch(cond);
-                d.rs1 = slot(rs1);
-                d.rs2 = slot(rs2);
-                d.imm = target as u64;
-            }
-            Instr::Jump { target } => {
-                d.op = Op::Jump;
-                d.imm = target as u64;
-            }
-            Instr::JumpIndirect { rs1 } => {
-                d.op = Op::JumpIndirect;
-                d.rs1 = slot(rs1);
-            }
-            Instr::Call { target } => {
-                d.op = Op::Call;
-                d.imm = target as u64;
-            }
-            Instr::CallIndirect { rs1 } => {
-                d.op = Op::CallIndirect;
-                d.rs1 = slot(rs1);
-            }
-            Instr::Ret => d.op = Op::Ret,
-            Instr::Nop => d.op = Op::Nop,
-            Instr::Halt => d.op = Op::Halt,
+            } => Decoded {
+                op: Op::branch(cond),
+                rs1: r(rs1),
+                rs2: r(rs2),
+                imm: target as u64,
+                ..none
+            },
+            Instr::Jump { target } => Decoded {
+                op: Op::Jump,
+                imm: target as u64,
+                ..none
+            },
+            Instr::JumpIndirect { rs1 } => Decoded {
+                op: Op::JumpIndirect,
+                rs1: r(rs1),
+                ..none
+            },
+            Instr::Call { target } => Decoded {
+                op: Op::Call,
+                imm: target as u64,
+                ..none
+            },
+            Instr::CallIndirect { rs1 } => Decoded {
+                op: Op::CallIndirect,
+                rs1: r(rs1),
+                ..none
+            },
+            Instr::Ret => Decoded {
+                op: Op::Ret,
+                ..none
+            },
+            Instr::Nop => none,
+            Instr::Halt => Decoded {
+                op: Op::Halt,
+                ..none
+            },
         }
-        d
     }
 
     /// The decoded text of `program`.

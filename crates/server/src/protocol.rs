@@ -109,11 +109,12 @@ pub struct GridSpec {
 }
 
 /// Largest accepted `btu_partitions` axis value. The BTU allocates one
-/// partition per value, so an unbounded count is an unbounded allocation.
-pub const MAX_GRID_BTU_PARTITIONS: usize = 64;
+/// partition (40 bytes) per count, so an unbounded count is an unbounded
+/// allocation; at this limit a cell's BTU holds 320 KiB of partitions.
+pub const MAX_GRID_BTU_PARTITIONS: usize = 1 << 13;
 
 /// Largest accepted `btu_entries` axis value (the paper's unit has 16).
-pub const MAX_GRID_BTU_ENTRIES: usize = 4096;
+pub const MAX_GRID_BTU_ENTRIES: usize = 1 << 16;
 
 /// Largest accepted `miss_penalties` or `redirect_penalties` axis value, in
 /// cycles. The timing model adds a penalty to a cycle count per branch, so
