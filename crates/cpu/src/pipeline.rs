@@ -998,24 +998,23 @@ impl<'p> Simulator<'p> {
     /// the commit-width constraint, and the periodic BTU switch it may
     /// trigger.
     ///
-    /// Written with conditional moves rather than an if/else ladder: whether
-    /// an instruction advances the commit cycle alternates data-dependently,
-    /// which made this branch a steady source of host mispredictions.
+    /// Written as a `max` and a select rather than an if/else ladder:
+    /// whether an instruction advances the commit cycle alternates
+    /// data-dependently, which made that branch a steady source of host
+    /// mispredictions.
     #[inline(always)]
     fn commit(&mut self, clock: &mut Clock, rob: &mut [u64], committed: &mut u64, complete: u64) {
-        let proposed = complete + 1;
-        let advanced = proposed > clock.commit_cycle;
-        let width_full = !advanced && clock.commits_in_cycle >= self.config.commit_width;
-        clock.commit_cycle = if advanced {
-            proposed
-        } else {
-            clock.commit_cycle + u64::from(width_full)
-        };
-        clock.commits_in_cycle = if advanced || width_full {
-            1
-        } else {
+        // The instruction commits once it completes, and no earlier than
+        // the next cycle when this one already holds `commit_width`
+        // commits; it opens a new commit cycle unless it joins the current.
+        let full = clock.commits_in_cycle >= self.config.commit_width;
+        let cycle = (complete + 1).max(clock.commit_cycle + u64::from(full));
+        clock.commits_in_cycle = if cycle == clock.commit_cycle {
             clock.commits_in_cycle + 1
+        } else {
+            1
         };
+        clock.commit_cycle = cycle;
         rob[clock.rob_head] = clock.commit_cycle;
         clock.rob_head += 1;
         if clock.rob_head == rob.len() {
