@@ -1,17 +1,11 @@
 //! Set-associative cache model and the four-level hierarchy of Table 3.
 //!
-//! Replacement is exact LRU, kept as a last-use stamp per way rather than
-//! as an ordered list: an access takes the next value of a per-cache
-//! counter, a hit writes it into its way, and a miss replaces the way with
-//! the smallest stamp (an empty way has stamp 0 and goes first). A repeat
-//! of the most recently used line already holds the newest stamp and
-//! takes none. The
-//! victim is therefore always the least recently used line, as with a
-//! most-recent-last list, but a hit moves nothing. A hit on the most
-//! recently used line or through the line → way memo is inline at every
-//! call site; the set scan is out of line, as is the L2/L3/memory walk
-//! after an L1 miss. `tests/cache_lru_differential.rs` checks every level
-//! and the hierarchy against an ordered-list reference.
+//! Replacement is exact LRU kept as a last-use stamp per way (see
+//! [`Cache`]): a hit writes one stamp instead of reordering its set, and a
+//! miss evicts the smallest stamp. Hits are inline at every call site; the
+//! set scan and the L2/L3/memory walk after an L1 miss are out of line.
+//! `tests/cache_lru_differential.rs` checks every level and the hierarchy
+//! against an ordered-list LRU.
 
 use crate::config::{CacheConfig, CpuConfig};
 use serde::{Deserialize, Serialize};
@@ -220,16 +214,10 @@ impl Cache {
         let base = group * self.ways;
         let ways = &mut self.arena[base..base + self.ways];
         let hit = ways.iter().position(|w| w.line == line);
-        // On a miss the victim is the oldest stamp, or the first empty way.
-        let way = hit.unwrap_or_else(|| {
-            let mut victim = 0;
-            for (way, w) in ways.iter().enumerate().skip(1) {
-                if w.stamp < ways[victim].stamp {
-                    victim = way;
-                }
-            }
-            victim
-        });
+        // On a miss the victim is the first way with the smallest stamp:
+        // the first empty way, else the least recently used line.
+        let way =
+            hit.unwrap_or_else(|| (0..ways.len()).min_by_key(|&w| ways[w].stamp).unwrap_or(0));
         ways[way] = Way {
             line,
             stamp: self.next_stamp,

@@ -4,15 +4,13 @@
 //! forwarding granularity). A `HashSet<u64>` of granule addresses works but
 //! hashes on every load and — worse — must be cloned wholesale to checkpoint
 //! around wrong-path excursions. [`TaintSet`] instead mirrors the sparse
-//! page layout of [`cassandra_isa::memory::Memory`]: a sorted `Vec` of
-//! (page index, 512-bit granule bitmap) pairs with the same 16-entry page
-//! hint, so a probe of a recently touched page is two array indexings and
-//! no hashing, and the whole structure is cheap to scan.
+//! page layout of [`cassandra_isa::memory::Memory`]: one 512-bit granule
+//! bitmap per page in the same [`PageTable`], so a probe of a recently
+//! touched page is one hint compare and two array indexings, with no
+//! hashing.
 
-use std::cell::Cell;
+use cassandra_isa::memory::{PageTable, PAGE_SIZE};
 
-/// Bytes per page, matching [`cassandra_isa::memory::PAGE_SIZE`].
-const PAGE_SIZE: u64 = 4096;
 /// One bit per 8-byte granule: 512 bits = eight `u64` words per page.
 const WORDS_PER_PAGE: usize = (PAGE_SIZE / 8 / 64) as usize;
 
@@ -20,31 +18,10 @@ const WORDS_PER_PAGE: usize = (PAGE_SIZE / 8 / 64) as usize;
 ///
 /// Addresses passed in must be granule-aligned (the pipeline always masks
 /// with `granule()` first); the low three bits are ignored regardless.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct TaintSet {
-    /// (page index, granule bitmap) pairs, sorted by page index.
-    pages: Vec<(u64, Box<[u64; WORDS_PER_PAGE]>)>,
-    /// `(page, index into pages or ABSENT)` of recently probed pages, slot
-    /// `page % HINTS`. Pure cache, never observable.
-    hints: [Cell<(u64, usize)>; HINTS],
-}
-
-/// Entries of the page hint (a power of two).
-const HINTS: usize = 16;
-
-/// A hint slot that matches no page (page indices are `addr / PAGE_SIZE`).
-const NO_HINT: (u64, usize) = (u64::MAX, 0);
-
-/// The index a hint slot records for a page that is not allocated.
-const ABSENT: usize = usize::MAX;
-
-impl Default for TaintSet {
-    fn default() -> Self {
-        TaintSet {
-            pages: Vec::new(),
-            hints: std::array::from_fn(|_| Cell::new(NO_HINT)),
-        }
-    }
+    /// Granule bitmaps of the pages that ever held a tainted granule.
+    pages: PageTable<[u64; WORDS_PER_PAGE]>,
 }
 
 impl TaintSet {
@@ -60,62 +37,21 @@ impl TaintSet {
         (page, bit / 64, 1u64 << (bit % 64))
     }
 
-    #[inline]
-    fn page_slot(&self, page: u64) -> Option<usize> {
-        let (p, i) = self.hints[page as usize % HINTS].get();
-        if p == page {
-            return (i != ABSENT).then_some(i);
-        }
-        self.search_page(page)
-    }
-
-    /// The hint-miss half of [`TaintSet::page_slot`]: a binary search whose
-    /// answer, found or [`ABSENT`], is remembered in the page's hint slot.
-    #[cold]
-    #[inline(never)]
-    fn search_page(&self, page: u64) -> Option<usize> {
-        let found = self.pages.binary_search_by_key(&page, |(p, _)| *p).ok();
-        self.hints[page as usize % HINTS].set((page, found.unwrap_or(ABSENT)));
-        found
-    }
-
-    /// Allocates the absent `page` (zeroed) and returns its index.
-    #[cold]
-    #[inline(never)]
-    fn insert_page(&mut self, page: u64) -> usize {
-        let i = self
-            .pages
-            .binary_search_by_key(&page, |(p, _)| *p)
-            .unwrap_err();
-        self.pages
-            .insert(i, (page, Box::new([0u64; WORDS_PER_PAGE])));
-        // Every page at or after `i` moved up one slot.
-        for hint in &self.hints {
-            hint.set(NO_HINT);
-        }
-        self.hints[page as usize % HINTS].set((page, i));
-        i
-    }
-
     /// Whether the granule containing `addr` is tainted.
     #[inline]
     pub fn contains(&self, addr: u64) -> bool {
         let (page, word, mask) = Self::split(addr);
-        match self.page_slot(page) {
-            Some(i) => self.pages[i].1[word] & mask != 0,
-            None => false,
-        }
+        self.pages
+            .get(page)
+            .is_some_and(|bits| bits[word] & mask != 0)
     }
 
     /// Marks the granule containing `addr` as tainted.
     #[inline]
     pub fn insert(&mut self, addr: u64) {
         let (page, word, mask) = Self::split(addr);
-        let i = match self.page_slot(page) {
-            Some(i) => i,
-            None => self.insert_page(page),
-        };
-        self.pages[i].1[word] |= mask;
+        self.pages
+            .get_or_insert_with(page, || Box::new([0; WORDS_PER_PAGE]))[word] |= mask;
     }
 
     /// Clears the taint of the granule containing `addr`. Emptied pages are
@@ -124,8 +60,8 @@ impl TaintSet {
     #[inline]
     pub fn remove(&mut self, addr: u64) {
         let (page, word, mask) = Self::split(addr);
-        if let Some(i) = self.page_slot(page) {
-            self.pages[i].1[word] &= !mask;
+        if let Some(bits) = self.pages.get_mut(page) {
+            bits[word] &= !mask;
         }
     }
 }

@@ -4,13 +4,13 @@
 //! but sparsely-used address spaces (data, stack, trace pages) cheap. All
 //! accesses are little-endian.
 //!
-//! The page table is a `Vec` sorted by page index rather than a hash map:
-//! kernels touch a handful of pages with strong locality. A 16-entry hint,
-//! direct-mapped by the low page bits, remembers where recently touched
-//! pages sit in the table, so the stack and table pages a kernel
-//! alternates between each stay one compare away; only a hint miss pays
-//! the binary search. All multi-byte accessors copy through fixed stack
-//! buffers — nothing on the read path allocates.
+//! The page table ([`PageTable`]) is a `Vec` sorted by page index rather
+//! than a hash map: kernels touch a handful of pages with strong locality.
+//! A 16-entry hint, direct-mapped by the low page bits, remembers where
+//! recently touched pages sit in the table, so the stack and table pages a
+//! kernel alternates between each stay one compare away; only a hint miss
+//! pays the binary search. All multi-byte accessors copy through fixed
+//! stack buffers — nothing on the read path allocates.
 
 use crate::instr::MemWidth;
 use std::cell::Cell;
@@ -33,14 +33,10 @@ pub const PAGE_SIZE: u64 = 4096;
 /// assert_eq!(mem.read_u8(0x1000), 0x0d); // little endian
 /// assert_eq!(mem.read_u64(0x9999), 0);
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Memory {
-    /// Allocated pages, sorted by page index.
-    pages: Vec<(u64, Box<[u8; PAGE_SIZE as usize]>)>,
-    /// `(page, index into pages or ABSENT)` of recently touched pages, slot
-    /// `page % HINTS`. Pure cache: never observable, hence
-    /// interior-mutable behind `&self` reads and excluded from equality.
-    hints: [Cell<(u64, usize)>; HINTS],
+    /// Allocated pages.
+    pages: PageTable<[u8; PAGE_SIZE as usize]>,
 }
 
 /// Entries of the page hint (a power of two).
@@ -52,22 +48,113 @@ const NO_HINT: (u64, usize) = (u64::MAX, 0);
 /// The index a hint slot records for a page that is not allocated.
 const ABSENT: usize = usize::MAX;
 
-impl Default for Memory {
+/// A sparse table of per-page records, sorted by page index, behind a
+/// 16-entry page hint: the page store of [`Memory`], and of any other
+/// per-page state that follows the same addresses (the timing model's
+/// taint bitmap).
+///
+/// Slot `page % 16` of the hint remembers where `page` sits in the table,
+/// or that it is absent, so a lookup of a recently used page is one
+/// compare; a hint miss pays a binary search. The hint is a pure cache:
+/// never observable, hence interior-mutable behind `&self` lookups and
+/// excluded from equality.
+#[derive(Debug, Clone)]
+pub struct PageTable<T> {
+    /// `(page index, record)` pairs, sorted by page index.
+    pages: Vec<(u64, Box<T>)>,
+    /// `(page, index into pages or ABSENT)`, slot `page % HINTS`.
+    hints: [Cell<(u64, usize)>; HINTS],
+}
+
+impl<T> Default for PageTable<T> {
     fn default() -> Self {
-        Memory {
+        PageTable {
             pages: Vec::new(),
             hints: std::array::from_fn(|_| Cell::new(NO_HINT)),
         }
     }
 }
 
-impl PartialEq for Memory {
+impl<T: PartialEq> PartialEq for PageTable<T> {
     fn eq(&self, other: &Self) -> bool {
         self.pages == other.pages
     }
 }
 
-impl Eq for Memory {}
+impl<T: Eq> Eq for PageTable<T> {}
+
+impl<T> PageTable<T> {
+    /// Number of pages present.
+    #[inline]
+    pub fn len(&self) -> usize {
+        self.pages.len()
+    }
+
+    /// True if no page is present.
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.pages.is_empty()
+    }
+
+    /// The record of `page`, if present.
+    #[inline]
+    pub fn get(&self, page: u64) -> Option<&T> {
+        self.slot(page).map(|i| &*self.pages[i].1)
+    }
+
+    /// The record of `page`, if present, for writing.
+    #[inline]
+    pub fn get_mut(&mut self, page: u64) -> Option<&mut T> {
+        self.slot(page).map(|i| &mut *self.pages[i].1)
+    }
+
+    /// The record of `page`, inserting `init()` first if it is absent.
+    #[inline]
+    pub fn get_or_insert_with(&mut self, page: u64, init: impl FnOnce() -> Box<T>) -> &mut T {
+        let i = match self.slot(page) {
+            Some(i) => i,
+            None => self.insert(page, init()),
+        };
+        &mut self.pages[i].1
+    }
+
+    /// Index of `page` in the table, trying its hint slot first.
+    #[inline]
+    fn slot(&self, page: u64) -> Option<usize> {
+        let (p, i) = self.hints[page as usize % HINTS].get();
+        if p == page {
+            return (i != ABSENT).then_some(i);
+        }
+        self.search(page)
+    }
+
+    /// The hint-miss half of [`PageTable::slot`]: a binary search whose
+    /// answer, found or [`ABSENT`], is remembered in the page's hint slot.
+    #[cold]
+    #[inline(never)]
+    fn search(&self, page: u64) -> Option<usize> {
+        let found = self.pages.binary_search_by_key(&page, |(p, _)| *p).ok();
+        self.hints[page as usize % HINTS].set((page, found.unwrap_or(ABSENT)));
+        found
+    }
+
+    /// Inserts the absent `page` and returns its index.
+    #[cold]
+    #[inline(never)]
+    fn insert(&mut self, page: u64, record: Box<T>) -> usize {
+        let i = self
+            .pages
+            .binary_search_by_key(&page, |(p, _)| *p)
+            .unwrap_err();
+        self.pages.insert(i, (page, record));
+        // Every page at or after `i` moved up one slot.
+        for hint in &self.hints {
+            hint.set(NO_HINT);
+        }
+        self.hints[page as usize % HINTS].set((page, i));
+        i
+    }
+}
 
 impl Memory {
     /// Creates an empty memory.
@@ -81,59 +168,17 @@ impl Memory {
         self.pages.len()
     }
 
-    /// Index of `page` in the sorted table, trying the page's hint slot
-    /// before falling back to binary search.
-    #[inline]
-    fn page_slot(&self, page: u64) -> Option<usize> {
-        let (p, i) = self.hints[page as usize % HINTS].get();
-        if p == page {
-            return (i != ABSENT).then_some(i);
-        }
-        self.search_page(page)
-    }
-
-    /// The hint-miss half of [`Memory::page_slot`]: a binary search whose
-    /// answer, found or [`ABSENT`], is remembered in the page's hint slot.
-    #[cold]
-    #[inline(never)]
-    fn search_page(&self, page: u64) -> Option<usize> {
-        let found = self.pages.binary_search_by_key(&page, |(p, _)| *p).ok();
-        self.hints[page as usize % HINTS].set((page, found.unwrap_or(ABSENT)));
-        found
-    }
-
-    /// Allocates the absent `page` (zeroed) and returns its index.
-    #[cold]
-    #[inline(never)]
-    fn insert_page(&mut self, page: u64) -> usize {
-        let i = self
-            .pages
-            .binary_search_by_key(&page, |(p, _)| *p)
-            .unwrap_err();
-        self.pages
-            .insert(i, (page, Box::new([0u8; PAGE_SIZE as usize])));
-        // Every page at or after `i` moved up one slot.
-        for hint in &self.hints {
-            hint.set(NO_HINT);
-        }
-        self.hints[page as usize % HINTS].set((page, i));
-        i
-    }
-
     /// The backing array of `page`, if allocated.
     #[inline]
     fn page(&self, page: u64) -> Option<&[u8; PAGE_SIZE as usize]> {
-        self.page_slot(page).map(|i| &*self.pages[i].1)
+        self.pages.get(page)
     }
 
     /// The backing array of `page`, allocating a zeroed page on first write.
     #[inline]
     fn page_mut(&mut self, page: u64) -> &mut [u8; PAGE_SIZE as usize] {
-        let i = match self.page_slot(page) {
-            Some(i) => i,
-            None => self.insert_page(page),
-        };
-        &mut self.pages[i].1
+        self.pages
+            .get_or_insert_with(page, || Box::new([0u8; PAGE_SIZE as usize]))
     }
 
     /// Reads a single byte.
