@@ -557,6 +557,7 @@ impl BranchTraceUnit {
 
     /// Fetch flow (§5.3): determines the next PC for a crypto branch being
     /// fetched and advances the speculative trace position.
+    #[inline]
     pub fn fetch_lookup(&mut self, pc: usize) -> BtuLookup {
         self.stats.lookups += 1;
         if let Some(context) = self.active_context {
@@ -608,6 +609,7 @@ impl BranchTraceUnit {
 
     /// Commit flow (§5.3): a crypto branch retired, so the committed position
     /// (Checkpoint Table) advances by one execution.
+    #[inline]
     pub fn commit_branch(&mut self, pc: usize) {
         if !matches!(self.hint(pc), Some(BranchHint::MultiTarget { .. })) {
             return;

@@ -171,6 +171,7 @@ impl Frontend {
     /// Predicts and resolves one correct-path branch (the model is
     /// functional-directed, so both happen in one call): returns the fetch
     /// decision and applies any training/speculative-cursor updates.
+    #[inline]
     pub fn on_branch(&mut self, event: &BranchEvent) -> FrontendDecision {
         match self.kind {
             FrontendKind::Fence => FrontendDecision::speculative(FetchOutcome::Stall),
@@ -250,6 +251,7 @@ impl Frontend {
 
     /// The branch retired: commit architectural frontend state (the BTU's
     /// Checkpoint Table position). Called for every committed branch.
+    #[inline]
     pub fn on_commit(&mut self, event: &BranchEvent) {
         if event.is_crypto {
             if let Some(btu) = self.replay_unit() {

@@ -97,19 +97,19 @@ impl<T> PageTable<T> {
     }
 
     /// The record of `page`, if present.
-    #[inline]
+    #[inline(always)]
     pub fn get(&self, page: u64) -> Option<&T> {
         self.slot(page).map(|i| &*self.pages[i].1)
     }
 
     /// The record of `page`, if present, for writing.
-    #[inline]
+    #[inline(always)]
     pub fn get_mut(&mut self, page: u64) -> Option<&mut T> {
         self.slot(page).map(|i| &mut *self.pages[i].1)
     }
 
     /// The record of `page`, inserting `init()` first if it is absent.
-    #[inline]
+    #[inline(always)]
     pub fn get_or_insert_with(&mut self, page: u64, init: impl FnOnce() -> Box<T>) -> &mut T {
         let i = match self.slot(page) {
             Some(i) => i,
@@ -119,7 +119,7 @@ impl<T> PageTable<T> {
     }
 
     /// Index of `page` in the table, trying its hint slot first.
-    #[inline]
+    #[inline(always)]
     fn slot(&self, page: u64) -> Option<usize> {
         let (p, i) = self.hints[page as usize % HINTS].get();
         if p == page {
@@ -169,27 +169,27 @@ impl Memory {
     }
 
     /// The backing array of `page`, if allocated.
-    #[inline]
+    #[inline(always)]
     fn page(&self, page: u64) -> Option<&[u8; PAGE_SIZE as usize]> {
         self.pages.get(page)
     }
 
     /// The backing array of `page`, allocating a zeroed page on first write.
-    #[inline]
+    #[inline(always)]
     fn page_mut(&mut self, page: u64) -> &mut [u8; PAGE_SIZE as usize] {
         self.pages
             .get_or_insert_with(page, || Box::new([0u8; PAGE_SIZE as usize]))
     }
 
     /// Reads a single byte.
-    #[inline]
+    #[inline(always)]
     pub fn read_u8(&self, addr: u64) -> u8 {
         let off = (addr % PAGE_SIZE) as usize;
         self.page(addr / PAGE_SIZE).map_or(0, |p| p[off])
     }
 
     /// Writes a single byte.
-    #[inline]
+    #[inline(always)]
     pub fn write_u8(&mut self, addr: u64, value: u8) {
         let off = (addr % PAGE_SIZE) as usize;
         self.page_mut(addr / PAGE_SIZE)[off] = value;
@@ -236,7 +236,7 @@ impl Memory {
     }
 
     /// Reads a little-endian `u32`.
-    #[inline]
+    #[inline(always)]
     pub fn read_u32(&self, addr: u64) -> u32 {
         let off = (addr % PAGE_SIZE) as usize;
         if off <= PAGE_SIZE as usize - 4 {
@@ -252,7 +252,7 @@ impl Memory {
     }
 
     /// Writes a little-endian `u32`.
-    #[inline]
+    #[inline(always)]
     pub fn write_u32(&mut self, addr: u64, value: u32) {
         let off = (addr % PAGE_SIZE) as usize;
         if off <= PAGE_SIZE as usize - 4 {
@@ -263,7 +263,7 @@ impl Memory {
     }
 
     /// Reads a little-endian `u64`.
-    #[inline]
+    #[inline(always)]
     pub fn read_u64(&self, addr: u64) -> u64 {
         let off = (addr % PAGE_SIZE) as usize;
         if off <= PAGE_SIZE as usize - 8 {
@@ -279,7 +279,7 @@ impl Memory {
     }
 
     /// Writes a little-endian `u64`.
-    #[inline]
+    #[inline(always)]
     pub fn write_u64(&mut self, addr: u64, value: u64) {
         let off = (addr % PAGE_SIZE) as usize;
         if off <= PAGE_SIZE as usize - 8 {
@@ -290,7 +290,7 @@ impl Memory {
     }
 
     /// Reads a value of the given width, zero-extended to 64 bits.
-    #[inline]
+    #[inline(always)]
     pub fn read(&self, addr: u64, width: MemWidth) -> u64 {
         match width {
             MemWidth::Byte => u64::from(self.read_u8(addr)),
@@ -300,7 +300,7 @@ impl Memory {
     }
 
     /// Writes the low bytes of `value` with the given width.
-    #[inline]
+    #[inline(always)]
     pub fn write(&mut self, addr: u64, value: u64, width: MemWidth) {
         match width {
             MemWidth::Byte => self.write_u8(addr, value as u8),
