@@ -101,6 +101,7 @@ impl BranchPredictionUnit {
 
     /// Predicts the outcome of a branch at `pc` with fall-through
     /// `fallthrough` and (for direct branches) static target `direct_target`.
+    #[inline]
     pub fn predict(
         &mut self,
         pc: usize,
@@ -153,6 +154,7 @@ impl BranchPredictionUnit {
     }
 
     /// Updates the predictor with the resolved outcome of a branch.
+    #[inline]
     pub fn update(&mut self, pc: usize, kind: BranchKind, taken: bool, target: usize) {
         self.stats.updates += 1;
         match kind {
