@@ -375,11 +375,6 @@ impl BranchTraceUnit {
     /// remainder.
     pub fn partition_capacity(&self, idx: usize) -> usize {
         let n = self.partitions.len();
-        if n == 1 {
-            // The unpartitioned unit: every lookup asks, so skip the
-            // divisions.
-            return self.config.entries;
-        }
         self.config.entries / n + usize::from(idx < self.config.entries % n)
     }
 

@@ -71,6 +71,10 @@ const WRONG_PATH_CAP: u64 = 64;
 /// indexing with a decoded register byte needs no bounds check; the slots
 /// past `IMM_SLOT` are never touched.
 const REG_SLOTS: usize = 256;
+/// The slots that can hold a non-zero value: the architectural registers,
+/// `SINK_SLOT` and `IMM_SLOT`. A wrong-path excursion checkpoints only
+/// these.
+const LIVE_SLOTS: usize = NUM_REGS + 2;
 /// Where writes of the architectural zero register land.
 const SINK_SLOT: usize = NUM_REGS;
 /// The second operand of a decoded register-immediate ALU operation: its
@@ -974,7 +978,7 @@ impl<'p> Simulator<'p> {
             };
 
             let (redirect, opens_window) =
-                self.resolve_branch(&branch.event, branch.fetch_cycle, branch.resolve);
+                self.resolve_branch(&decoded, &branch.event, branch.fetch_cycle, branch.resolve);
             if redirect > clock.fetch_cycle {
                 clock.fetch_cycle = redirect;
                 clock.fetch_slots_used = 0;
@@ -1254,6 +1258,7 @@ impl<'p> Simulator<'p> {
     #[inline(never)]
     fn resolve_branch(
         &mut self,
+        decoded: &[Decoded],
         event: &BranchEvent,
         fetch_cycle: u64,
         resolve: u64,
@@ -1279,7 +1284,7 @@ impl<'p> Simulator<'p> {
                 let budget = window
                     .min(WRONG_PATH_CAP)
                     .min(self.config.rob_entries as u64);
-                self.run_wrong_path(wrong_target, budget);
+                self.run_wrong_path(decoded, wrong_target, budget);
                 squash_after_commit = true;
                 resolve + self.config.mispredict_redirect_penalty
             }
@@ -1320,15 +1325,19 @@ impl<'p> Simulator<'p> {
     /// with full state rollback afterwards. Their data accesses pollute the
     /// caches and are recorded as transient observations.
     ///
-    /// Register state is checkpointed by value; memory writes are undone
-    /// from the flat `mem_undo` log. `mem_taint` needs no checkpoint at all:
-    /// wrong-path loads only *read* it and wrong-path stores deliberately
-    /// skip the taint update (a squashed store must not change which
-    /// granules the architectural path considers secret), so the taint
-    /// delta of an excursion is empty by construction.
-    fn run_wrong_path(&mut self, start_pc: usize, budget: u64) {
-        let saved_regs = self.regs;
-        let saved_taint = self.reg_taint;
+    /// Register state is checkpointed by value (the `LIVE_SLOTS` prefix of
+    /// the register file); memory writes are undone from the flat
+    /// `mem_undo` log. `mem_taint` needs no checkpoint at all: wrong-path
+    /// loads only *read* it and wrong-path stores deliberately skip the
+    /// taint update (a squashed store must not change which granules the
+    /// architectural path considers secret), so the taint delta of an
+    /// excursion is empty by construction. A wrong-path branch takes its
+    /// crypto-range flag from the decoded text.
+    fn run_wrong_path(&mut self, decoded: &[Decoded], start_pc: usize, budget: u64) {
+        let mut saved_regs = [0u64; LIVE_SLOTS];
+        saved_regs.copy_from_slice(&self.regs[..LIVE_SLOTS]);
+        let mut saved_taint = [false; LIVE_SLOTS];
+        saved_taint.copy_from_slice(&self.reg_taint[..LIVE_SLOTS]);
         let saved_call_depth = self.call_depth;
         debug_assert!(self.mem_undo.is_empty());
 
@@ -1445,7 +1454,7 @@ impl<'p> Simulator<'p> {
             // (the BTU's fetch cursor); the squash below rolls it back.
             if instr.is_branch() {
                 self.frontend
-                    .on_wrong_path_branch(pc, self.program.is_crypto_pc(pc));
+                    .on_wrong_path_branch(pc, decoded[pc].is_crypto);
             }
             self.stats.squashed_instructions += 1;
             pc = next_pc;
@@ -1460,8 +1469,8 @@ impl<'p> Simulator<'p> {
                 .write_bytes(entry.addr, &entry.bytes[..entry.len as usize]);
         }
         self.mem_undo = undo;
-        self.regs = saved_regs;
-        self.reg_taint = saved_taint;
+        self.regs[..LIVE_SLOTS].copy_from_slice(&saved_regs);
+        self.reg_taint[..LIVE_SLOTS].copy_from_slice(&saved_taint);
         self.call_depth = saved_call_depth;
     }
 }
