@@ -8,18 +8,21 @@
 //! ([`cassandra_trace::fingerprint::program_fingerprint`]), so a full
 //! multi-experiment evaluation analyzes every distinct program **exactly
 //! once** no matter how many design points, experiments or concurrent
-//! requests consume it.
+//! requests consume it — as long as the store holds at most
+//! [`STORE_CAPACITY`] programs; past that, an evicted program costs one
+//! re-analysis when it comes back.
 //!
 //! ## The two layers
 //!
-//! * [`AnalysisStore`] — analyse once. A fingerprint-keyed map of
-//!   `Arc<AnalysisBundle>`s behind one `RwLock`, with per-fingerprint
-//!   **in-flight guards**: when two threads request the same un-analyzed
-//!   program, one runs Algorithm 2 and the other blocks until the result
-//!   lands, so the exactly-once property holds under concurrency. Cache
-//!   counters are atomics, observable through [`AnalysisStore::stats`],
-//!   and the whole store serializes to an [`AnalysisSnapshot`] for
-//!   warm-starts (the server's cache journal).
+//! * [`AnalysisStore`] — analyse once. A fingerprint-keyed map of at most
+//!   [`STORE_CAPACITY`] `Arc<AnalysisBundle>`s behind one `RwLock`, with
+//!   second-chance (CLOCK) eviction and per-fingerprint **in-flight
+//!   guards**: when two threads request the same un-analyzed program, one
+//!   runs Algorithm 2 and the other blocks until the result lands, so the
+//!   exactly-once property holds under concurrency. Cache counters are
+//!   atomics, observable through [`AnalysisStore::stats`], and the whole
+//!   store serializes to an [`AnalysisSnapshot`] for warm-starts (the
+//!   server's cache journal).
 //! * [`SweepExecutor`] — simulate many. A stateless engine borrowing a
 //!   store: [`SweepExecutor::simulate`] runs one workload under one
 //!   [`CpuConfig`], and [`SweepExecutor::sweep_matrix`] /
@@ -54,6 +57,10 @@ use std::sync::{
     Arc, Condvar, Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard,
 };
 use std::time::{Duration, Instant};
+
+mod clock;
+
+use clock::ClockMap;
 
 /// One point of the design matrix: a named, complete processor
 /// configuration.
@@ -104,8 +111,14 @@ impl DesignPoint {
 pub struct CacheStats {
     /// Analyses served from the memoization cache.
     pub hits: u64,
-    /// Analyses that ran Algorithm 2 (one per distinct program).
+    /// Analyses that ran Algorithm 2 (one per distinct program, plus one
+    /// per return of an evicted program).
     pub misses: u64,
+    /// Analyses dropped to keep the store within [`STORE_CAPACITY`].
+    /// Omitted from serialized counters while zero, so the encodings of
+    /// stores that never filled up are unchanged.
+    #[serde(skip_if_default)]
+    pub evictions: u64,
 }
 
 impl CacheStats {
@@ -195,8 +208,24 @@ pub enum SweepOutcome {
 
 // ------------------------------------------------------- analysis store
 
+/// Most analyses one [`AnalysisStore`] holds (and most static lint reports
+/// it memoizes). Sized to a service's working set: the 21 paper programs,
+/// the smoke kernels and the kernels its clients submit, about 150 KB of
+/// analyses at their measured ~580 bytes each. Past it, the store evicts
+/// by second chance (CLOCK): a program that comes back after its eviction
+/// costs one re-analysis.
+pub const STORE_CAPACITY: usize = 256;
+
 fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+fn read<T>(lock: &RwLock<T>) -> RwLockReadGuard<'_, T> {
+    lock.read().unwrap_or_else(PoisonError::into_inner)
+}
+
+fn write<T>(lock: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
+    lock.write().unwrap_or_else(PoisonError::into_inner)
 }
 
 struct StoreEntry {
@@ -223,26 +252,42 @@ impl StoreEntry {
     }
 }
 
+/// How an in-flight analysis ended, as its waiters see it.
+#[derive(Default)]
+enum Flight {
+    #[default]
+    Running,
+    /// The analysis and its wall time. Waiters take it from here rather
+    /// than from the store, which may already have evicted it.
+    Landed(Arc<AnalysisBundle>, Duration),
+    Failed,
+}
+
 /// Rendezvous point for threads requesting a fingerprint that is being
 /// analyzed right now.
 #[derive(Default)]
 struct InFlight {
-    done: Mutex<bool>,
+    state: Mutex<Flight>,
     ready: Condvar,
 }
 
 /// Releases an in-flight guard on every exit path (success, error, panic):
-/// removes the fingerprint from the in-flight map and wakes the waiters.
+/// removes the fingerprint from the in-flight map, hands the waiters the
+/// analysis (or the failure) and wakes them.
 struct AnalyzerGuard<'a> {
     store: &'a AnalysisStore,
     key: u64,
     flight: Arc<InFlight>,
+    landed: Option<(Arc<AnalysisBundle>, Duration)>,
 }
 
 impl Drop for AnalyzerGuard<'_> {
     fn drop(&mut self) {
         lock(&self.store.in_flight).remove(&self.key);
-        *lock(&self.flight.done) = true;
+        *lock(&self.flight.state) = match self.landed.take() {
+            Some((bundle, elapsed)) => Flight::Landed(bundle, elapsed),
+            None => Flight::Failed,
+        };
         self.flight.ready.notify_all();
     }
 }
@@ -253,28 +298,37 @@ impl Drop for AnalyzerGuard<'_> {
 /// not fire it.
 pub type InsertObserver = Arc<dyn Fn(&SnapshotEntry) + Send + Sync>;
 
-/// The thread-safe analysis cache: one fingerprint-keyed map of
-/// `Arc<AnalysisBundle>`s behind an `RwLock`, exactly-once analysis under
-/// concurrency via per-fingerprint in-flight guards, and atomic
-/// [`CacheStats`].
+/// The thread-safe analysis cache: one fingerprint-keyed map of at most
+/// [`STORE_CAPACITY`] `Arc<AnalysisBundle>`s behind an `RwLock`,
+/// exactly-once analysis under concurrency via per-fingerprint in-flight
+/// guards, and atomic [`CacheStats`].
 ///
 /// A store is the shared half of an evaluation: any number of
 /// [`SweepExecutor`]s can consume one store concurrently — this is what
 /// lets the evaluation server run N requests in flight against one cache.
-/// Lookups take the entry map's read lock only, for one hash probe and an
-/// `Arc` clone; Algorithm 2 itself runs with **no** store lock held, so a
-/// slow analysis never blocks hits on other programs.
+/// Lookups take the entry map's read lock only, for one hash probe, a
+/// reference-bit store and an `Arc` clone; Algorithm 2 itself runs with
+/// **no** store lock held, so a slow analysis never blocks hits on other
+/// programs.
+///
+/// A full store evicts by second chance (CLOCK): an insert sweeps a hand
+/// over the entries in insertion order, passing over (once) each entry hit
+/// since the hand last passed it, and drops the first that was not.
+/// Eviction only forgets: `Arc`s already handed out stay valid, threads
+/// waiting on an in-flight analysis receive it even if it is evicted
+/// before they wake, and the entry being inserted is never the one
+/// evicted.
 ///
 /// Lock order: `in_flight` may be held while taking `entries` (the
 /// analyzer-election re-check), never the reverse; `lints` and `observer`
 /// are leaves.
-#[derive(Default)]
 pub struct AnalysisStore {
-    entries: RwLock<HashMap<u64, StoreEntry>>,
+    entries: RwLock<ClockMap<StoreEntry>>,
     in_flight: Mutex<HashMap<u64, Arc<InFlight>>>,
     hits: AtomicU64,
     misses: AtomicU64,
-    lints: RwLock<HashMap<u64, Arc<StaticReport>>>,
+    evictions: AtomicU64,
+    lints: RwLock<ClockMap<Arc<StaticReport>>>,
     observer: RwLock<Option<InsertObserver>>,
 }
 
@@ -283,18 +337,24 @@ enum Role<'a> {
     Waiter(Arc<InFlight>),
 }
 
+impl Default for AnalysisStore {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
 impl AnalysisStore {
     /// An empty store.
     pub fn new() -> Self {
-        Self::default()
-    }
-
-    fn read_entries(&self) -> RwLockReadGuard<'_, HashMap<u64, StoreEntry>> {
-        self.entries.read().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    fn write_entries(&self) -> RwLockWriteGuard<'_, HashMap<u64, StoreEntry>> {
-        self.entries.write().unwrap_or_else(PoisonError::into_inner)
+        AnalysisStore {
+            entries: RwLock::new(ClockMap::new(STORE_CAPACITY)),
+            in_flight: Mutex::default(),
+            hits: AtomicU64::default(),
+            misses: AtomicU64::default(),
+            evictions: AtomicU64::default(),
+            lints: RwLock::new(ClockMap::new(STORE_CAPACITY)),
+            observer: RwLock::default(),
+        }
     }
 
     /// Installs (or clears, with `None`) the fresh-analysis observer. The
@@ -302,25 +362,24 @@ impl AnalysisStore {
     /// outside all store locks; the server's `--cache-file` journal mode
     /// uses it to append each completed analysis to disk.
     pub fn set_insert_observer(&self, observer: Option<InsertObserver>) {
-        *self
-            .observer
-            .write()
-            .unwrap_or_else(PoisonError::into_inner) = observer;
+        *write(&self.observer) = observer;
     }
 
-    /// Cache counters (hits/misses) accumulated so far. Entries loaded from
-    /// an [`AnalysisSnapshot`] count as neither until first use, then as
-    /// hits.
+    /// Cache counters (hits/misses/evictions) accumulated so far. Entries
+    /// loaded from an [`AnalysisSnapshot`] count as neither hit nor miss
+    /// until first use, then as hits.
     pub fn stats(&self) -> CacheStats {
         CacheStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
+            evictions: self.evictions.load(Ordering::Relaxed),
         }
     }
 
-    /// Number of distinct programs currently held.
+    /// Number of distinct programs currently held (at most
+    /// [`STORE_CAPACITY`]).
     pub fn len(&self) -> usize {
-        self.read_entries().len()
+        read(&self.entries).len()
     }
 
     /// True if no program has been analyzed or absorbed yet.
@@ -329,17 +388,20 @@ impl AnalysisStore {
     }
 
     fn lookup(&self, key: u64) -> Option<(Arc<AnalysisBundle>, Duration, usize)> {
-        self.read_entries()
-            .get(&key)
+        read(&self.entries)
+            .get(key)
             .map(|e| (Arc::clone(&e.bundle), e.elapsed, e.pc_bound))
     }
 
+    /// Stores `entry` under `key`, counting the eviction it may cost.
+    fn publish(&self, entries: &mut ClockMap<StoreEntry>, key: u64, entry: StoreEntry) {
+        if entries.insert(key, entry).is_some() {
+            self.evictions.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
     fn notify_observer(&self, entry: &SnapshotEntry) {
-        let observer = self
-            .observer
-            .read()
-            .unwrap_or_else(PoisonError::into_inner)
-            .clone();
+        let observer = read(&self.observer).clone();
         if let Some(observer) = observer {
             observer(entry);
         }
@@ -348,7 +410,8 @@ impl AnalysisStore {
     /// The memoized analysis of `program`, with its timing and cache
     /// disposition. Exactly one thread runs Algorithm 2 per fingerprint:
     /// concurrent requests for an in-flight program block until the result
-    /// lands and then count as hits.
+    /// lands and then count as hits, even if the store has evicted it by
+    /// the time they wake.
     ///
     /// Cache hits deliberately ignore `step_limit`: a stored bundle is
     /// **budget-independent** — Algorithm 2 *errors* (`StepLimitExceeded`)
@@ -372,32 +435,35 @@ impl AnalysisStore {
         step_limit: u64,
     ) -> Result<(Arc<AnalysisBundle>, EvalTiming), IsaError> {
         let key = program_fingerprint(program);
+        let cached = |bundle, elapsed| {
+            self.hits.fetch_add(1, Ordering::Relaxed);
+            Ok((
+                bundle,
+                EvalTiming {
+                    analysis: elapsed,
+                    analysis_cached: true,
+                    simulate: Duration::ZERO,
+                },
+            ))
+        };
         loop {
             if let Some((bundle, elapsed, pc_bound)) = self.lookup(key) {
                 if pc_bound <= program.len() {
-                    self.hits.fetch_add(1, Ordering::Relaxed);
-                    return Ok((
-                        bundle,
-                        EvalTiming {
-                            analysis: elapsed,
-                            analysis_cached: true,
-                            simulate: Duration::ZERO,
-                        },
-                    ));
+                    return cached(bundle, elapsed);
                 }
-                let mut entries = self.write_entries();
+                let mut entries = write(&self.entries);
                 if entries
-                    .get(&key)
+                    .peek(key)
                     .is_some_and(|e| e.pc_bound > program.len())
                 {
-                    entries.remove(&key);
+                    entries.remove(key);
                 }
             }
             let role = {
                 let mut in_flight = lock(&self.in_flight);
                 // Close the race where the analyzer finished (and dropped
                 // its guard) between our lookup above and this lock.
-                if self.read_entries().contains_key(&key) {
+                if read(&self.entries).contains_key(key) {
                     continue;
                 }
                 match in_flight.entry(key) {
@@ -409,29 +475,36 @@ impl AnalysisStore {
                             store: self,
                             key,
                             flight,
+                            landed: None,
                         })
                     }
                 }
             };
             match role {
                 Role::Waiter(flight) => {
-                    let mut done = lock(&flight.done);
-                    while !*done {
-                        done = flight
+                    let mut state = lock(&flight.state);
+                    while matches!(*state, Flight::Running) {
+                        state = flight
                             .ready
-                            .wait(done)
+                            .wait(state)
                             .unwrap_or_else(PoisonError::into_inner);
                     }
-                    // Loop back to the fast path; if the analyzer failed,
-                    // this thread contends to become the next analyzer.
+                    if let Flight::Landed(bundle, elapsed) = &*state {
+                        return cached(Arc::clone(bundle), *elapsed);
+                    }
+                    // The analyzer failed: contend to become the next one.
                 }
-                Role::Analyzer(guard) => {
+                Role::Analyzer(mut guard) => {
                     let start = Instant::now();
                     let analysis = Arc::new(AnalysisBundle::analyze(program, step_limit)?);
                     let elapsed = start.elapsed();
-                    self.write_entries()
-                        .insert(key, StoreEntry::new(Arc::clone(&analysis), elapsed));
+                    self.publish(
+                        &mut write(&self.entries),
+                        key,
+                        StoreEntry::new(Arc::clone(&analysis), elapsed),
+                    );
                     self.misses.fetch_add(1, Ordering::Relaxed);
+                    guard.landed = Some((Arc::clone(&analysis), elapsed));
                     drop(guard);
                     self.notify_observer(&SnapshotEntry {
                         fingerprint: key,
@@ -454,34 +527,31 @@ impl AnalysisStore {
     /// The memoized static constant-time report of `program` (see
     /// [`cassandra_analysis::analyze`]), keyed by the same content
     /// fingerprint as the dynamic (Algorithm 2) analyses but held in a
-    /// separate map: static lint is deterministic and infallible, so it
-    /// needs no in-flight guard — a rare duplicate computation under
-    /// concurrency produces an identical report and one copy wins.
+    /// separate map of the same capacity and eviction: static lint is
+    /// deterministic and infallible, so it needs no in-flight guard — a
+    /// rare duplicate computation under concurrency produces an identical
+    /// report and one copy wins.
     ///
     /// Lint results do **not** count towards [`stats`](Self::stats): those
     /// counters meter Algorithm-2 profiling runs only, and several tests
     /// pin their exact arithmetic.
     pub fn lint(&self, program: &Program) -> Arc<StaticReport> {
         let key = program_fingerprint(program);
-        if let Some(report) = self
-            .lints
-            .read()
-            .unwrap_or_else(PoisonError::into_inner)
-            .get(&key)
-        {
+        if let Some(report) = read(&self.lints).get(key) {
             return Arc::clone(report);
         }
         let report = Arc::new(cassandra_analysis::analyze(program));
-        let mut lints = self.lints.write().unwrap_or_else(PoisonError::into_inner);
-        Arc::clone(lints.entry(key).or_insert(report))
+        let mut lints = write(&self.lints);
+        if let Some(held) = lints.peek(key) {
+            return Arc::clone(held);
+        }
+        lints.insert(key, Arc::clone(&report));
+        report
     }
 
     /// Number of distinct programs with a memoized static lint report.
     pub fn linted_programs(&self) -> usize {
-        self.lints
-            .read()
-            .unwrap_or_else(PoisonError::into_inner)
-            .len()
+        read(&self.lints).len()
     }
 
     /// Serializes the store's contents for a later warm-start. Entries are
@@ -489,14 +559,13 @@ impl AnalysisStore {
     /// read lock is held only while the entries' `Arc`s are copied out;
     /// every bundle is cloned (its summary copied, its encoding shared)
     /// after it is released, so a journal compaction delays a fresh insert
-    /// by an `Arc` copy per entry, not by a copy of the whole store. Static
-    /// lint reports are not snapshotted — recomputing them is
-    /// milliseconds, unlike Algorithm-2 profiling runs.
+    /// by an `Arc` copy per entry (at most [`STORE_CAPACITY`]), not by a
+    /// copy of the whole store. Static lint reports are not snapshotted —
+    /// recomputing them is milliseconds, unlike Algorithm-2 profiling runs.
     pub fn snapshot(&self) -> AnalysisSnapshot {
-        let mut held: Vec<(u64, Duration, Arc<AnalysisBundle>)> = self
-            .read_entries()
+        let mut held: Vec<(u64, Duration, Arc<AnalysisBundle>)> = read(&self.entries)
             .iter()
-            .map(|(&fingerprint, e)| (fingerprint, e.elapsed, Arc::clone(&e.bundle)))
+            .map(|(fingerprint, e)| (fingerprint, e.elapsed, Arc::clone(&e.bundle)))
             .collect();
         held.sort_unstable_by_key(|&(fingerprint, ..)| fingerprint);
         let entries = held
@@ -510,22 +579,34 @@ impl AnalysisStore {
         AnalysisSnapshot { entries }
     }
 
-    /// Loads a snapshot's analyses into the store, skipping fingerprints it
-    /// already holds; returns how many entries were absorbed. Warmed entries
-    /// count as cache hits on first use (they never re-run Algorithm 2),
-    /// which is how a warm-started server's `Done.cache` reports them.
-    /// Absorbed entries do not fire the insert observer — the journal only
-    /// records analyses this process ran.
+    /// Loads a snapshot's analyses into the store in order, skipping
+    /// fingerprints it already holds, and returns how many of them the
+    /// store holds afterwards. Absorbed entries go in unreferenced, so when
+    /// a snapshot holds more than [`STORE_CAPACITY`] new programs the
+    /// later ones win (a journal's most recent lines). Warmed entries count
+    /// as cache hits on first use (they never re-run Algorithm 2), which is
+    /// how a warm-started server's `Done.cache` reports them. Absorbed
+    /// entries do not fire the insert observer — the journal only records
+    /// analyses this process ran.
     pub fn absorb(&self, snapshot: AnalysisSnapshot) -> usize {
-        let mut absorbed = 0;
-        let mut entries = self.write_entries();
+        let mut added = Vec::new();
+        let mut entries = write(&self.entries);
         for entry in snapshot.entries {
-            if let Entry::Vacant(v) = entries.entry(entry.fingerprint) {
-                v.insert(StoreEntry::new(Arc::new(entry.analysis), entry.elapsed));
-                absorbed += 1;
+            if !entries.contains_key(entry.fingerprint) {
+                self.publish(
+                    &mut entries,
+                    entry.fingerprint,
+                    StoreEntry::new(Arc::new(entry.analysis), entry.elapsed),
+                );
+                added.push(entry.fingerprint);
             }
         }
-        absorbed
+        // A fingerprint evicted and then met again later in the snapshot
+        // was added twice.
+        added.sort_unstable();
+        added.dedup();
+        added.retain(|&fingerprint| entries.contains_key(fingerprint));
+        added.len()
     }
 }
 
@@ -913,7 +994,14 @@ mod tests {
         let (a1, _) = store.entry(&w.kernel.program, w.kernel.step_limit).unwrap();
         let (a2, _) = store.entry(&w.kernel.program, w.kernel.step_limit).unwrap();
         assert!(Arc::ptr_eq(&a1, &a2));
-        assert_eq!(store.stats(), CacheStats { hits: 1, misses: 1 });
+        assert_eq!(
+            store.stats(),
+            CacheStats {
+                hits: 1,
+                misses: 1,
+                evictions: 0
+            }
+        );
         // A different program misses.
         let other = suite::des_workload(4);
         store
@@ -1242,7 +1330,14 @@ mod tests {
             .entry(&w.kernel.program, w.kernel.step_limit)
             .unwrap();
         assert!(timing.analysis_cached);
-        assert_eq!(warmed.stats(), CacheStats { hits: 1, misses: 0 });
+        assert_eq!(
+            warmed.stats(),
+            CacheStats {
+                hits: 1,
+                misses: 0,
+                evictions: 0
+            }
+        );
     }
 
     #[test]
@@ -1332,5 +1427,204 @@ mod tests {
             .entry(&third.kernel.program, third.kernel.step_limit)
             .unwrap();
         assert_eq!(lock(&seen).len(), 1);
+    }
+
+    /// Step budget of [`tiny_program`]'s analyses.
+    const TINY_STEPS: u64 = 1_000;
+
+    /// A distinct small crypto program per `seed`: a two-trip loop behind
+    /// a seed-dependent constant. Cheap to analyze, so tests can fill the
+    /// store several times over.
+    fn tiny_program(seed: u64) -> Program {
+        use cassandra_isa::builder::ProgramBuilder;
+        use cassandra_isa::reg::{A0, A1, ZERO};
+        let mut b = ProgramBuilder::new("tiny");
+        b.begin_crypto();
+        b.li(A1, seed);
+        b.li(A0, 2);
+        b.label("loop");
+        b.addi(A0, A0, -1);
+        b.bne(A0, ZERO, "loop");
+        b.end_crypto();
+        b.halt();
+        b.build().expect("valid program")
+    }
+
+    fn holds(store: &AnalysisStore, program: &Program) -> bool {
+        read(&store.entries).contains_key(program_fingerprint(program))
+    }
+
+    #[test]
+    fn store_at_capacity_stays_at_capacity() {
+        let store = AnalysisStore::new();
+        let programs: Vec<Program> = (0..3 * STORE_CAPACITY as u64).map(tiny_program).collect();
+        for (i, program) in programs.iter().enumerate() {
+            store.entry(program, TINY_STEPS).unwrap();
+            assert_eq!(store.len(), (i + 1).min(STORE_CAPACITY));
+        }
+        let n = programs.len() as u64;
+        assert_eq!(
+            store.stats(),
+            CacheStats {
+                hits: 0,
+                misses: n,
+                evictions: n - STORE_CAPACITY as u64,
+            }
+        );
+        assert_eq!(store.snapshot().entries.len(), STORE_CAPACITY);
+        // Without hits the store keeps the most recent programs.
+        let (gone, kept) = programs.split_at(programs.len() - STORE_CAPACITY);
+        assert!(kept.iter().all(|p| holds(&store, p)));
+        assert!(!gone.iter().any(|p| holds(&store, p)));
+    }
+
+    #[test]
+    fn evicted_program_reanalyses_to_an_equal_bundle() {
+        let store = AnalysisStore::new();
+        let w = suite::des_workload(4);
+        let (program, limit) = (&w.kernel.program, w.kernel.step_limit);
+        let (first, _) = store.entry(program, limit).unwrap();
+        for seed in 0..STORE_CAPACITY as u64 {
+            store.entry(&tiny_program(seed), TINY_STEPS).unwrap();
+        }
+        assert!(
+            !holds(&store, program),
+            "the oldest entry, never hit, goes first"
+        );
+        assert_eq!(store.stats().evictions, 1);
+
+        let misses = store.stats().misses;
+        let (again, timing) = store.entry(program, limit).unwrap();
+        assert!(!timing.analysis_cached);
+        assert_eq!(store.stats().misses, misses + 1, "exactly one more miss");
+        assert!(!Arc::ptr_eq(&first, &again));
+        // Wall-clock timings differ between runs; the analyses must not.
+        let mut again = (*again).clone();
+        again.summary.timing = first.summary.timing;
+        assert_eq!(again, *first);
+    }
+
+    #[test]
+    fn a_hit_entry_survives_one_pass_of_cold_inserts() {
+        let store = AnalysisStore::new();
+        let programs: Vec<Program> = (0..2 * STORE_CAPACITY as u64).map(tiny_program).collect();
+        let (full, cold) = programs.split_at(STORE_CAPACITY);
+        for program in full {
+            store.entry(program, TINY_STEPS).unwrap();
+        }
+        // The oldest entry, next in line for eviction, is hit once.
+        let (_, timing) = store.entry(&full[0], TINY_STEPS).unwrap();
+        assert!(timing.analysis_cached);
+
+        for program in &cold[..STORE_CAPACITY - 1] {
+            store.entry(program, TINY_STEPS).unwrap();
+        }
+        assert!(holds(&store, &full[0]), "a hit buys a second chance");
+        assert!(
+            !full[1..].iter().any(|p| holds(&store, p)),
+            "every unhit entry of its age is gone"
+        );
+        // The second chance is spent: the next cold insert takes it.
+        store.entry(&cold[STORE_CAPACITY - 1], TINY_STEPS).unwrap();
+        assert!(!holds(&store, &full[0]));
+        assert_eq!(store.len(), STORE_CAPACITY);
+        assert_eq!(store.stats().hits, 1);
+    }
+
+    #[test]
+    fn waiters_receive_an_analysis_evicted_before_they_wake() {
+        let store = AnalysisStore::new();
+        let w = suite::des_workload(4);
+        let (program, limit) = (&w.kernel.program, w.kernel.step_limit);
+        let key = program_fingerprint(program);
+        // This thread takes the analyzer role by hand, so the waiters
+        // provably queue behind an analysis that a flood of cold programs
+        // evicts before it lands for them.
+        let flight = Arc::new(InFlight::default());
+        lock(&store.in_flight).insert(key, Arc::clone(&flight));
+        let mut guard = AnalyzerGuard {
+            store: &store,
+            key,
+            flight: Arc::clone(&flight),
+            landed: None,
+        };
+        const WAITERS: usize = 4;
+        std::thread::scope(|scope| {
+            let waiters: Vec<_> = (0..WAITERS)
+                .map(|_| scope.spawn(|| store.entry(program, limit).unwrap()))
+                .collect();
+            // Each waiter holds a clone besides the map's, the guard's and
+            // this thread's.
+            while Arc::strong_count(&flight) < 3 + WAITERS {
+                std::thread::yield_now();
+            }
+            let analysis = Arc::new(AnalysisBundle::analyze(program, limit).unwrap());
+            store.publish(
+                &mut write(&store.entries),
+                key,
+                StoreEntry::new(Arc::clone(&analysis), Duration::ZERO),
+            );
+            for seed in 0..STORE_CAPACITY as u64 {
+                store.entry(&tiny_program(seed), TINY_STEPS).unwrap();
+            }
+            assert!(!holds(&store, program), "evicted before the waiters woke");
+            guard.landed = Some((Arc::clone(&analysis), Duration::ZERO));
+            drop(guard);
+            for waiter in waiters {
+                let (bundle, timing) = waiter.join().unwrap();
+                assert!(Arc::ptr_eq(&bundle, &analysis));
+                assert!(timing.analysis_cached);
+            }
+        });
+        let stats = store.stats();
+        assert_eq!(stats.hits, WAITERS as u64);
+        assert_eq!(
+            stats.misses, STORE_CAPACITY as u64,
+            "only the cold programs ran Algorithm 2"
+        );
+    }
+
+    #[test]
+    fn absorb_of_a_larger_snapshot_keeps_the_capacity() {
+        let extra = 16;
+        let entries: Vec<SnapshotEntry> = (0..(STORE_CAPACITY + extra) as u64)
+            .map(|seed| {
+                let program = tiny_program(seed);
+                SnapshotEntry {
+                    fingerprint: program_fingerprint(&program),
+                    elapsed: Duration::ZERO,
+                    analysis: AnalysisBundle::analyze(&program, TINY_STEPS).unwrap(),
+                }
+            })
+            .collect();
+        let mut newest: Vec<u64> = entries[extra..].iter().map(|e| e.fingerprint).collect();
+        newest.sort_unstable();
+
+        let store = AnalysisStore::new();
+        assert_eq!(store.absorb(AnalysisSnapshot { entries }), STORE_CAPACITY);
+        assert_eq!(store.len(), STORE_CAPACITY);
+        let held: Vec<u64> = store
+            .snapshot()
+            .entries
+            .iter()
+            .map(|e| e.fingerprint)
+            .collect();
+        assert_eq!(held, newest, "the most recent entries win");
+        assert_eq!(store.stats().evictions, extra as u64);
+        assert_eq!(store.stats().requests(), 0);
+    }
+
+    #[test]
+    fn lint_memo_stays_at_capacity() {
+        let store = AnalysisStore::new();
+        for seed in 0..(STORE_CAPACITY + 8) as u64 {
+            store.lint(&tiny_program(seed));
+        }
+        assert_eq!(store.linted_programs(), STORE_CAPACITY);
+        assert_eq!(
+            store.stats(),
+            CacheStats::default(),
+            "lints are not counted"
+        );
     }
 }

@@ -275,7 +275,8 @@ pub struct SweepSummary {
     /// Analysis-cache counters of the server's session *after* this sweep —
     /// a repeated identical request shows pure hits here.
     pub cache: CacheStats,
-    /// Distinct programs analyzed by the session so far.
+    /// Analyses the session's store holds (at most
+    /// [`STORE_CAPACITY`](cassandra_core::eval::STORE_CAPACITY)).
     pub analyzed_programs: usize,
     /// The same plain-text rendering offline runs print
     /// (`cassandra_core::report::render_text` over the record stream).

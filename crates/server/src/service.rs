@@ -32,7 +32,12 @@
 //! file (replaying any appended journal entries), **appends** each freshly
 //! completed analysis to it as a journal line — so a crashed server keeps
 //! everything analyzed before the crash — and compacts the journal back to
-//! a single snapshot line periodically and on a clean `Shutdown`.
+//! a single snapshot line periodically and on a clean `Shutdown`. The store
+//! holds at most [`STORE_CAPACITY`] analyses, so a compaction writes at
+//! most that many entries and the journal never holds more than
+//! `STORE_CAPACITY + COMPACT_EVERY`.
+//!
+//! [`STORE_CAPACITY`]: cassandra_core::eval::STORE_CAPACITY
 
 use crate::protocol::{Request, Response, SweepSummary, WorkloadSpec, PROTOCOL_VERSION};
 use cassandra_core::eval::{
@@ -77,6 +82,10 @@ pub struct EvalService {
 /// a single snapshot line (keeps replay and file size bounded).
 const COMPACT_EVERY: usize = 32;
 
+/// Most workloads one session holds. A `Submit` of a new name past it is
+/// an `Error`; resubmitting a held name still replaces that workload.
+const MAX_SUBMITTED_WORKLOADS: usize = 1024;
+
 /// The incremental `--cache-file` persistence: an NDJSON file whose first
 /// line is an [`AnalysisSnapshot`] (the compacted form) and whose following
 /// lines are individual [`SnapshotEntry`]s appended as analyses complete.
@@ -108,18 +117,19 @@ impl CacheJournal {
     /// Replays the journal into `store`: the leading snapshot line (if
     /// any) and every appended entry, stopping with a warning at the first
     /// malformed line — a crash can truncate the final append mid-line,
-    /// and everything before it is still good. A corrupt journal is
-    /// **repaired** on the spot by compacting the replayed prefix back to
-    /// the file: the corrupt line is usually newline-less, so appending to
-    /// it would concatenate the next entry onto the partial line
-    /// (destroying both) and strand anything after it. Returns how many
-    /// analyses were loaded.
+    /// and everything before it is still good. The lines are absorbed as
+    /// one snapshot in file order, so past the store's capacity the most
+    /// recent ones win. A corrupt journal is **repaired** on the spot by
+    /// compacting the replayed prefix back to the file: the corrupt line is
+    /// usually newline-less, so appending to it would concatenate the next
+    /// entry onto the partial line (destroying both) and strand anything
+    /// after it. Returns how many analyses the store holds from the file.
     fn replay(&self, store: &AnalysisStore) -> usize {
         let Ok(text) = std::fs::read_to_string(&self.path) else {
             return 0; // No file yet: cold start.
         };
-        let mut loaded = 0;
-        let mut corrupt = false;
+        let mut entries = Vec::new();
+        let mut corrupt_line = None;
         for (index, line) in text.lines().enumerate() {
             if line.trim().is_empty() {
                 continue;
@@ -129,24 +139,21 @@ impl CacheJournal {
             // snapshot first, but self-describing lines make replay
             // order-independent.
             if let Ok(snapshot) = serde_json::from_str::<AnalysisSnapshot>(line) {
-                loaded += store.absorb(snapshot);
+                entries.extend(snapshot.entries);
             } else if let Ok(entry) = serde_json::from_str::<SnapshotEntry>(line) {
-                loaded += store.absorb(AnalysisSnapshot {
-                    entries: vec![entry],
-                });
+                entries.push(entry);
             } else {
-                eprintln!(
-                    "cassandra-server: cache journal {} corrupt at line {} — \
-                     keeping the {} analyses replayed before it",
-                    self.path.display(),
-                    index + 1,
-                    loaded
-                );
-                corrupt = true;
+                corrupt_line = Some(index + 1);
                 break;
             }
         }
-        if corrupt {
+        let loaded = store.absorb(AnalysisSnapshot { entries });
+        if let Some(line) = corrupt_line {
+            eprintln!(
+                "cassandra-server: cache journal {} corrupt at line {line} — \
+                 keeping the {loaded} analyses replayed before it",
+                self.path.display(),
+            );
             match self.compact(store) {
                 Ok(kept) => eprintln!(
                     "cassandra-server: cache journal {} compacted to its valid \
@@ -211,7 +218,8 @@ impl CacheJournal {
     }
 
     /// Replaces the file with a single compacted snapshot line of the whole
-    /// store. Returns how many analyses were written.
+    /// store (at most `STORE_CAPACITY` entries). Returns how many analyses
+    /// were written.
     fn compact(&self, store: &AnalysisStore) -> io::Result<usize> {
         let mut state = lock(&self.state);
         self.compact_locked(&mut state, store)
@@ -303,7 +311,11 @@ impl EvalService {
     /// everything analyzed before the crash. The journal is compacted back
     /// to a single snapshot line every `COMPACT_EVERY` (32) appends and on
     /// a clean `Shutdown`. Warmed entries never re-run Algorithm 2, so
-    /// `Done.cache` reports them as hits.
+    /// `Done.cache` reports them as hits. A journal holding more than
+    /// [`STORE_CAPACITY`] analyses warms the store with its most recent
+    /// ones.
+    ///
+    /// [`STORE_CAPACITY`]: cassandra_core::eval::STORE_CAPACITY
     #[must_use]
     pub fn with_cache_file(mut self, path: impl Into<PathBuf>) -> Self {
         let journal = Arc::new(CacheJournal::new(path.into()));
@@ -412,26 +424,27 @@ impl EvalService {
             Request::ListWorkloads => sink(Response::Workloads {
                 names: self.workload_names(),
             }),
-            Request::Submit { spec } => match resolve_spec(&spec) {
-                Ok(workload) => {
+            Request::Submit { spec } => {
+                let submitted = resolve_spec(&spec).and_then(|workload| {
                     let response = Response::Submitted {
                         name: workload.name.clone(),
                         group: workload.group.to_string(),
                     };
-                    let mut workloads = lock(&self.workloads);
-                    workloads.retain(|w| w.name != workload.name);
-                    workloads.push(workload);
-                    drop(workloads);
-                    // Ingestion is a single cell; the 1/1 Progress line
-                    // gives Submit the same stream shape as the sweeps.
-                    sink(Response::Progress {
-                        cells_done: 1,
-                        cells_total: 1,
-                    })?;
-                    sink(response)
+                    self.ingest(workload).map(|()| response)
+                });
+                match submitted {
+                    Ok(response) => {
+                        // Ingestion is a single cell; the 1/1 Progress line
+                        // gives Submit the same stream shape as the sweeps.
+                        sink(Response::Progress {
+                            cells_done: 1,
+                            cells_total: 1,
+                        })?;
+                        sink(response)
+                    }
+                    Err(message) => sink(Response::Error { message }),
                 }
-                Err(message) => sink(Response::Error { message }),
-            },
+            }
             Request::Sweep {
                 workloads,
                 policies,
@@ -550,6 +563,27 @@ impl EvalService {
                 sink(Response::ShuttingDown)
             }
         }
+    }
+
+    /// Adds `workload` to the submitted set, last in submission order. A
+    /// workload of the same name is replaced; a new name past
+    /// [`MAX_SUBMITTED_WORKLOADS`] is refused.
+    fn ingest(&self, workload: Workload) -> Result<(), String> {
+        let mut workloads = lock(&self.workloads);
+        match workloads.iter().position(|w| w.name == workload.name) {
+            Some(held) => {
+                workloads.remove(held);
+            }
+            None if workloads.len() >= MAX_SUBMITTED_WORKLOADS => {
+                return Err(format!(
+                    "the session already holds {MAX_SUBMITTED_WORKLOADS} submitted \
+                     workloads, the limit; resubmit one of their names to replace it"
+                ));
+            }
+            None => {}
+        }
+        workloads.push(workload);
+        Ok(())
     }
 
     /// Resolves policy labels against the registry; empty selects all.
@@ -1357,5 +1391,133 @@ mod tests {
             },
         );
         assert!(matches!(&responses[0], Response::Error { .. }));
+    }
+
+    fn submit_kernel(service: &EvalService, family: &str, size: u64, name: &str) -> Vec<Response> {
+        collect(
+            service,
+            Request::Submit {
+                spec: WorkloadSpec::Kernel {
+                    family: family.to_string(),
+                    size,
+                    name: Some(name.to_string()),
+                },
+            },
+        )
+    }
+
+    #[test]
+    fn submitted_workloads_are_capped_but_held_names_still_replace() {
+        let service = EvalService::new();
+        for i in 0..MAX_SUBMITTED_WORKLOADS {
+            let responses = submit_kernel(&service, "des", 1, &format!("w{i}"));
+            assert!(matches!(responses.last(), Some(Response::Submitted { .. })));
+        }
+        let refused = submit_kernel(&service, "des", 1, "one-too-many");
+        assert!(
+            matches!(&refused[..], [Response::Error { message }] if message.contains("1024")),
+            "{refused:?}"
+        );
+        assert_eq!(service.workload_names().len(), MAX_SUBMITTED_WORKLOADS);
+
+        // A held name is replaced and moves to the end of the list.
+        let replaced = submit_kernel(&service, "des", 2, "w0");
+        assert!(matches!(replaced.last(), Some(Response::Submitted { .. })));
+        let names = service.workload_names();
+        assert_eq!(names.len(), MAX_SUBMITTED_WORKLOADS);
+        assert_eq!(names.last().map(String::as_str), Some("w0"));
+        assert!(!names.iter().any(|n| n == "one-too-many"));
+    }
+
+    /// Fresh programs past the store's capacity, served with a cache
+    /// journal: the store, the journal and a warm boot from it all stay
+    /// within their bounds, and every replayed analysis is a hit.
+    #[test]
+    fn fresh_program_soak_keeps_store_and_journal_bounded() {
+        use cassandra_core::eval::{CacheStats, STORE_CAPACITY};
+        use cassandra_trace::fingerprint::program_fingerprint;
+
+        let path =
+            std::env::temp_dir().join(format!("cassandra-soak-{}.ndjson", std::process::id()));
+        let _ = std::fs::remove_file(&path);
+        let operations = STORE_CAPACITY + 64;
+        let service = EvalService::new().with_cache_file(&path);
+        for (i, size) in (1..=operations as u64).enumerate() {
+            // Four names in rotation, as a client sweeping kernel sizes
+            // would use them.
+            let name = format!("soak-{}", i % 4);
+            let submitted = submit_kernel(&service, "sha256", size, &name);
+            assert!(matches!(submitted.last(), Some(Response::Submitted { .. })));
+            let swept = collect(
+                &service,
+                Request::Sweep {
+                    workloads: vec![name],
+                    policies: vec!["UnsafeBaseline".to_string()],
+                },
+            );
+            let Some(Response::Done(summary)) = swept.last() else {
+                panic!("expected Done, got {:?}", swept.last());
+            };
+            assert_eq!(summary.cache.misses, i as u64 + 1, "a fresh program");
+            assert!(summary.analyzed_programs <= STORE_CAPACITY);
+        }
+        let store = service.store();
+        assert_eq!(store.len(), STORE_CAPACITY);
+        assert_eq!(
+            store.stats().evictions,
+            (operations - STORE_CAPACITY) as u64
+        );
+        assert_eq!(service.workload_names().len(), 4);
+
+        // One snapshot line of at most the capacity, then fewer than
+        // COMPACT_EVERY appended entries.
+        let text = std::fs::read_to_string(&path).unwrap();
+        let lines: Vec<&str> = text.lines().collect();
+        assert!(lines.len() <= COMPACT_EVERY, "{} lines", lines.len());
+        let snapshot: AnalysisSnapshot = serde_json::from_str(lines[0]).unwrap();
+        assert!(snapshot.entries.len() <= STORE_CAPACITY);
+        for line in &lines[1..] {
+            serde_json::from_str::<SnapshotEntry>(line).unwrap();
+        }
+        let journaled = snapshot.entries.len() + lines.len() - 1;
+        assert!(journaled <= STORE_CAPACITY + COMPACT_EVERY, "{journaled}");
+
+        // A warm boot replays at most the capacity, and every replayed
+        // analysis is served without re-running Algorithm 2.
+        let warm = EvalService::new().with_cache_file(&path);
+        let replayed = warm.store().len();
+        assert!(replayed > 0 && replayed <= STORE_CAPACITY, "{replayed}");
+        let held: Vec<u64> = warm
+            .store()
+            .snapshot()
+            .entries
+            .iter()
+            .map(|e| e.fingerprint)
+            .collect();
+        let mut hits = 0;
+        for size in 1..=operations {
+            let kernel = suite::sha256_workload(size).kernel;
+            if held.contains(&program_fingerprint(&kernel.program)) {
+                let (_, timing) = warm
+                    .store()
+                    .entry(&kernel.program, kernel.step_limit)
+                    .unwrap();
+                assert!(timing.analysis_cached);
+                hits += 1;
+            }
+        }
+        assert_eq!(
+            hits, replayed,
+            "every replayed entry is a submitted program"
+        );
+        assert_eq!(
+            warm.store().stats(),
+            CacheStats {
+                hits: replayed as u64,
+                misses: 0,
+                evictions: 0,
+            }
+        );
+        let _ = std::fs::remove_file(&path);
     }
 }

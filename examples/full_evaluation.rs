@@ -46,7 +46,9 @@
 //! from `std::thread::available_parallelism` and the choice is logged at
 //! startup. `--cache-file PATH` journals the analysis store: replayed on
 //! boot, appended as analyses complete (so a crash keeps the warm state),
-//! compacted on a clean client `Shutdown`. `--smoke` instead runs a
+//! compacted on a clean client `Shutdown`, after which the server prints
+//! how many analyses its store holds (the count the next boot replays).
+//! `--smoke` instead runs a
 //! self-contained concurrent round trip (spawn on an ephemeral port, two
 //! overlapping tagged sweeps multiplexed on ONE connection while a second
 //! connection pings mid-sweep, a static Lint of the submitted workloads,
@@ -218,6 +220,7 @@ fn run_server(
             service.store().len()
         );
     }
+    let store = std::sync::Arc::clone(service.store());
     let handle = serve(bind_addr, service, threads)?;
     println!(
         "cassandra-server listening on {} ({threads} workers via {sized}); \
@@ -228,7 +231,10 @@ fn run_server(
         smoke_round_trip(handle.addr())?;
     }
     handle.join();
-    println!("server stopped");
+    println!(
+        "server stopped; the analysis store holds {} analyses",
+        store.len()
+    );
     Ok(())
 }
 
