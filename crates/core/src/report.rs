@@ -1,22 +1,19 @@
 //! Report rendering: plain text (the same rows and series the paper
 //! reports), CSV and JSON.
 //!
-//! The `format_*` functions render the individual result types; [`render`]
-//! (and the [`render_text`] / [`render_csv`] / [`render_json`] shorthands)
-//! accept any [`ExperimentOutput`] from the registry, so `run_all` output
-//! can be dumped uniformly in every format.
+//! Each [`ExperimentOutput`] is described once, as one table: a line per
+//! column (text header, width, alignment and precision, CSV header, and the
+//! typed cell it reads from a row; a mark if one format only shows it),
+//! plus text-only lead and trail lines. [`render`] prints that table as
+//! text or CSV; JSON stays on serde.
 
-use crate::consolidation::ConsolidationResult;
-use crate::eval::EvalRecord;
-use crate::experiments::{
-    Fig7Result, Fig8Point, Fig9Result, Q3Row, Q4Result, Table1Result, TraceGenRow,
-};
-use crate::frontier::FrontierResult;
-use crate::lint::LintRow;
+use std::borrow::Cow;
+use std::fmt::Write;
+
 use crate::registry::ExperimentOutput;
-use crate::security::SecurityMatrix;
 use cassandra_analysis::StaticVerdict;
 use cassandra_cpu::config::DefenseMode;
+use serde_json::Error;
 
 /// Output format selector for [`render`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -29,762 +26,363 @@ pub enum ReportFormat {
     Json,
 }
 
-/// Renders Table 1 (branch analysis / compression rates).
-pub fn format_table1(result: &Table1Result) -> String {
-    let mut out = String::new();
-    out.push_str(&format!(
-        "{:<22} {:>6} {:>12} {:>12} {:>10} {:>10} {:>14} {:>14}\n",
-        "Program",
-        "Group",
-        "VanillaAvg",
-        "VanillaMax",
-        "KmersAvg",
-        "KmersMax",
-        "CompRateAvg",
-        "CompRateMax"
-    ));
-    for row in &result.rows {
-        let r = &row.row;
-        out.push_str(&format!(
-            "{:<22} {:>6} {:>12.1} {:>12} {:>10.1} {:>10} {:>14.1} {:>14.1}\n",
-            r.program,
-            row.group.to_string(),
-            r.vanilla_avg,
-            r.vanilla_max,
-            r.kmers_avg,
-            r.kmers_max,
-            r.compression_avg,
-            r.compression_max
-        ));
-    }
-    let a = &result.all;
-    out.push_str(&format!(
-        "{:<22} {:>6} {:>12.1} {:>12} {:>10.1} {:>10} {:>14.1} {:>14.1}\n",
-        "All",
-        "",
-        a.vanilla_avg,
-        a.vanilla_max,
-        a.kmers_avg,
-        a.kmers_max,
-        a.compression_avg,
-        a.compression_max
-    ));
-    out
+/// One typed cell.
+enum Cell<'a> {
+    /// Text, the same in both formats.
+    Str(Cow<'a, str>),
+    /// A number: the column's precision in text, in full in CSV.
+    Num(f64),
+    /// Text that differs per format: (text, CSV).
+    Split(Cow<'a, str>, Cow<'a, str>),
 }
 
-/// Renders Figure 7 (normalised execution times and the geomean line).
-pub fn format_fig7(result: &Fig7Result) -> String {
-    let designs: Vec<&String> = result.geomean.keys().collect();
-    let mut out = String::new();
-    out.push_str(&format!("{:<22} {:>8}", "Workload", "Group"));
-    for d in &designs {
-        out.push_str(&format!(" {:>18}", d));
+/// A string cell borrowed from the output.
+fn b(text: &str) -> Cell<'_> {
+    Cell::Str(Cow::Borrowed(text))
+}
+
+/// A cell of any other displayed value: a number, flag or label.
+fn s<'a>(value: impl ToString) -> Cell<'a> {
+    Cell::Str(Cow::Owned(value.to_string()))
+}
+
+/// A column's headers and text layout.
+#[derive(Default)]
+struct Column<'a> {
+    text: &'a str,
+    csv: &'a str,
+    /// The one format that shows this column, if not both.
+    only: Option<ReportFormat>,
+    left: bool,
+    width: usize,
+    prec: usize,
+    /// Text before the cell, after the space between columns (if any).
+    sep: &'static str,
+}
+
+/// A right-aligned column (`l`: left-aligned; `csv`: shown in CSV only).
+fn r<'a>(text: &'a str, csv: &'a str, width: usize) -> Column<'a> {
+    Column {
+        text,
+        csv,
+        width,
+        ..Column::default()
     }
-    out.push('\n');
-    for row in &result.rows {
-        out.push_str(&format!(
-            "{:<22} {:>8}",
-            row.workload,
-            row.group.to_string()
-        ));
-        for d in &designs {
-            out.push_str(&format!(
-                " {:>18.4}",
-                row.normalized.get(*d).unwrap_or(&f64::NAN)
-            ));
+}
+
+fn l<'a>(text: &'a str, csv: &'a str, width: usize) -> Column<'a> {
+    Column {
+        left: true,
+        ..r(text, csv, width)
+    }
+}
+
+fn csv(header: &str) -> Column<'_> {
+    Column {
+        only: Some(ReportFormat::Csv),
+        ..r("", header, 0)
+    }
+}
+
+impl Column<'_> {
+    fn prec(self, prec: usize) -> Self {
+        Column { prec, ..self }
+    }
+}
+
+/// A column with the cell it reads from a row.
+type Col<'a, R> = (Column<'a>, Box<dyn Fn(&R) -> Cell<'a> + 'a>);
+
+/// One output as a table over rows of type `R`, each with the one format
+/// that shows it (if not both) and a text section lead: a table with
+/// section leads prints its header after each lead, not at the top.
+struct Table<'a, R> {
+    rows: Vec<(Option<ReportFormat>, String, R)>,
+    cols: Vec<Col<'a, R>>,
+}
+
+fn table<'a, R>(items: impl IntoIterator<Item = R>) -> Table<'a, R> {
+    let rows = items.into_iter().map(|item| (None, String::new(), item));
+    let (rows, cols) = (rows.collect(), Vec::new());
+    Table { rows, cols }
+}
+
+impl<'a, R> Table<'a, R> {
+    /// Appends a row that only one format prints.
+    fn row(mut self, only: ReportFormat, item: R) -> Self {
+        self.rows.push((Some(only), String::new(), item));
+        self
+    }
+
+    fn sections(mut self, lead: impl Fn(&R) -> Option<String>) -> Self {
+        for row in &mut self.rows {
+            row.1 = lead(&row.2).unwrap_or_default();
         }
-        out.push('\n');
+        self
     }
-    out.push_str(&format!("{:<22} {:>8}", "geomean", ""));
-    for d in &designs {
-        out.push_str(&format!(" {:>18.4}", result.geomean[*d]));
-    }
-    out.push('\n');
-    // One speedup line per swept design (negative = slowdown) — whatever
-    // policies the sweep enumerated, not a hand-listed subset.
-    let baseline = DefenseMode::UnsafeBaseline.label();
-    out.push('\n');
-    for label in result.geomean.keys() {
-        if label == baseline {
-            continue;
-        }
-        out.push_str(&format!(
-            "{label} speedup vs {baseline}: {:+.2}%\n",
-            result.speedup_pct_of(label)
-        ));
-    }
-    out
-}
 
-/// Renders Figure 8 (synthetic benchmark overheads).
-pub fn format_fig8(points: &[Fig8Point]) -> String {
-    let mut out = String::new();
-    out.push_str(&format!(
-        "{:<14} {:<12} {:>14} {:>24}\n",
-        "Variant", "Mix", "ProSpeCT[%]", "Cassandra+ProSpeCT[%]"
-    ));
-    for p in points {
-        out.push_str(&format!(
-            "{:<14} {:<12} {:>14.2} {:>24.2}\n",
-            p.variant, p.mix, p.prospect_overhead_pct, p.cassandra_prospect_overhead_pct
-        ));
+    fn col(mut self, column: Column<'a>, cell: impl Fn(&R) -> Cell<'a> + 'a) -> Self {
+        self.cols.push((column, Box::new(cell)));
+        self
     }
-    out
-}
 
-/// Renders Figure 9 (power and area breakdown).
-pub fn format_fig9(result: &Fig9Result) -> String {
-    let mut out = String::new();
-    out.push_str("Unit breakdown (area, power) — UnsafeBaseline vs Cassandra\n");
-    for unit in &result.baseline.units {
-        let cass_power = result.cassandra.unit_power(&unit.name);
-        out.push_str(&format!(
-            "{:<24} area {:>7.1}   power {:>8.3} -> {:>8.3}\n",
-            unit.name, unit.area, unit.power, cass_power
-        ));
+    /// The columns and rows a format shows, by index.
+    fn shown(&self, format: ReportFormat) -> (Vec<&Col<'a, R>>, Vec<usize>) {
+        let shows = |only: Option<ReportFormat>| only.is_none_or(|f| f == format);
+        let cols = self.cols.iter().filter(|(c, _)| shows(c.only)).collect();
+        let rows = (0..self.rows.len()).filter(|&i| shows(self.rows[i].0));
+        (cols, rows.collect())
     }
-    for unit in &result.cassandra.units {
-        if result.baseline.unit_area(&unit.name) == 0.0 {
-            out.push_str(&format!(
-                "{:<24} area {:>7.1}   power {:>8} -> {:>8.3}   (Cassandra only)\n",
-                unit.name, unit.area, "-", unit.power
-            ));
-        }
-    }
-    out.push_str(&format!(
-        "\nTotal power change: {:+.2}%   BTU area overhead: {:+.2}%\n",
-        result.power_delta_pct, result.area_overhead_pct
-    ));
-    out
-}
 
-/// Renders the Q3 restricted-frontend comparison.
-pub fn format_q3(rows: &[Q3Row]) -> String {
-    let mut out = String::new();
-    out.push_str(&format!(
-        "{:<22} {:>8} {:<18} {:>14} {:>14} {:>12}\n",
-        "Workload", "Group", "Variant", "Cassandra", "Variant", "Slowdown[%]"
-    ));
-    for r in rows {
-        out.push_str(&format!(
-            "{:<22} {:>8} {:<18} {:>14} {:>14} {:>12.2}\n",
-            r.workload,
-            r.group.to_string(),
-            r.design,
-            r.cassandra_cycles,
-            r.variant_cycles,
-            r.slowdown_pct
-        ));
-    }
-    out
-}
-
-/// Renders the Q4 context-switch experiment (flush vs partition variants).
-pub fn format_q4(result: &Q4Result) -> String {
-    format!(
-        "Cassandra speedup without context switches: {:+.2}%\n\
-         Context switch every {} instructions, priced as ...\n\
-         ... a whole-BTU flush:                    {:+.2}%\n\
-         ... a partition reassignment ({} ctx):     {:+.2}%\n",
-        result.speedup_no_flush_pct,
-        result.flush_interval,
-        result.speedup_with_flush_pct,
-        result.partition_contexts,
-        result.speedup_with_partition_pct
-    )
-}
-
-/// Renders the §7.5 trace-generation timing table.
-pub fn format_trace_gen(rows: &[TraceGenRow]) -> String {
-    let mut out = String::new();
-    out.push_str(&format!(
-        "{:<22} {:>9} {:>12} {:>12} {:>12} {:>12}\n",
-        "Workload", "Branches", "Detect[µs]", "Collect[µs]", "Vanilla[µs]", "Kmers[µs]"
-    ));
-    for r in rows {
-        out.push_str(&format!(
-            "{:<22} {:>9} {:>12} {:>12} {:>12} {:>12}\n",
-            r.workload,
-            r.branches,
-            r.detect.as_micros(),
-            r.collect.as_micros(),
-            r.vanilla.as_micros(),
-            r.kmers.as_micros()
-        ));
-    }
-    out
-}
-
-/// Renders the Table-2 security matrix.
-pub fn format_security(matrix: &SecurityMatrix) -> String {
-    let mut out = String::new();
-    out.push_str(&format!(
-        "{:<36} {:<18} {:>9} {:>9} {:>10} {:>10}\n",
-        "Scenario", "Design", "CtEqual", "ObsEqual", "Transient", "Verdict"
-    ));
-    for c in &matrix.cells {
-        out.push_str(&format!(
-            "{:<36} {:<18} {:>9} {:>9} {:>10} {:>10}",
-            c.scenario,
-            c.design,
-            c.verdict.contract_equal,
-            c.verdict.attacker_trace_equal,
-            c.verdict.transient_activity,
-            if c.verdict.is_protected() {
-                "protected"
-            } else {
-                "LEAK"
+    /// Writes one text line, the header for no `row`: each cell padded to
+    /// its column's width after a space (none before the first) and the
+    /// column's `sep`. A zero-width column's empty cell is left out.
+    fn line(&self, out: &mut String, cols: &[&Col<'a, R>], row: Option<usize>) {
+        for (i, (c, cell)) in cols.iter().enumerate() {
+            let cell = row.map_or_else(|| b(c.text), |row| cell(&self.rows[row].2));
+            if c.width == 0 && matches!(&cell, Cell::Str(t) | Cell::Split(t, _) if t.is_empty()) {
+                continue;
             }
-        ));
-        if !c.verdict.divergent_accesses.is_empty() {
-            out.push_str(&format!(
-                "  diverging: {}",
-                hex_list(&c.verdict.divergent_accesses)
-            ));
+            out.push_str(if i > 0 { " " } else { "" });
+            out.push_str(c.sep);
+            let (w, p) = (c.width, c.prec);
+            let _ = match &cell {
+                Cell::Num(x) if c.left => write!(out, "{x:<w$.p$}"),
+                Cell::Num(x) => write!(out, "{x:>w$.p$}"),
+                Cell::Str(t) | Cell::Split(t, _) if c.left => write!(out, "{t:<w$}"),
+                Cell::Str(t) | Cell::Split(t, _) => write!(out, "{t:>w$}"),
+            };
         }
         out.push('\n');
     }
-    out.push_str(&format!(
-        "\n{} leaking (scenario, design) pairs\n",
-        matrix.leak_count()
-    ));
-    out
-}
 
-/// Renders the static-lint verdict table (workloads × verdicts).
-pub fn format_lint(rows: &[LintRow]) -> String {
-    let mut out = String::new();
-    out.push_str(&format!(
-        "{:<22} {:>10} {:>15} {:>7} {:>7} {:>8} {:>6} {:>10}\n",
-        "Workload", "Group", "Verdict", "Instrs", "CondBr", "Tainted", "Arch", "Transient"
-    ));
-    for r in rows {
-        out.push_str(&format!(
-            "{:<22} {:>10} {:>15} {:>7} {:>7} {:>8} {:>6} {:>10}\n",
-            r.workload,
-            r.group.to_string(),
-            r.verdict.to_string(),
-            r.instructions,
-            r.conditional_branches,
-            r.tainted_branches,
-            r.arch_findings,
-            r.transient_findings
-        ));
+    /// Prints the table in `format`; text puts `lead` and `trail` around it.
+    fn render(&self, format: ReportFormat, lead: &str, trail: &str) -> String {
+        if format != ReportFormat::Text {
+            return self.csv();
+        }
+        let (cols, rows) = self.shown(ReportFormat::Text);
+        let mut header = String::new();
+        if cols.iter().any(|(c, _)| !c.text.is_empty()) {
+            self.line(&mut header, &cols, None);
+        }
+        let mut out = lead.to_string();
+        if self.rows.iter().all(|row| row.1.is_empty()) {
+            out.push_str(&header);
+        }
+        for i in rows {
+            if !self.rows[i].1.is_empty() {
+                out.push_str(&self.rows[i].1);
+                out.push_str(&header);
+            }
+            self.line(&mut out, &cols, Some(i));
+        }
+        out + trail
     }
-    let clean = rows
-        .iter()
-        .filter(|r| r.verdict == StaticVerdict::CtClean)
-        .count();
-    out.push_str(&format!(
-        "\n{clean}/{} workloads certified ct-clean (verdicts over-approximate: \
-         ct-clean is a guarantee, leak verdicts may be conservative)\n",
-        rows.len()
-    ));
-    out
+
+    fn csv(&self) -> String {
+        let (cols, rows) = self.shown(ReportFormat::Csv);
+        let mut out = String::new();
+        for row in std::iter::once(None).chain(rows.into_iter().map(Some)) {
+            for (j, (c, cell)) in cols.iter().enumerate() {
+                out.push_str(if j == 0 { "" } else { "," });
+                let _ = match row.map_or_else(|| b(c.csv), |row| cell(&self.rows[row].2)) {
+                    Cell::Num(x) => write!(out, "{x}"),
+                    Cell::Str(t) | Cell::Split(_, t) => write!(out, "{}", csv_escape(&t)),
+                };
+            }
+            out.push('\n');
+        }
+        out
+    }
 }
 
-/// Renders the consolidation experiment (per-policy, per-tenant rows).
-pub fn format_consolidation(result: &ConsolidationResult) -> String {
-    let mut out = String::new();
-    out.push_str(&format!(
-        "Consolidation: {} tenants, quantum {} instructions\n",
-        result.tenant_count, result.quantum
-    ));
-    for p in &result.policies {
-        out.push_str(&format!(
-            "\nPolicy {:<10} ({}): {} context switches, {} total cycles, \
-             geomean slowdown {:.3}x\n",
-            p.policy,
-            p.defense.label(),
-            p.context_switches,
-            p.total_cycles,
-            p.geomean_slowdown
-        ));
-        out.push_str(&format!(
-            "  {:>3} {:<22} {:>10} {:>12} {:>12} {:>9} {:>11} {:>8} {:>9} {:>7}\n",
-            "Ctx",
-            "Workload",
-            "Committed",
-            "Cycles",
-            "Solo",
-            "Slowdown",
-            "BtuLookups",
-            "HitRate",
-            "Evictions",
-            "Steals"
-        ));
-        for t in &p.tenants {
-            out.push_str(&format!(
-                "  {:>3} {:<22} {:>10} {:>12} {:>12} {:>8.3}x {:>11} {:>8.3} {:>9} {:>7}\n",
-                t.context,
-                t.workload,
-                t.committed_instructions,
-                t.attributed_cycles,
-                t.solo_cycles,
-                t.slowdown,
-                t.btu.lookups,
-                t.btu.hit_rate(),
-                t.btu.evictions,
-                t.btu.steals_suffered
-            ));
+/// Renders an output as text or CSV from its one table description, a
+/// column per line (left unformatted so that it reads as a table).
+#[rustfmt::skip]
+fn render_table(output: &ExperimentOutput, format: ReportFormat) -> String {
+    use Cell::{Num, Split};
+    use ReportFormat::{Csv, Text};
+    match output {
+        ExperimentOutput::Table1(t) => table(t.rows.iter().map(|row| (Some(&row.group), &row.row)))
+            .row(Text, (None, &t.all))
+            .col(l("Program", "program", 22), |x| b(&x.1.program))
+            .col(r("Group", "group", 6), |x| x.0.map_or(b(""), s))
+            .col(csv("multi_target"), |x| s(x.1.multi_target_branches))
+            .col(csv("single_target"), |x| s(x.1.single_target_branches))
+            .col(r("VanillaAvg", "vanilla_avg", 12).prec(1), |x| Num(x.1.vanilla_avg))
+            .col(r("VanillaMax", "vanilla_max", 12), |x| s(x.1.vanilla_max))
+            .col(r("KmersAvg", "kmers_avg", 10).prec(1), |x| Num(x.1.kmers_avg))
+            .col(r("KmersMax", "kmers_max", 10), |x| s(x.1.kmers_max))
+            .col(r("CompRateAvg", "compression_avg", 14).prec(1), |x| Num(x.1.compression_avg))
+            .col(r("CompRateMax", "compression_max", 14).prec(1), |x| Num(x.1.compression_max))
+            .render(format, "", ""),
+        ExperimentOutput::Fig7(f) => {
+            let rows = f.rows.iter().map(|row| (&*row.workload, Some(&row.group), &row.normalized));
+            let mut t = table(rows.chain([("geomean", None, &f.geomean)]))
+                .col(l("Workload", "workload", 22), |x| b(x.0))
+                .col(r("Group", "group", 8), |x| x.1.map_or(b(""), s));
+            for d in f.geomean.keys() {
+                t = t.col(r(d, d, 18).prec(4), |x| x.2.get(d).map_or(Split("NaN".into(), "".into()), |v| Num(*v)));
+            }
+            // One speedup line per swept design (negative = slowdown).
+            let baseline = DefenseMode::UnsafeBaseline.label();
+            let speedups = f.geomean.keys().filter(|label| *label != baseline)
+                .map(|label| format!("{label} speedup vs {baseline}: {:+.2}%\n", f.speedup_pct_of(label)));
+            t.render(format, "", &format!("\n{}", speedups.collect::<String>()))
+        }
+        ExperimentOutput::Fig8(points) => table(points)
+            .col(l("Variant", "variant", 14), |p| b(&p.variant))
+            .col(l("Mix", "mix", 12), |p| b(&p.mix))
+            .col(r("ProSpeCT[%]", "prospect_overhead_pct", 14).prec(2), |p| Num(p.prospect_overhead_pct))
+            .col(r("Cassandra+ProSpeCT[%]", "cassandra_prospect_overhead_pct", 24).prec(2), |p| Num(p.cassandra_prospect_overhead_pct))
+            .render(format, "", ""),
+        ExperimentOutput::Fig9(f) => {
+            let (base, cass) = (&f.baseline, &f.cassandra);
+            let units = base.units.iter().map(|u| (&*u.name, u.area, Some(u.power), cass.unit_power(&u.name)));
+            let cass_only = cass.units.iter().filter(|u| base.unit_area(&u.name) == 0.0);
+            table(units.chain(cass_only.map(|u| (&*u.name, u.area, None, u.power))))
+                .row(Csv, ("TOTAL", base.total_area, Some(base.total_power), cass.total_power))
+                .col(l("", "unit", 24), |x| b(x.0))
+                .col(Column { sep: "area ", ..r("", "area", 7).prec(1) }, |x| Num(x.1))
+                .col(Column { sep: "  power ", ..r("", "baseline_power", 8).prec(3) }, |x| x.2.map_or(Split("-".into(), "".into()), Num))
+                .col(Column { sep: "-> ", ..r("", "cassandra_power", 8).prec(3) }, |x| Num(x.3))
+                .col(Column { sep: "  ", only: Some(Text), ..l("", "", 0) }, |x| b(x.2.map_or("(Cassandra only)", |_| "")))
+                .render(format, "Unit breakdown (area, power) — UnsafeBaseline vs Cassandra\n", &format!(
+                    "\nTotal power change: {:+.2}%   BTU area overhead: {:+.2}%\n",
+                    f.power_delta_pct, f.area_overhead_pct))
+        }
+        ExperimentOutput::Q3(rows) => table(rows)
+            .col(l("Workload", "workload", 22), |x| b(&x.workload))
+            .col(r("Group", "group", 8), |x| s(x.group))
+            .col(l("Variant", "design", 18), |x| b(&x.design))
+            .col(r("Cassandra", "cassandra_cycles", 14), |x| s(x.cassandra_cycles))
+            .col(r("Variant", "variant_cycles", 14), |x| s(x.variant_cycles))
+            .col(r("Slowdown[%]", "slowdown_pct", 12).prec(2), |x| Num(x.slowdown_pct))
+            .render(format, "", ""),
+        ExperimentOutput::Q4(q) => table(None)
+            .row(Csv, q)
+            .col(csv("flush_interval"), |q| s(q.flush_interval))
+            .col(csv("partition_contexts"), |q| s(q.partition_contexts))
+            .col(csv("speedup_no_flush_pct"), |q| Num(q.speedup_no_flush_pct))
+            .col(csv("speedup_with_flush_pct"), |q| Num(q.speedup_with_flush_pct))
+            .col(csv("speedup_with_partition_pct"), |q| Num(q.speedup_with_partition_pct))
+            .render(format, &format!("Cassandra speedup without context switches: {:+.2}%\n\
+                Context switch every {} instructions, priced as ...\n\
+                ... a whole-BTU flush:                    {:+.2}%\n\
+                ... a partition reassignment ({} ctx):     {:+.2}%\n",
+                q.speedup_no_flush_pct, q.flush_interval, q.speedup_with_flush_pct,
+                q.partition_contexts, q.speedup_with_partition_pct), ""),
+        ExperimentOutput::Security(m) => table(&m.cells)
+            .col(l("Scenario", "scenario", 36), |c| b(&c.scenario))
+            .col(l("Design", "design", 18), |c| b(&c.design))
+            .col(r("CtEqual", "contract_equal", 9), |c| s(c.verdict.contract_equal))
+            .col(r("ObsEqual", "attacker_trace_equal", 9), |c| s(c.verdict.attacker_trace_equal))
+            .col(r("Transient", "transient_activity", 10), |c| s(c.verdict.transient_activity))
+            .col(r("Verdict", "protected", 10), |c| match c.verdict.is_protected() {
+                true => Split("protected".into(), "true".into()),
+                false => Split("LEAK".into(), "false".into()),
+            })
+            .col(Column { sep: " ", ..l("", "divergent_accesses", 0) }, |c| {
+                let addrs = &c.verdict.divergent_accesses;
+                let hex = |sep| addrs.iter().map(|a| format!("{a:#x}")).collect::<Vec<_>>().join(sep);
+                let text = if addrs.is_empty() { String::new() } else { format!("diverging: {}", hex(" ")) };
+                Split(text.into(), hex(";").into())
+            })
+            .render(format, "", &format!("\n{} leaking (scenario, design) pairs\n", m.leak_count())),
+        ExperimentOutput::TraceGen(rows) => table(rows)
+            .col(l("Workload", "workload", 22), |x| b(&x.workload))
+            .col(r("Branches", "branches", 9), |x| s(x.branches))
+            .col(r("Detect[µs]", "detect_us", 12), |x| s(x.detect.as_micros()))
+            .col(r("Collect[µs]", "collect_us", 12), |x| s(x.collect.as_micros()))
+            .col(r("Vanilla[µs]", "vanilla_us", 12), |x| s(x.vanilla.as_micros()))
+            .col(r("Kmers[µs]", "kmers_us", 12), |x| s(x.kmers.as_micros()))
+            .render(format, "", ""),
+        ExperimentOutput::Lint(rows) => table(rows)
+            .col(l("Workload", "workload", 22), |x| b(&x.workload))
+            .col(r("Group", "group", 10), |x| s(x.group))
+            .col(r("Verdict", "verdict", 15), |x| b(x.verdict.as_str()))
+            .col(r("Instrs", "instructions", 7), |x| s(x.instructions))
+            .col(r("CondBr", "conditional_branches", 7), |x| s(x.conditional_branches))
+            .col(r("Tainted", "tainted_branches", 8), |x| s(x.tainted_branches))
+            .col(r("Arch", "arch_findings", 6), |x| s(x.arch_findings))
+            .col(r("Transient", "transient_findings", 10), |x| s(x.transient_findings))
+            .render(format, "", &format!("\n{}/{} workloads certified ct-clean (verdicts over-approximate: \
+                ct-clean is a guarantee, leak verdicts may be conservative)\n",
+                rows.iter().filter(|r| r.verdict == StaticVerdict::CtClean).count(), rows.len())),
+        ExperimentOutput::Consolidation(c) => {
+            let lead = format!("Consolidation: {} tenants, quantum {} instructions\n", c.tenant_count, c.quantum);
+            table(c.policies.iter().flat_map(|p| p.tenants.iter().enumerate().map(move |(i, t)| (p, i, t))))
+                .sections(|&(p, i, _)| (i == 0).then(|| format!(
+                    "\nPolicy {:<10} ({}): {} context switches, {} total cycles, geomean slowdown {:.3}x\n",
+                    p.policy, p.defense.label(), p.context_switches, p.total_cycles, p.geomean_slowdown)))
+                .col(csv("policy"), |x| b(&x.0.policy))
+                .col(csv("defense"), |x| b(x.0.defense.label()))
+                .col(Column { sep: "  ", ..r("Ctx", "context", 3) }, |x| s(x.2.context))
+                .col(l("Workload", "workload", 22), |x| b(&x.2.workload))
+                .col(r("Committed", "committed_instructions", 10), |x| s(x.2.committed_instructions))
+                .col(r("Cycles", "attributed_cycles", 12), |x| s(x.2.attributed_cycles))
+                .col(r("Solo", "solo_cycles", 12), |x| s(x.2.solo_cycles))
+                .col(r("Slowdown", "slowdown", 9), |x| Split(format!("{:.3}x", x.2.slowdown).into(), x.2.slowdown.to_string().into()))
+                .col(csv("context_switches"), |x| s(x.0.context_switches))
+                .col(r("BtuLookups", "btu_lookups", 11), |x| s(x.2.btu.lookups))
+                .col(r("HitRate", "btu_hit_rate", 8).prec(3), |x| Num(x.2.btu.hit_rate()))
+                .col(r("Evictions", "btu_evictions", 9), |x| s(x.2.btu.evictions))
+                .col(r("Steals", "btu_steals_suffered", 7), |x| s(x.2.btu.steals_suffered))
+                .col(csv("btu_partition_switches"), |x| s(x.2.btu.partition_switches))
+                .render(format, &lead, "")
+        }
+        ExperimentOutput::Records(records) => table(records)
+            .col(l("Workload", "workload", 22), |x| b(&x.workload))
+            .col(r("Group", "group", 10), |x| s(x.group))
+            .col(l("Design", "design", 18), |x| b(&x.design))
+            .col(csv("defense"), |x| b(x.defense.label()))
+            .col(r("Cycles", "cycles", 12), |x| s(x.stats.cycles))
+            .col(r("IPC", "ipc", 8).prec(3), |x| Num(x.stats.ipc()))
+            .col(r("Mispred", "mispredictions", 10), |x| s(x.stats.mispredictions))
+            .col(csv("squashed"), |x| s(x.stats.squashed_instructions))
+            .col(r("Cached", "analysis_cached", 8), |x| s(x.timing.analysis_cached))
+            .col(csv("simulate_us"), |x| s(x.timing.simulate.as_micros()))
+            .render(format, "", ""),
+        ExperimentOutput::Frontier(f) => {
+            let search = if f.adaptive { "successive halving" } else { "exhaustive" };
+            let (workloads, cells, full) = (f.workloads.len(), f.cells_total, f.cells_simulated_full);
+            let mut lead = format!("Pareto frontier over {workloads} workloads: {cells} grid cells, {full} full-suite ({search})\n");
+            for (i, rung) in f.rungs.iter().enumerate() {
+                let _ = writeln!(lead, "  rung {i}: {} cells on {} workloads -> kept {}", rung.cells_in, rung.workloads, rung.cells_kept);
+            }
+            let _ = writeln!(lead, "\nFrontier ({} points, security asc then slowdown asc):", f.frontier.len());
+            lead += &table(&f.frontier)
+                .col(l("Design", "", 28), |p| b(&p.label))
+                .col(l("Defense", "", 18), |p| b(p.defense.label()))
+                .col(r("Slowdown", "", 10).prec(4), |p| Num(p.geomean_slowdown))
+                .col(r("Leaks", "", 7), |p| s(p.security_leaks))
+                .render(Text, "", "");
+            let _ = writeln!(lead, "\nAll cells ({}):", f.cells.len());
+            table(&f.cells)
+                .col(l("Design", "design", 28), |c| b(&c.label))
+                .col(csv("defense"), |c| b(c.defense.label()))
+                .col(r("Slowdown", "geomean_slowdown", 10).prec(4), |c| Num(c.geomean_slowdown))
+                .col(r("Leaks", "security_leaks", 7), |c| s(c.security_leaks))
+                .col(r("Full", "full_suite", 6), |c| s(c.full_suite))
+                .col(r("Frontier", "on_frontier", 9), |c| s(c.on_frontier))
+                .col(r("Dominates", "dominates", 10), |c| s(c.dominates))
+                .col(r("DominatedBy", "dominated_by", 11), |c| s(c.dominated_by))
+                .render(format, &lead, "")
         }
     }
-    out
 }
 
-/// Renders a raw design-point sweep.
-pub fn format_records(records: &[EvalRecord]) -> String {
-    let mut out = String::new();
-    out.push_str(&format!(
-        "{:<22} {:>10} {:<18} {:>12} {:>8} {:>10} {:>8}\n",
-        "Workload", "Group", "Design", "Cycles", "IPC", "Mispred", "Cached"
-    ));
-    for r in records {
-        out.push_str(&format!(
-            "{:<22} {:>10} {:<18} {:>12} {:>8.3} {:>10} {:>8}\n",
-            r.workload,
-            r.group.to_string(),
-            r.design,
-            r.stats.cycles,
-            r.stats.ipc(),
-            r.stats.mispredictions,
-            r.timing.analysis_cached
-        ));
+fn csv_escape(field: &str) -> Cow<'_, str> {
+    match field.contains([',', '"', '\n']) {
+        true => Cow::Owned(format!("\"{}\"", field.replace('"', "\"\""))),
+        false => Cow::Borrowed(field),
     }
-    out
 }
-
-/// Renders a Pareto-frontier search result (rung plan, frontier, cells).
-pub fn format_frontier(result: &FrontierResult) -> String {
-    let mut out = String::new();
-    out.push_str(&format!(
-        "Pareto frontier over {} workloads: {} grid cells, {} full-suite ({})\n",
-        result.workloads.len(),
-        result.cells_total,
-        result.cells_simulated_full,
-        if result.adaptive {
-            "successive halving"
-        } else {
-            "exhaustive"
-        }
-    ));
-    for (i, rung) in result.rungs.iter().enumerate() {
-        out.push_str(&format!(
-            "  rung {i}: {} cells on {} workloads -> kept {}\n",
-            rung.cells_in, rung.workloads, rung.cells_kept
-        ));
-    }
-    out.push_str(&format!(
-        "\nFrontier ({} points, security asc then slowdown asc):\n",
-        result.frontier.len()
-    ));
-    out.push_str(&format!(
-        "{:<28} {:<18} {:>10} {:>7}\n",
-        "Design", "Defense", "Slowdown", "Leaks"
-    ));
-    for p in &result.frontier {
-        out.push_str(&format!(
-            "{:<28} {:<18} {:>10.4} {:>7}\n",
-            p.label,
-            p.defense.label(),
-            p.geomean_slowdown,
-            p.security_leaks
-        ));
-    }
-    out.push_str(&format!(
-        "\nAll cells ({}):\n{:<28} {:>10} {:>7} {:>6} {:>9} {:>10} {:>11}\n",
-        result.cells.len(),
-        "Design",
-        "Slowdown",
-        "Leaks",
-        "Full",
-        "Frontier",
-        "Dominates",
-        "DominatedBy"
-    ));
-    for c in &result.cells {
-        out.push_str(&format!(
-            "{:<28} {:>10.4} {:>7} {:>6} {:>9} {:>10} {:>11}\n",
-            c.label,
-            c.geomean_slowdown,
-            c.security_leaks,
-            c.full_suite,
-            c.on_frontier,
-            c.dominates,
-            c.dominated_by
-        ));
-    }
-    out
-}
-
-// --------------------------------------------------------------- dispatch
 
 /// Renders any experiment output as plain text.
 pub fn render_text(output: &ExperimentOutput) -> String {
-    match output {
-        ExperimentOutput::Table1(r) => format_table1(r),
-        ExperimentOutput::Fig7(r) => format_fig7(r),
-        ExperimentOutput::Fig8(r) => format_fig8(r),
-        ExperimentOutput::Fig9(r) => format_fig9(r),
-        ExperimentOutput::Q3(r) => format_q3(r),
-        ExperimentOutput::Q4(r) => format_q4(r),
-        ExperimentOutput::Security(r) => format_security(r),
-        ExperimentOutput::TraceGen(r) => format_trace_gen(r),
-        ExperimentOutput::Lint(r) => format_lint(r),
-        ExperimentOutput::Consolidation(r) => format_consolidation(r),
-        ExperimentOutput::Records(r) => format_records(r),
-        ExperimentOutput::Frontier(r) => format_frontier(r),
-    }
-}
-
-fn hex_list(addrs: &[u64]) -> String {
-    addrs
-        .iter()
-        .map(|a| format!("{a:#x}"))
-        .collect::<Vec<_>>()
-        .join(" ")
-}
-
-fn csv_escape(field: &str) -> String {
-    if field.contains(',') || field.contains('"') || field.contains('\n') {
-        format!("\"{}\"", field.replace('"', "\"\""))
-    } else {
-        field.to_string()
-    }
-}
-
-fn csv_table(header: &[&str], rows: Vec<Vec<String>>) -> String {
-    let mut out = String::new();
-    out.push_str(&header.join(","));
-    out.push('\n');
-    for row in rows {
-        let escaped: Vec<String> = row.iter().map(|f| csv_escape(f)).collect();
-        out.push_str(&escaped.join(","));
-        out.push('\n');
-    }
-    out
-}
-
-/// Renders any experiment output as CSV (header row + data rows).
-pub fn render_csv(output: &ExperimentOutput) -> String {
-    match output {
-        ExperimentOutput::Table1(r) => csv_table(
-            &[
-                "program",
-                "group",
-                "multi_target",
-                "single_target",
-                "vanilla_avg",
-                "vanilla_max",
-                "kmers_avg",
-                "kmers_max",
-                "compression_avg",
-                "compression_max",
-            ],
-            r.rows
-                .iter()
-                .map(|row| {
-                    vec![
-                        row.row.program.clone(),
-                        row.group.to_string(),
-                        row.row.multi_target_branches.to_string(),
-                        row.row.single_target_branches.to_string(),
-                        row.row.vanilla_avg.to_string(),
-                        row.row.vanilla_max.to_string(),
-                        row.row.kmers_avg.to_string(),
-                        row.row.kmers_max.to_string(),
-                        row.row.compression_avg.to_string(),
-                        row.row.compression_max.to_string(),
-                    ]
-                })
-                .collect(),
-        ),
-        ExperimentOutput::Fig7(r) => {
-            let designs: Vec<&String> = r.geomean.keys().collect();
-            let mut header: Vec<&str> = vec!["workload", "group"];
-            header.extend(designs.iter().map(|d| d.as_str()));
-            let mut rows: Vec<Vec<String>> = r
-                .rows
-                .iter()
-                .map(|row| {
-                    let mut cells = vec![row.workload.clone(), row.group.to_string()];
-                    cells.extend(designs.iter().map(|d| {
-                        row.normalized
-                            .get(*d)
-                            .map_or_else(String::new, f64::to_string)
-                    }));
-                    cells
-                })
-                .collect();
-            let mut geomean = vec!["geomean".to_string(), String::new()];
-            geomean.extend(designs.iter().map(|d| r.geomean[*d].to_string()));
-            rows.push(geomean);
-            csv_table(&header, rows)
-        }
-        ExperimentOutput::Fig8(points) => csv_table(
-            &[
-                "variant",
-                "mix",
-                "prospect_overhead_pct",
-                "cassandra_prospect_overhead_pct",
-            ],
-            points
-                .iter()
-                .map(|p| {
-                    vec![
-                        p.variant.clone(),
-                        p.mix.clone(),
-                        p.prospect_overhead_pct.to_string(),
-                        p.cassandra_prospect_overhead_pct.to_string(),
-                    ]
-                })
-                .collect(),
-        ),
-        ExperimentOutput::Fig9(r) => {
-            let mut rows: Vec<Vec<String>> = Vec::new();
-            for unit in &r.baseline.units {
-                rows.push(vec![
-                    unit.name.clone(),
-                    unit.area.to_string(),
-                    unit.power.to_string(),
-                    r.cassandra.unit_power(&unit.name).to_string(),
-                ]);
-            }
-            for unit in &r.cassandra.units {
-                if r.baseline.unit_area(&unit.name) == 0.0 {
-                    rows.push(vec![
-                        unit.name.clone(),
-                        unit.area.to_string(),
-                        String::new(),
-                        unit.power.to_string(),
-                    ]);
-                }
-            }
-            rows.push(vec![
-                "TOTAL".to_string(),
-                r.baseline.total_area.to_string(),
-                r.baseline.total_power.to_string(),
-                r.cassandra.total_power.to_string(),
-            ]);
-            csv_table(&["unit", "area", "baseline_power", "cassandra_power"], rows)
-        }
-        ExperimentOutput::Q3(rows) => csv_table(
-            &[
-                "workload",
-                "group",
-                "design",
-                "cassandra_cycles",
-                "variant_cycles",
-                "slowdown_pct",
-            ],
-            rows.iter()
-                .map(|r| {
-                    vec![
-                        r.workload.clone(),
-                        r.group.to_string(),
-                        r.design.clone(),
-                        r.cassandra_cycles.to_string(),
-                        r.variant_cycles.to_string(),
-                        r.slowdown_pct.to_string(),
-                    ]
-                })
-                .collect(),
-        ),
-        ExperimentOutput::Q4(r) => csv_table(
-            &[
-                "flush_interval",
-                "partition_contexts",
-                "speedup_no_flush_pct",
-                "speedup_with_flush_pct",
-                "speedup_with_partition_pct",
-            ],
-            vec![vec![
-                r.flush_interval.to_string(),
-                r.partition_contexts.to_string(),
-                r.speedup_no_flush_pct.to_string(),
-                r.speedup_with_flush_pct.to_string(),
-                r.speedup_with_partition_pct.to_string(),
-            ]],
-        ),
-        ExperimentOutput::Security(matrix) => csv_table(
-            &[
-                "scenario",
-                "design",
-                "contract_equal",
-                "attacker_trace_equal",
-                "transient_activity",
-                "protected",
-                "divergent_accesses",
-            ],
-            matrix
-                .cells
-                .iter()
-                .map(|c| {
-                    vec![
-                        c.scenario.clone(),
-                        c.design.clone(),
-                        c.verdict.contract_equal.to_string(),
-                        c.verdict.attacker_trace_equal.to_string(),
-                        c.verdict.transient_activity.to_string(),
-                        c.verdict.is_protected().to_string(),
-                        c.verdict
-                            .divergent_accesses
-                            .iter()
-                            .map(|a| format!("{a:#x}"))
-                            .collect::<Vec<_>>()
-                            .join(";"),
-                    ]
-                })
-                .collect(),
-        ),
-        ExperimentOutput::TraceGen(rows) => csv_table(
-            &[
-                "workload",
-                "branches",
-                "detect_us",
-                "collect_us",
-                "vanilla_us",
-                "kmers_us",
-            ],
-            rows.iter()
-                .map(|r| {
-                    vec![
-                        r.workload.clone(),
-                        r.branches.to_string(),
-                        r.detect.as_micros().to_string(),
-                        r.collect.as_micros().to_string(),
-                        r.vanilla.as_micros().to_string(),
-                        r.kmers.as_micros().to_string(),
-                    ]
-                })
-                .collect(),
-        ),
-        ExperimentOutput::Lint(rows) => csv_table(
-            &[
-                "workload",
-                "group",
-                "verdict",
-                "instructions",
-                "conditional_branches",
-                "tainted_branches",
-                "arch_findings",
-                "transient_findings",
-            ],
-            rows.iter()
-                .map(|r| {
-                    vec![
-                        r.workload.clone(),
-                        r.group.to_string(),
-                        r.verdict.to_string(),
-                        r.instructions.to_string(),
-                        r.conditional_branches.to_string(),
-                        r.tainted_branches.to_string(),
-                        r.arch_findings.to_string(),
-                        r.transient_findings.to_string(),
-                    ]
-                })
-                .collect(),
-        ),
-        ExperimentOutput::Consolidation(r) => csv_table(
-            &[
-                "policy",
-                "defense",
-                "context",
-                "workload",
-                "committed_instructions",
-                "attributed_cycles",
-                "solo_cycles",
-                "slowdown",
-                "context_switches",
-                "btu_lookups",
-                "btu_hit_rate",
-                "btu_evictions",
-                "btu_steals_suffered",
-                "btu_partition_switches",
-            ],
-            r.policies
-                .iter()
-                .flat_map(|p| {
-                    p.tenants.iter().map(move |t| {
-                        vec![
-                            p.policy.clone(),
-                            p.defense.label().to_string(),
-                            t.context.to_string(),
-                            t.workload.clone(),
-                            t.committed_instructions.to_string(),
-                            t.attributed_cycles.to_string(),
-                            t.solo_cycles.to_string(),
-                            t.slowdown.to_string(),
-                            p.context_switches.to_string(),
-                            t.btu.lookups.to_string(),
-                            t.btu.hit_rate().to_string(),
-                            t.btu.evictions.to_string(),
-                            t.btu.steals_suffered.to_string(),
-                            t.btu.partition_switches.to_string(),
-                        ]
-                    })
-                })
-                .collect(),
-        ),
-        ExperimentOutput::Records(records) => csv_table(
-            &[
-                "workload",
-                "group",
-                "design",
-                "defense",
-                "cycles",
-                "ipc",
-                "mispredictions",
-                "squashed",
-                "analysis_cached",
-                "simulate_us",
-            ],
-            records
-                .iter()
-                .map(|r| {
-                    vec![
-                        r.workload.clone(),
-                        r.group.to_string(),
-                        r.design.clone(),
-                        r.defense.label().to_string(),
-                        r.stats.cycles.to_string(),
-                        r.stats.ipc().to_string(),
-                        r.stats.mispredictions.to_string(),
-                        r.stats.squashed_instructions.to_string(),
-                        r.timing.analysis_cached.to_string(),
-                        r.timing.simulate.as_micros().to_string(),
-                    ]
-                })
-                .collect(),
-        ),
-        ExperimentOutput::Frontier(r) => csv_table(
-            &[
-                "design",
-                "defense",
-                "geomean_slowdown",
-                "security_leaks",
-                "full_suite",
-                "on_frontier",
-                "dominates",
-                "dominated_by",
-            ],
-            r.cells
-                .iter()
-                .map(|c| {
-                    vec![
-                        c.label.clone(),
-                        c.defense.label().to_string(),
-                        c.geomean_slowdown.to_string(),
-                        c.security_leaks.to_string(),
-                        c.full_suite.to_string(),
-                        c.on_frontier.to_string(),
-                        c.dominates.to_string(),
-                        c.dominated_by.to_string(),
-                    ]
-                })
-                .collect(),
-        ),
-    }
+    render_table(output, ReportFormat::Text)
 }
 
 /// Renders any experiment output as pretty-printed JSON.
@@ -792,7 +390,7 @@ pub fn render_csv(output: &ExperimentOutput) -> String {
 /// # Errors
 ///
 /// Propagates serialization errors (none in the vendored shim).
-pub fn render_json(output: &ExperimentOutput) -> Result<String, serde_json::Error> {
+pub fn render_json(output: &ExperimentOutput) -> Result<String, Error> {
     serde_json::to_string_pretty(output)
 }
 
@@ -801,14 +399,10 @@ pub fn render_json(output: &ExperimentOutput) -> Result<String, serde_json::Erro
 /// # Errors
 ///
 /// Propagates JSON serialization errors.
-pub fn render(
-    output: &ExperimentOutput,
-    format: ReportFormat,
-) -> Result<String, serde_json::Error> {
+pub fn render(output: &ExperimentOutput, format: ReportFormat) -> Result<String, Error> {
     match format {
-        ReportFormat::Text => Ok(render_text(output)),
-        ReportFormat::Csv => Ok(render_csv(output)),
         ReportFormat::Json => render_json(output),
+        _ => Ok(render_table(output, format)),
     }
 }
 
@@ -824,7 +418,7 @@ mod tests {
         let store = AnalysisStore::new();
         let ex = SweepExecutor::new(&store);
         let result = experiments::table1_with(&ex, &quick_workloads()[..2]).unwrap();
-        let text = format_table1(&result);
+        let text = render_text(&ExperimentOutput::Table1(result));
         assert!(text.contains("ChaCha20_ct"));
         assert!(text.contains("All"));
         assert!(text.contains("CompRateAvg"));
@@ -836,29 +430,24 @@ mod tests {
         let store = AnalysisStore::new();
         let ex = SweepExecutor::new(&store);
         let result = experiments::figure7_with(&ex, &workloads, &FIG7_DESIGNS).unwrap();
-        let text = format_fig7(&result);
+        let text = render_text(&ExperimentOutput::Fig7(result));
         assert!(text.contains("geomean"));
         assert!(text.contains("Cassandra speedup"));
     }
 
     #[test]
     fn every_format_renders_every_output() {
-        let workloads = vec![suite::des_workload(4)];
         let mut registry = crate::registry::ExperimentRegistry::standard();
-        registry.register(crate::registry::SweepExperiment {
-            designs: vec![DesignPoint::from_defense(
-                cassandra_cpu::config::DefenseMode::Cassandra,
-            )],
-        });
+        let designs = vec![DesignPoint::from_defense(DefenseMode::Cassandra)];
+        registry.register(crate::registry::SweepExperiment { designs });
         let store = AnalysisStore::new();
-        let runs = registry
-            .run_all(&SweepExecutor::new(&store), &workloads)
-            .unwrap();
+        let ex = SweepExecutor::new(&store);
+        let runs = registry.run_all(&ex, &[suite::des_workload(4)]).unwrap();
         assert_eq!(runs.len(), 12);
         for run in &runs {
             let text = render_text(&run.output);
             assert!(!text.is_empty(), "{}: empty text", run.name);
-            let csv = render_csv(&run.output);
+            let csv = render(&run.output, ReportFormat::Csv).unwrap();
             assert!(csv.lines().count() >= 2, "{}: no CSV rows", run.name);
             let json = render_json(&run.output).unwrap();
             assert!(json.starts_with('{'), "{}: bad JSON", run.name);
@@ -881,7 +470,7 @@ mod tests {
             flush_interval: 400_000,
             partition_contexts: 2,
         };
-        let text = format_q4(&q4);
+        let text = render_text(&ExperimentOutput::Q4(q4));
         assert!(text.contains("400000"));
         assert!(text.contains("whole-BTU flush"));
         assert!(text.contains("partition reassignment"));

@@ -86,6 +86,17 @@ const COMPACT_EVERY: usize = 32;
 /// an `Error`; resubmitting a held name still replaces that workload.
 const MAX_SUBMITTED_WORKLOADS: usize = 1024;
 
+/// Most program bytes (instructions plus data image) one session's
+/// submitted workloads hold together; a `Submit` past it is an `Error`.
+/// The suite holds 157 KiB, a 1 MiB `chacha20` 2 MiB, a 1 MiB `des` 16 MiB.
+const MAX_SUBMITTED_BYTES: usize = 64 << 20;
+
+fn program_bytes(workload: &Workload) -> usize {
+    let program = &workload.kernel.program;
+    let data: usize = program.data.iter().map(|region| region.bytes.len()).sum();
+    std::mem::size_of_val(&program.instrs[..]) + data
+}
+
 /// The incremental `--cache-file` persistence: an NDJSON file whose first
 /// line is an [`AnalysisSnapshot`] (the compacted form) and whose following
 /// lines are individual [`SnapshotEntry`]s appended as analyses complete.
@@ -566,11 +577,22 @@ impl EvalService {
     }
 
     /// Adds `workload` to the submitted set, last in submission order. A
-    /// workload of the same name is replaced; a new name past
-    /// [`MAX_SUBMITTED_WORKLOADS`] is refused.
+    /// workload of the same name is replaced. A new name past
+    /// [`MAX_SUBMITTED_WORKLOADS`], or a total past [`MAX_SUBMITTED_BYTES`], is refused.
     fn ingest(&self, workload: Workload) -> Result<(), String> {
         let mut workloads = lock(&self.workloads);
-        match workloads.iter().position(|w| w.name == workload.name) {
+        let held = workloads.iter().position(|w| w.name == workload.name);
+        let replaced = held.map_or(0, |i| program_bytes(&workloads[i]));
+        let bytes = workloads.iter().map(program_bytes).sum::<usize>() - replaced
+            + program_bytes(&workload);
+        if bytes > MAX_SUBMITTED_BYTES {
+            return Err(format!(
+                "`{}` would raise the submitted programs to {bytes} bytes, past the \
+                 limit of {MAX_SUBMITTED_BYTES}; resubmit a held name to replace it",
+                workload.name
+            ));
+        }
+        match held {
             Some(held) => {
                 workloads.remove(held);
             }
@@ -1427,6 +1449,23 @@ mod tests {
         assert_eq!(names.len(), MAX_SUBMITTED_WORKLOADS);
         assert_eq!(names.last().map(String::as_str), Some("w0"));
         assert!(!names.iter().any(|n| n == "one-too-many"));
+    }
+
+    #[test]
+    fn submitted_program_bytes_are_capped_but_held_names_still_replace() {
+        let service = EvalService::new();
+        let big = |name: &str| submit_kernel(&service, "chacha20", MAX_KERNEL_SIZE, name);
+        let ok = |reply: Vec<Response>| matches!(reply.last(), Some(Response::Submitted { .. }));
+        let fit = MAX_SUBMITTED_BYTES / program_bytes(&suite::chacha20_workload(1 << 20));
+        assert!((0..fit).all(|i| ok(big(&format!("big{i}")))));
+        let refused = big("one-too-many");
+        let refused_for_bytes =
+            matches!(&refused[..], [Response::Error { message }] if message.contains("bytes"));
+        assert!(refused_for_bytes, "{refused:?}");
+        // A held name's old bytes come off the sum before its new ones count.
+        assert!(ok(big("big0")));
+        let names = service.workload_names();
+        assert_eq!((names.len(), &names[fit - 1]), (fit, &"big0".to_string()));
     }
 
     /// Fresh programs past the store's capacity, served with a cache

@@ -1,7 +1,7 @@
 //! Memory budget of the analysis store.
 //!
-//! The store is the only server state that grows with use: every distinct
-//! program it analyzes stays for the life of the process. An entry holds
+//! The store is the server state that grows with use, up to `STORE_CAPACITY`
+//! (256) analyses, past which it evicts by CLOCK. An entry holds
 //! the analysis in its replay form (the flat BTU encoding, whose trace
 //! records also carry the Table 1 sizes, plus the program name and
 //! timing), not the full Algorithm 2 output, so its size is bounded by the
