@@ -130,11 +130,6 @@ impl MemoryMap {
         (i < 64 && i < self.ranges.len()).then(|| 1u64 << i)
     }
 
-    /// Number of tracked regions (data regions + stack).
-    pub fn region_count(&self) -> usize {
-        self.ranges.len()
-    }
-
     /// Index of the synthetic stack region.
     pub fn stack_region(&self) -> usize {
         self.ranges.len() - 1
@@ -252,16 +247,6 @@ impl State {
             }
             AbsValue::Unknown => self.unknown_tainted = true,
         }
-    }
-
-    /// Per-region memory taint, indexed like the [`MemoryMap`].
-    pub fn region_taint(&self) -> &[bool] {
-        &self.region_tainted
-    }
-
-    /// True once a tainted store went through an unresolvable pointer.
-    pub fn unknown_taint(&self) -> bool {
-        self.unknown_tainted
     }
 
     /// True if any region in `mask` is currently tainted.

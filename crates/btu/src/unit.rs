@@ -3,7 +3,7 @@
 //! of context switches between crypto applications).
 
 use crate::cursor::TraceCursor;
-use crate::element::{entry_storage_bits, ELEMENTS_PER_ENTRY};
+use crate::element::entry_storage_bits;
 use crate::encode::EncodedTraces;
 use cassandra_trace::hints::BranchHint;
 use serde::{Deserialize, Serialize};
@@ -362,12 +362,6 @@ impl BranchTraceUnit {
             .flatten()
     }
 
-    /// Whether the given PC is an analyzed crypto branch the BTU knows about.
-    #[inline]
-    pub fn knows_branch(&self, pc: usize) -> bool {
-        self.hint(pc).is_some()
-    }
-
     // ------------------------------------------------------- partitioning
 
     /// Number of Trace Cache ways owned by partition `idx`: the `entries`
@@ -682,13 +676,6 @@ impl BranchTraceUnit {
             }
         }
         (false, self.config.miss_penalty)
-    }
-
-    /// Number of elements per Trace Cache entry (exposed for the CPU model's
-    /// prefetch bookkeeping).
-    #[inline]
-    pub fn elements_per_entry(&self) -> usize {
-        ELEMENTS_PER_ENTRY
     }
 
     /// Read-only access to the active context's encoded traces (the

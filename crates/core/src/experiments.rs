@@ -349,6 +349,9 @@ pub fn q3_with(
 
 // ----------------------------------------------- Q4: context-switch pricing
 
+/// The Q4 context-switch interval in committed instructions.
+pub const Q4_FLUSH_INTERVAL: u64 = 50_000;
+
 /// Default number of application contexts the Q4 partition-reassignment
 /// variant rotates through — one per partition of the `Cassandra-part`
 /// design point, so the rotation never steals.
@@ -617,7 +620,7 @@ mod tests {
         figure7_with(&ex, &workloads, &FIG7_DESIGNS).unwrap();
         figure9_with(&ex, &workloads).unwrap();
         q3_with(&ex, &workloads, &Q3_VARIANTS).unwrap();
-        q4_with(&ex, &workloads, 50_000, Q4_PARTITION_CONTEXTS).unwrap();
+        q4_with(&ex, &workloads, Q4_FLUSH_INTERVAL, Q4_PARTITION_CONTEXTS).unwrap();
         trace_generation_timing_with(&ex, &workloads).unwrap();
         assert_eq!(
             store.stats().misses,

@@ -23,18 +23,18 @@
 //!   [`eval::CancelToken`]. The evaluation server runs N concurrent
 //!   requests against one store this way.
 //!
-//! On top of it, [`registry::ExperimentRegistry`] unifies every paper
+//! On top of it, the [`registry::Experiment`] enum names every paper
 //! experiment (Table 1, Figures 7–9, Q3, Q4, the Table-2 security sweep and
-//! the §7.5 trace-generation timing) behind the [`registry::Experiment`]
-//! trait, each run on an executor with its workloads passed explicitly;
-//! [`policies::PolicyRegistry`] enumerates the modelled defense scenarios
-//! as named design points (so sweeps and the security experiment never
-//! hand-list `DefenseMode` variants), and [`report`] renders any
-//! [`registry::ExperimentOutput`] to text, CSV or JSON.
+//! the §7.5 trace-generation timing), each run on an executor with its
+//! workloads passed explicitly; [`policies::PolicyRegistry`] enumerates the
+//! modelled defense scenarios as named design points (so sweeps and the
+//! security experiment never hand-list `DefenseMode` variants), and
+//! [`report`] renders any [`registry::ExperimentOutput`] to text, CSV or
+//! JSON.
 //!
 //! ```
 //! use cassandra_core::eval::{AnalysisStore, DesignPoint, SweepExecutor};
-//! use cassandra_core::registry::ExperimentRegistry;
+//! use cassandra_core::registry::Experiment;
 //! use cassandra_core::report;
 //! use cassandra_cpu::config::DefenseMode;
 //! use cassandra_kernels::suite;
@@ -51,7 +51,10 @@
 //! assert_eq!(records.len(), 4);
 //!
 //! // … and the full experiment suite, sharing the same analysis store.
-//! let runs = ExperimentRegistry::standard().run_all(&ex, &workloads)?;
+//! let runs = Experiment::standard()
+//!     .iter()
+//!     .map(|experiment| experiment.run(&ex, &workloads))
+//!     .collect::<Result<Vec<_>, _>>()?;
 //! assert_eq!(runs.len(), 11);
 //! println!("{}", report::render_text(&runs[0].output));
 //! assert_eq!(store.stats().misses, 2 + 10 + 16); // each program once
@@ -87,8 +90,8 @@ pub use eval::{
 pub use frontier::{
     frontier_with, AdaptiveSearch, FrontierCell, FrontierPoint, FrontierProgress, FrontierResult,
 };
-pub use policies::{GridSweep, PolicyConflict, PolicyRegistry};
-pub use registry::{Experiment, ExperimentOutput, ExperimentRegistry};
+pub use policies::{GridSweep, PolicyRegistry};
+pub use registry::{Experiment, ExperimentOutput};
 
 /// The result of the software side of Cassandra for one program, in the
 /// form it is replayed from: the flat hardware encoding of the traces and

@@ -7,41 +7,20 @@
 //! of hand-listing `DefenseMode` variants at every call site. The standard
 //! registry holds one entry per [`DefenseMode::ALL`] element; custom
 //! scenarios (different BTU geometry, memory latency, flush intervals, …)
-//! are additional registrations, exactly like the experiment registry of
-//! [`crate::registry`].
+//! are additional registrations on a registry of the caller's own.
 //!
 //! [`GridSweep`] generates those custom registrations in bulk: a grid
 //! specification over the policy-parameterised knobs (tournament promotion
 //! threshold, BTU partition count, BTU geometry, Trace Cache miss penalty,
 //! mispredict redirect penalty) expands into one design point per grid cell,
 //! so fig7-style sensitivity frontiers come from a single sweep invocation
-//! instead of hand-built config lists.
+//! instead of hand-built config lists. An expansion is a registry of its
+//! own: the evaluation server sweeps it for one `GridSweep` request and
+//! then drops it, so its session's policy set stays the standard one.
 
 use crate::eval::DesignPoint;
 use cassandra_cpu::config::{CpuConfig, DefenseMode};
 use serde::{Deserialize, Serialize};
-use std::fmt;
-
-/// A label collision between two *different* configurations (see
-/// [`PolicyRegistry::register_all`]): the registered design point under
-/// that label does not match the one being added.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PolicyConflict {
-    /// The contested label.
-    pub label: String,
-}
-
-impl fmt::Display for PolicyConflict {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "policy `{}` is already registered with a different configuration",
-            self.label
-        )
-    }
-}
-
-impl std::error::Error for PolicyConflict {}
 
 /// An enumerable, label-addressed collection of defense design points.
 #[derive(Debug, Clone, PartialEq)]
@@ -81,45 +60,6 @@ impl PolicyRegistry {
     pub fn register(&mut self, design: DesignPoint) {
         self.designs.retain(|d| d.label != design.label);
         self.designs.push(design);
-    }
-
-    /// Adds every design point of `designs` **without** the replacement
-    /// semantics of [`PolicyRegistry::register`]: re-registering an
-    /// *identical* design point is a no-op, while a same-labelled point
-    /// with a different configuration is rejected — nothing silently
-    /// overwrites an entry other requests may already address by label
-    /// (the server folds every `GridSweep` expansion in through here).
-    /// Returns the number of newly added entries.
-    ///
-    /// The check is atomic: on conflict the registry is left untouched.
-    ///
-    /// # Errors
-    ///
-    /// [`PolicyConflict`] naming the first contested label.
-    pub fn register_all(
-        &mut self,
-        designs: impl IntoIterator<Item = DesignPoint>,
-    ) -> Result<usize, PolicyConflict> {
-        let mut fresh: Vec<DesignPoint> = Vec::new();
-        for design in designs {
-            let existing = self
-                .designs
-                .iter()
-                .chain(fresh.iter())
-                .find(|d| d.label == design.label);
-            match existing {
-                Some(d) if *d == design => {} // identical re-registration: no-op
-                Some(_) => {
-                    return Err(PolicyConflict {
-                        label: design.label,
-                    })
-                }
-                None => fresh.push(design),
-            }
-        }
-        let added = fresh.len();
-        self.designs.extend(fresh);
-        Ok(added)
     }
 
     /// The registered design points, in registration order.
@@ -385,72 +325,6 @@ mod tests {
         registry.register(tweaked.clone());
         assert_eq!(registry.len(), n);
         assert_eq!(registry.get("Cassandra"), Some(&tweaked));
-    }
-
-    #[test]
-    fn register_all_is_idempotent_but_rejects_conflicts() {
-        let mut registry = PolicyRegistry::standard();
-        let n = registry.len();
-
-        // Re-registering identical design points (an overlapping grid
-        // re-submission) is a no-op…
-        let added = registry
-            .register_all([
-                DesignPoint::from_defense(DefenseMode::Cassandra),
-                DesignPoint::from_defense(DefenseMode::Fence),
-            ])
-            .unwrap();
-        assert_eq!(added, 0);
-        assert_eq!(registry.len(), n);
-
-        // …new labels are added…
-        let custom = DesignPoint::from_config(
-            CpuConfig::golden_cove_like()
-                .with_defense(DefenseMode::Cassandra)
-                .with_btu_entries(8),
-        );
-        assert_eq!(registry.register_all([custom.clone()]).unwrap(), 1);
-        assert_eq!(registry.len(), n + 1);
-
-        // …and a same-labelled point with a different configuration is a
-        // conflict that leaves the registry untouched (atomically: the
-        // batch's valid entries are not applied either).
-        let conflicting = DesignPoint::new(
-            "Cassandra",
-            CpuConfig::golden_cove_like()
-                .with_defense(DefenseMode::Cassandra)
-                .with_memory_latency(500),
-        );
-        let fresh = DesignPoint::from_config(
-            CpuConfig::golden_cove_like()
-                .with_defense(DefenseMode::Cassandra)
-                .with_btu_entries(32),
-        );
-        let err = registry
-            .register_all([fresh.clone(), conflicting])
-            .unwrap_err();
-        assert_eq!(err.label, "Cassandra");
-        assert!(err.to_string().contains("different configuration"));
-        assert_eq!(registry.len(), n + 1, "conflicting batch left no residue");
-        assert!(registry.get(&fresh.label).is_none());
-        assert_eq!(
-            registry.get("Cassandra"),
-            Some(&DesignPoint::from_defense(DefenseMode::Cassandra)),
-            "the original registration survives"
-        );
-
-        // A batch that collides with itself is also a conflict.
-        let err = registry
-            .register_all([
-                DesignPoint::new("dup", CpuConfig::golden_cove_like()),
-                DesignPoint::new(
-                    "dup",
-                    CpuConfig::golden_cove_like().with_memory_latency(123),
-                ),
-            ])
-            .unwrap_err();
-        assert_eq!(err.label, "dup");
-        assert!(registry.get("dup").is_none());
     }
 
     #[test]

@@ -437,12 +437,16 @@ mod tests {
 
     #[test]
     fn every_format_renders_every_output() {
-        let mut registry = crate::registry::ExperimentRegistry::standard();
+        let mut experiments = crate::registry::Experiment::standard();
         let designs = vec![DesignPoint::from_defense(DefenseMode::Cassandra)];
-        registry.register(crate::registry::SweepExperiment { designs });
+        experiments.push(crate::registry::Experiment::Sweep { designs });
         let store = AnalysisStore::new();
         let ex = SweepExecutor::new(&store);
-        let runs = registry.run_all(&ex, &[suite::des_workload(4)]).unwrap();
+        let runs = experiments
+            .iter()
+            .map(|e| e.run(&ex, &[suite::des_workload(4)]))
+            .collect::<Result<Vec<_>, _>>()
+            .unwrap();
         assert_eq!(runs.len(), 12);
         for run in &runs {
             let text = render_text(&run.output);

@@ -387,12 +387,6 @@ impl CpuConfig {
         self
     }
 
-    /// The same configuration with a different committed-instruction budget.
-    pub fn with_max_instructions(mut self, max_instructions: u64) -> Self {
-        self.max_instructions = max_instructions;
-        self
-    }
-
     /// The same configuration with a different main-memory latency.
     pub fn with_memory_latency(mut self, memory_latency: u64) -> Self {
         self.memory_latency = memory_latency;

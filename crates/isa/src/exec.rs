@@ -91,11 +91,6 @@ impl<'p> Executor<'p> {
         self.pc
     }
 
-    /// Whether a `halt` has been executed.
-    pub fn is_halted(&self) -> bool {
-        self.halted
-    }
-
     /// Number of instructions executed so far.
     pub fn steps(&self) -> u64 {
         self.steps
@@ -120,11 +115,6 @@ impl<'p> Executor<'p> {
     /// Shared access to data memory.
     pub fn memory(&self) -> &Memory {
         &self.memory
-    }
-
-    /// Mutable access to data memory (useful for injecting inputs in tests).
-    pub fn memory_mut(&mut self) -> &mut Memory {
-        &mut self.memory
     }
 
     /// Runs until `halt` or until `max_steps` instructions have executed.

@@ -16,11 +16,6 @@ pub fn add32(b: &mut ProgramBuilder, rd: Reg, rs1: Reg, rs2: Reg) {
     b.andi(rd, rd, MASK32);
 }
 
-/// Emits `rd = rd & 0xffff_ffff`.
-pub fn mask32(b: &mut ProgramBuilder, rd: Reg) {
-    b.andi(rd, rd, MASK32);
-}
-
 /// Emits a 32-bit rotate-left by a constant amount: `rd = rotl32(rs1, amount)`.
 ///
 /// `tmp` must be distinct from `rd` and `rs1`.

@@ -24,7 +24,8 @@
 //! served one at a time in arrival order. v4 is v3 minus its two
 //! store-snapshot requests (`AbsorbSnapshot` and the matching export) and
 //! their replies: a server only ever holds analyses it ran itself or
-//! replayed from its own cache journal.
+//! replayed from its own cache journal. v5 keeps a `GridSweep`'s cells to
+//! that request: the session's policy set is always the standard one.
 //!
 //! A request line is at most [`MAX_REQUEST_LINE`] bytes, newline included;
 //! a longer line is answered with one `Error` and the connection closes.
@@ -49,8 +50,10 @@ use serde::{Deserialize, Serialize};
 /// connection restriction (enveloped requests pipeline and their response
 /// streams interleave — a behavioral change old clients can observe, hence
 /// the bump). v4 removes v3's store-snapshot export/`AbsorbSnapshot` pair:
-/// a line carrying either no longer decodes.
-pub const PROTOCOL_VERSION: u32 = 4;
+/// a line carrying either no longer decodes. v5 stops registering a
+/// `GridSweep`'s cells into the session: `ListPolicies` always answers the
+/// standard labels, and a `Sweep` naming a grid label is an `Error`.
+pub const PROTOCOL_VERSION: u32 = 5;
 
 /// Longest request line the server reads, in bytes including the
 /// terminating newline. The largest legitimate request (a `GridSweep` or a
@@ -180,7 +183,7 @@ impl GridSpec {
 pub enum Request {
     /// Liveness / version check. → [`Response::Pong`].
     Ping,
-    /// Enumerate the registered design points. → [`Response::Policies`].
+    /// Enumerate the standard design points. → [`Response::Policies`].
     ListPolicies,
     /// Enumerate the ingested workloads. → [`Response::Workloads`].
     ListWorkloads,
@@ -189,17 +192,17 @@ pub enum Request {
         /// What to ingest.
         spec: WorkloadSpec,
     },
-    /// Evaluate workloads × registered policies. → a stream of
+    /// Evaluate workloads × standard policies. → a stream of
     /// [`Response::Record`] followed by [`Response::Done`].
     Sweep {
         /// Submitted workload names; empty = every submitted workload.
         workloads: Vec<String>,
-        /// Registered policy labels; empty = every registered policy.
+        /// Standard policy labels; empty = every standard policy.
         policies: Vec<String>,
     },
-    /// Expand a parameter grid into design points (registered into the
-    /// session's policy registry) and evaluate workloads × grid. → a stream
-    /// of [`Response::Record`] followed by [`Response::Done`].
+    /// Expand a parameter grid into design points (for this request only)
+    /// and evaluate workloads × grid. → a stream of [`Response::Record`]
+    /// followed by [`Response::Done`].
     GridSweep {
         /// Submitted workload names; empty = every submitted workload.
         workloads: Vec<String>,
@@ -214,17 +217,17 @@ pub enum Request {
         /// Submitted workload names; empty = every submitted workload.
         workloads: Vec<String>,
     },
-    /// Run one registry experiment (`table1`, `fig7`, …, `consolidation`)
+    /// Run one standard experiment (`table1`, `fig7`, …, `consolidation`)
     /// over the submitted workloads, through the server's shared analysis
     /// store. A purely additive v2 extension, like `Lint`. →
     /// [`Response::Experiment`], or [`Response::Error`] for an unknown
     /// experiment name.
     Experiment {
-        /// Registry key of the experiment (`ExperimentRegistry::standard`
-        /// names: `table1`, `fig7`, `fig8`, `fig9`, `q3`, `q4`, `security`,
-        /// `tracegen`, `lint`, `consolidation`, `frontier`). `frontier`
-        /// runs the successive-halving search and streams
-        /// [`Response::Progress`] lines before its terminal reply.
+        /// Key of the experiment (`Experiment::standard` names: `table1`,
+        /// `fig7`, `fig8`, `fig9`, `q3`, `q4`, `security`, `tracegen`,
+        /// `lint`, `consolidation`, `frontier`). `frontier` runs the
+        /// successive-halving search and streams [`Response::Progress`]
+        /// lines before its terminal reply.
         name: String,
         /// Submitted workload names; empty = every submitted workload.
         workloads: Vec<String>,
@@ -295,7 +298,7 @@ pub enum Response {
         /// The server's protocol revision.
         protocol: u32,
     },
-    /// The registered design-point labels, in registration order.
+    /// The standard design-point labels, in registration order.
     Policies {
         /// Policy labels (also valid in [`Request::Sweep`]).
         labels: Vec<String>,
@@ -325,10 +328,10 @@ pub enum Response {
         /// `cassandra_core::report::render_text` over the rows.
         report: String,
     },
-    /// A completed registry experiment for a [`Request::Experiment`]: the
+    /// A completed standard experiment for a [`Request::Experiment`]: the
     /// typed output plus the same plain-text rendering offline runs print.
     Experiment {
-        /// Registry key of the experiment that ran.
+        /// Key of the experiment that ran.
         name: String,
         /// Human-readable title.
         title: String,

@@ -25,7 +25,12 @@
 //! request has no id to demultiplex by, so the reader waits for its job
 //! to finish before decoding the next line — one at a time in arrival
 //! order, exactly as in v2 — while `--threads` still bounds concurrent
-//! simulations for v1 clients too.
+//! heavy requests for v1 clients too.
+//!
+//! `--threads` bounds concurrent heavy *requests*, not concurrent
+//! simulations: each pool job's sweep runs its cells on
+//! `SweepExecutor::new`'s default of one thread per core, so two sweeps
+//! in flight may simulate on twice as many threads as there are cores.
 //!
 //! Request lines are read as bytes and checked for UTF-8 once complete,
 //! so a request split anywhere across a slow network survives the read
@@ -128,10 +133,11 @@ impl Drop for ServerHandle {
 /// Binds `addr` and serves `service` until shut down. Returns immediately;
 /// the listener runs on background threads. `threads` sizes the shared
 /// request worker pool that heavy requests (sweeps, lints, experiments)
-/// are dispatched to — it bounds concurrent *simulations*,
-/// not concurrent connections: every connection gets its own lightweight
+/// are dispatched to — it bounds concurrent heavy *requests*, not
+/// concurrent connections: every connection gets its own lightweight
 /// reader and writer thread, and heavy requests from all connections
-/// multiplex over the one pool.
+/// multiplex over the one pool. Nor does it bound simulations: each
+/// request's sweep runs its cells on one thread per core.
 ///
 /// # Errors
 ///

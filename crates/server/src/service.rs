@@ -6,19 +6,22 @@
 //! Algorithm-2 analysis is memoized by program fingerprint and shared
 //! across *all* client requests: the second client to sweep a workload pays
 //! zero analysis time, observable through the [`SweepSummary::cache`]
-//! counters. It also owns the session's [`PolicyRegistry`] (seeded with the
-//! standard design points) and the set of submitted workloads, each behind
-//! its own lock. [`EvalService::handle`] therefore takes `&self`: requests
-//! from different connections run **concurrently**, a sweep simulating its
-//! matrix while other requests are answered. Sweeps stream their records as
-//! cells complete and honor per-request cancellation
-//! ([`Request::Cancel`] against the id of an in-flight request).
+//! counters. It also holds the session's policy set — the fixed standard
+//! [`PolicyRegistry`], which every `Sweep` label resolves against (a
+//! `GridSweep`'s expansion lives only for that request) — and the set of
+//! submitted workloads behind a lock. [`EvalService::handle`] therefore
+//! takes `&self`: requests from different connections run
+//! **concurrently**, a sweep simulating its matrix while other requests are
+//! answered. Sweeps stream their records as cells complete and honor
+//! per-request cancellation ([`Request::Cancel`] against the id of an
+//! in-flight request).
 //!
-//! Lock hierarchy (never hold two at once except as listed): `policies` and
-//! `workloads` are leaf locks taken briefly to resolve a request's
-//! selection; `cancels` maps in-flight request ids to [`CancelToken`]s; the
-//! store's internal locks are below all of them. No lock is held while a
-//! sweep simulates or while responses are written.
+//! Lock hierarchy (never hold two at once except as listed): `workloads`
+//! is a leaf lock taken briefly to resolve a request's selection; the
+//! policy set is immutable and needs none; `cancels` maps in-flight
+//! request ids to [`CancelToken`]s; the store's internal locks are below
+//! all of them. No lock is held while a sweep simulates or while
+//! responses are written.
 //!
 //! The service is transport-agnostic and has one request entry point:
 //! [`EvalService::handle`] maps one [`Request`] to a stream of
@@ -47,7 +50,7 @@ use cassandra_core::eval::{
 use cassandra_core::frontier::{self, AdaptiveSearch};
 use cassandra_core::lint::LintRow;
 use cassandra_core::policies::PolicyRegistry;
-use cassandra_core::registry::{Experiment, ExperimentOutput, ExperimentRegistry};
+use cassandra_core::registry::{Experiment, ExperimentOutput};
 use cassandra_core::report;
 use cassandra_kernels::suite;
 use cassandra_kernels::workload::Workload;
@@ -66,12 +69,11 @@ fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
 }
 
 /// The server-side evaluation session: a shared [`AnalysisStore`], the
-/// policy registry and the submitted workload set, each behind its own
-/// lock so requests proceed concurrently. See the
-/// [module documentation](self).
+/// standard policy registry and the submitted workload set, so requests
+/// proceed concurrently. See the [module documentation](self).
 pub struct EvalService {
     store: Arc<AnalysisStore>,
-    policies: Mutex<PolicyRegistry>,
+    policies: PolicyRegistry,
     workloads: Mutex<Vec<Workload>>,
     /// In-flight request ids → their cancellation tokens.
     cancels: Mutex<HashMap<String, CancelToken>>,
@@ -88,7 +90,8 @@ const MAX_SUBMITTED_WORKLOADS: usize = 1024;
 
 /// Most program bytes (instructions plus data image) one session's
 /// submitted workloads hold together; a `Submit` past it is an `Error`.
-/// The suite holds 157 KiB, a 1 MiB `chacha20` 2 MiB, a 1 MiB `des` 16 MiB.
+/// The suite holds 157 KiB, a 1 MiB `chacha20` 2 MiB, a 131,072-block
+/// `des` (its limit) about as much.
 const MAX_SUBMITTED_BYTES: usize = 64 << 20;
 
 fn program_bytes(workload: &Workload) -> usize {
@@ -307,7 +310,7 @@ impl EvalService {
     pub fn new() -> Self {
         EvalService {
             store: Arc::new(AnalysisStore::new()),
-            policies: Mutex::new(PolicyRegistry::standard()),
+            policies: PolicyRegistry::standard(),
             workloads: Mutex::new(Vec::new()),
             cancels: Mutex::new(HashMap::new()),
             journal: None,
@@ -366,12 +369,6 @@ impl EvalService {
         &self.store
     }
 
-    /// A snapshot of the session's policy registry (standard entries plus
-    /// every grid expansion served so far).
-    pub fn policies(&self) -> PolicyRegistry {
-        lock(&self.policies).clone()
-    }
-
     /// Names of the workloads ingested so far, in submission order.
     pub fn workload_names(&self) -> Vec<String> {
         lock(&self.workloads)
@@ -426,7 +423,8 @@ impl EvalService {
                 protocol: PROTOCOL_VERSION,
             }),
             Request::ListPolicies => sink(Response::Policies {
-                labels: lock(&self.policies)
+                labels: self
+                    .policies
                     .labels()
                     .into_iter()
                     .map(str::to_string)
@@ -466,31 +464,15 @@ impl EvalService {
             Request::GridSweep { workloads, grid } => match grid.to_grid() {
                 Ok(grid) => {
                     // Bound the expansion before building it: every cell
-                    // is a registered design point and a simulation per
-                    // workload.
+                    // is a design point and a simulation per workload.
                     if grid.len().is_none_or(|cells| cells > MAX_GRID_CELLS) {
                         return sink(Response::Error {
                             message: format!("grid expands to more than {MAX_GRID_CELLS} cells"),
                         });
                     }
-                    // Validate the workload selection before touching
-                    // shared state: a rejected request must not leave grid
-                    // entries behind in the session registry.
-                    if let Err(message) = self.select_workloads(&workloads) {
-                        return sink(Response::Error { message });
-                    }
-                    let expansion = grid.expand();
-                    let designs = expansion.designs().to_vec();
-                    // Grid cells become first-class registry entries: later
-                    // Sweep requests can address them by label.
-                    // Re-registering identical cells is a no-op; a label
-                    // that would change an existing registration is a
-                    // protocol error (register_all is atomic on conflict).
-                    if let Err(conflict) = lock(&self.policies).register_all(expansion) {
-                        return sink(Response::Error {
-                            message: conflict.to_string(),
-                        });
-                    }
+                    // The cells live only for this request: nothing is
+                    // added to the session's policy set.
+                    let designs = grid.expand().into_iter().collect();
                     self.run_sweep(reservation, &workloads, designs, sink)
                 }
                 Err(message) => sink(Response::Error { message }),
@@ -519,13 +501,24 @@ impl EvalService {
                         if name == "frontier" {
                             return self.run_frontier(reservation, selected, sink);
                         }
+                        let Some(experiment) = Experiment::named(&name) else {
+                            let names: Vec<&str> = Experiment::standard()
+                                .iter()
+                                .map(Experiment::name)
+                                .collect();
+                            return sink(Response::Error {
+                                message: format!(
+                                    "unknown experiment `{name}`; registered: {}",
+                                    names.join(", ")
+                                ),
+                            });
+                        };
                         // A per-request executor over the shared store: the
                         // experiment reuses every analysis any request has
                         // memoized, and leaves its own behind for the next.
                         let ex = SweepExecutor::new(&self.store);
-                        let registry = ExperimentRegistry::standard();
-                        match registry.run(&name, &ex, &selected) {
-                            Ok(Some(run)) => {
+                        match experiment.run(&ex, &selected) {
+                            Ok(run) => {
                                 let report = report::render_text(&run.output);
                                 sink(Response::Experiment {
                                     name: run.name,
@@ -534,12 +527,6 @@ impl EvalService {
                                     report,
                                 })
                             }
-                            Ok(None) => sink(Response::Error {
-                                message: format!(
-                                    "unknown experiment `{name}`; registered: {}",
-                                    registry.names().join(", ")
-                                ),
-                            }),
                             Err(e) => sink(Response::Error {
                                 message: format!("experiment failed: {e}"),
                             }),
@@ -610,7 +597,7 @@ impl EvalService {
 
     /// Resolves policy labels against the registry; empty selects all.
     fn select_designs(&self, labels: &[String]) -> Result<Vec<DesignPoint>, String> {
-        let policies = lock(&self.policies);
+        let policies = &self.policies;
         if labels.is_empty() {
             return Ok(policies.designs().to_vec());
         }
@@ -735,8 +722,7 @@ impl EvalService {
     /// Serves a wire `frontier` Experiment: the successive-halving search
     /// over the standard grid, streaming one [`Response::Progress`] line per
     /// completed simulation cell before the terminal reply. The grid is
-    /// consumed as plain design points — nothing is registered into the
-    /// session's policy registry, so a cancelled run leaves no residue.
+    /// consumed as plain design points, like a `GridSweep`'s.
     fn run_frontier(
         &self,
         reservation: Option<&Reservation>,
@@ -771,12 +757,12 @@ impl EvalService {
         }
         match outcome {
             Ok(Some(result)) => {
-                let experiment = cassandra_core::registry::FrontierExperiment::default();
+                let experiment = Experiment::Frontier { adaptive: true };
                 let output = ExperimentOutput::Frontier(result);
                 let report = report::render_text(&output);
                 sink(Response::Experiment {
-                    name: Experiment::name(&experiment).to_string(),
-                    title: Experiment::title(&experiment).to_string(),
+                    name: experiment.name().to_string(),
+                    title: experiment.title().to_string(),
                     output,
                     report,
                 })
@@ -808,6 +794,12 @@ fn cancelled(reservation: Option<&Reservation>) -> Response {
 /// long-lived server (and lose its warmed analysis cache).
 const MAX_KERNEL_SIZE: u64 = 1 << 20;
 
+/// Upper bound on `des` kernel sizes, in blocks. Its program grows by about
+/// 16 bytes a block, so the largest one (about 2.1 MB) matches the largest
+/// `chacha20`; refusing a larger size here, before the kernel is built,
+/// keeps a refused `Submit` from allocating it first.
+const MAX_DES_BLOCKS: u64 = 1 << 17;
+
 /// Upper bound on the cells one `GridSweep` may expand to (the product of
 /// its axis lengths, counted before same-label collapsing).
 const MAX_GRID_CELLS: usize = 1 << 10;
@@ -815,20 +807,28 @@ const MAX_GRID_CELLS: usize = 1 << 10;
 /// Builds the workload a [`WorkloadSpec`] names.
 fn resolve_spec(spec: &WorkloadSpec) -> Result<Workload, String> {
     match spec {
-        WorkloadSpec::Suite { name } => suite::full_suite()
-            .into_iter()
-            .find(|w| &w.name == name)
-            .ok_or_else(|| {
-                let names: Vec<String> = suite::full_suite().into_iter().map(|w| w.name).collect();
-                format!(
-                    "unknown suite workload `{name}`; available: {}",
-                    names.join(", ")
-                )
-            }),
+        WorkloadSpec::Suite { name } => {
+            let mut workloads = suite::full_suite();
+            match workloads.iter().position(|w| &w.name == name) {
+                Some(found) => Ok(workloads.swap_remove(found)),
+                None => {
+                    let names: Vec<&str> = workloads.iter().map(|w| w.name.as_str()).collect();
+                    Err(format!(
+                        "unknown suite workload `{name}`; available: {}",
+                        names.join(", ")
+                    ))
+                }
+            }
+        }
         WorkloadSpec::Kernel { family, size, name } => {
             if *size > MAX_KERNEL_SIZE {
                 return Err(format!(
                     "kernel size {size} exceeds the limit of {MAX_KERNEL_SIZE}"
+                ));
+            }
+            if matches!(family.as_str(), "des" | "feistel") && *size > MAX_DES_BLOCKS {
+                return Err(format!(
+                    "`{family}` size {size} exceeds its limit of {MAX_DES_BLOCKS} blocks"
                 ));
             }
             // The block-cipher builders assert on partial blocks; reject
@@ -885,6 +885,14 @@ mod tests {
             })
             .unwrap();
         out
+    }
+
+    fn policy_labels(service: &EvalService) -> Vec<String> {
+        let responses = collect(service, Request::ListPolicies);
+        let [Response::Policies { labels }] = &responses[..] else {
+            panic!("expected Policies, got {responses:?}");
+        };
+        labels.clone()
     }
 
     #[test]
@@ -1088,35 +1096,14 @@ mod tests {
                 "{family} {size}: {responses:?}"
             );
         }
-        assert!(service.workload_names().is_empty());
-    }
-
-    #[test]
-    fn rejected_grid_sweep_does_not_register_its_expansion() {
-        let service = EvalService::new();
-        let before = service.policies().len();
-        // No workloads submitted: the request fails validation…
-        let responses = collect(
-            &service,
-            Request::GridSweep {
-                workloads: Vec::new(),
-                grid: GridSpec {
-                    defenses: vec!["Cassandra".to_string()],
-                    tournament_thresholds: Vec::new(),
-                    btu_partitions: Vec::new(),
-                    btu_entries: vec![8],
-                    miss_penalties: Vec::new(),
-                    redirect_penalties: Vec::new(),
-                },
-            },
-        );
+        // `des` is capped in blocks, before its kernel is built.
+        let responses = submit("des", 131_073);
         assert!(
-            matches!(&responses[0], Response::Error { .. }),
+            matches!(&responses[..], [Response::Error { message }]
+                if message.contains("limit of 131072 blocks")),
             "{responses:?}"
         );
-        // …and must leave no grid cells behind in the shared registry.
-        assert_eq!(service.policies().len(), before);
-        assert!(service.policies().get("Cassandra+btu8").is_none());
+        assert!(service.workload_names().is_empty());
     }
 
     #[test]
@@ -1132,7 +1119,7 @@ mod tests {
                 },
             },
         );
-        let before = service.policies();
+        let before = policy_labels(&service);
         let axis: Vec<u64> = (0..1 << 13).collect();
         let overflowing = GridSpec {
             defenses: vec!["Cassandra".to_string()],
@@ -1165,113 +1152,8 @@ mod tests {
                     if message.contains("cells")),
                 "{responses:?}"
             );
-            assert_eq!(service.policies(), before);
+            assert_eq!(policy_labels(&service), before);
         }
-    }
-
-    #[test]
-    fn grid_sweep_registers_its_expansion() {
-        let service = EvalService::new();
-        collect(
-            &service,
-            Request::Submit {
-                spec: WorkloadSpec::Kernel {
-                    family: "des".to_string(),
-                    size: 4,
-                    name: None,
-                },
-            },
-        );
-        let before = service.policies().len();
-        let responses = collect(
-            &service,
-            Request::GridSweep {
-                workloads: Vec::new(),
-                grid: GridSpec {
-                    defenses: vec!["Cassandra".to_string()],
-                    tournament_thresholds: Vec::new(),
-                    btu_partitions: Vec::new(),
-                    btu_entries: vec![8],
-                    miss_penalties: Vec::new(),
-                    redirect_penalties: Vec::new(),
-                },
-            },
-        );
-        let Response::Done(summary) = responses.last().unwrap() else {
-            panic!("expected Done, got {responses:?}");
-        };
-        assert_eq!(summary.records, 1);
-        assert_eq!(summary.designs, ["Cassandra+btu8"]);
-        assert!(summary.report.contains("Cassandra+btu8"));
-        // The expansion became a registry entry, addressable by later Sweeps.
-        assert_eq!(service.policies().len(), before + 1);
-        assert!(service.policies().get("Cassandra+btu8").is_some());
-
-        // Re-submitting the identical grid is a no-op on the registry, not
-        // a silent overwrite (and not an error).
-        let responses = collect(
-            &service,
-            Request::GridSweep {
-                workloads: Vec::new(),
-                grid: GridSpec {
-                    defenses: vec!["Cassandra".to_string()],
-                    tournament_thresholds: Vec::new(),
-                    btu_partitions: Vec::new(),
-                    btu_entries: vec![8],
-                    miss_penalties: Vec::new(),
-                    redirect_penalties: Vec::new(),
-                },
-            },
-        );
-        assert!(matches!(responses.last(), Some(Response::Done(_))));
-        assert_eq!(service.policies().len(), before + 1);
-    }
-
-    #[test]
-    fn duplicate_id_grid_sweep_leaves_no_registry_residue() {
-        let service = Arc::new(EvalService::new());
-        collect(
-            &service,
-            Request::Submit {
-                spec: WorkloadSpec::Kernel {
-                    family: "des".to_string(),
-                    size: 4,
-                    name: None,
-                },
-            },
-        );
-        let before = service.policies().len();
-        let reservation = service.reserve("dup").unwrap();
-        let mut probed = false;
-        service
-            .handle(
-                Some(&reservation),
-                Request::Sweep {
-                    workloads: Vec::new(),
-                    policies: vec!["Cassandra".to_string(), "Fence".to_string()],
-                },
-                &mut |r| {
-                    if matches!(r, Response::Record(_)) && !probed {
-                        probed = true;
-                        // While `dup` is in flight, a GridSweep reusing the
-                        // id is rejected at reservation…
-                        let message = service.reserve("dup").err();
-                        assert!(
-                            message
-                                .as_deref()
-                                .is_some_and(|m| m.contains("already in flight")),
-                            "{message:?}"
-                        );
-                        // …and leaves the shared registry unchanged.
-                        assert_eq!(service.policies().len(), before);
-                        assert!(service.policies().get("Cassandra+btu64").is_none());
-                    }
-                    Ok(())
-                },
-            )
-            .unwrap();
-        assert!(probed, "the duplicate id must have been probed mid-sweep");
-        assert_eq!(service.policies().len(), before);
     }
 
     #[test]
@@ -1289,7 +1171,7 @@ mod tests {
                 },
             );
         }
-        let before = service.policies().len();
+        let before = policy_labels(&service).len();
         let responses = collect(
             &service,
             Request::Experiment {
@@ -1324,7 +1206,7 @@ mod tests {
         assert!(!result.frontier.is_empty());
         // The grid expansion is consumed as plain design points: no
         // registry residue.
-        assert_eq!(service.policies().len(), before);
+        assert_eq!(policy_labels(&service).len(), before);
     }
 
     #[test]

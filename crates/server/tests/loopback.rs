@@ -2,6 +2,7 @@
 //! the results cross-checked against a direct offline `SweepExecutor` run.
 
 use cassandra_core::eval::{AnalysisStore, EvalRecord, SweepExecutor};
+use cassandra_core::policies::PolicyRegistry;
 use cassandra_kernels::suite;
 use cassandra_server::protocol::{MAX_REQUEST_LINE, MAX_RESPONSE_LINE};
 use cassandra_server::{
@@ -259,48 +260,50 @@ fn second_identical_request_is_served_from_the_analysis_cache() {
 }
 
 #[test]
-fn sweep_by_labels_can_address_grid_entries() {
+fn grid_cells_do_not_outlive_their_request() {
     let (_handle, mut client) = start();
     submit_quick_pair(&mut client);
 
-    // Before the grid runs, its labels are unknown.
+    // Two different grids, both naming `Tournament+thr2`, each served in
+    // full.
+    let overlapping = GridSpec {
+        defenses: vec!["Tournament".to_string()],
+        tournament_thresholds: vec![2, 8],
+        ..quick_grid()
+    };
+    for grid in [quick_grid(), overlapping] {
+        let responses = client
+            .request(&Request::GridSweep {
+                workloads: Vec::new(),
+                grid,
+            })
+            .unwrap();
+        let (_, summary) = split_stream(responses);
+        assert!(summary.designs.iter().any(|d| d == "Tournament+thr2"));
+    }
+
+    // The session's policy set is still exactly the standard one…
+    let responses = client.request(&Request::ListPolicies).unwrap();
+    let [Response::Policies { labels }] = responses.as_slice() else {
+        panic!("expected Policies, got {responses:?}");
+    };
+    assert_eq!(labels, &PolicyRegistry::standard().labels());
+
+    // …so a Sweep cannot address a grid cell by label.
     let responses = client
         .request(&Request::Sweep {
             workloads: Vec::new(),
             policies: vec!["Tournament+thr2".to_string()],
         })
         .unwrap();
-    assert!(matches!(&responses[0], Response::Error { message }
-        if message.contains("Tournament+thr2")));
+    assert!(
+        matches!(&responses[..], [Response::Error { message }]
+            if message.contains("unknown policy `Tournament+thr2`")),
+        "{responses:?}"
+    );
 
-    client
-        .request(&Request::GridSweep {
-            workloads: Vec::new(),
-            grid: quick_grid(),
-        })
-        .unwrap();
-
-    // The grid expansion registered its cells: now addressable by label.
-    let responses = client
-        .request(&Request::Sweep {
-            workloads: vec!["ChaCha20_ct".to_string()],
-            policies: vec!["Tournament+thr2".to_string(), "UnsafeBaseline".to_string()],
-        })
-        .unwrap();
-    let (records, summary) = split_stream(responses);
-    assert_eq!(records.len(), 2);
-    assert_eq!(records[0].design, "Tournament+thr2");
-    assert_eq!(records[1].design, "UnsafeBaseline");
-    assert!(records.iter().all(|r| r.workload == "ChaCha20_ct"));
-    assert!(records.iter().all(|r| r.timing.analysis_cached));
-    assert!(summary.cache.hits > 0);
-
-    let responses = client.request(&Request::ListPolicies).unwrap();
-    let Response::Policies { labels } = &responses[0] else {
-        panic!("expected Policies, got {responses:?}");
-    };
-    assert!(labels.iter().any(|l| l == "Tournament+thr2"));
-    assert!(labels.iter().any(|l| l == "Cassandra+btu8+thr2"));
+    let responses = client.request(&Request::Ping).unwrap();
+    assert_eq!(responses, [Response::Pong { protocol: 5 }]);
 }
 
 #[test]

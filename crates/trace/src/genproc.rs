@@ -73,16 +73,6 @@ impl TraceBundle {
     pub fn analyzed_branches(&self) -> usize {
         self.hints.len()
     }
-
-    /// The compressed trace of a branch, if one was stored.
-    pub fn trace_for(&self, pc: usize) -> Option<&BranchTraceData> {
-        self.branches.get(&pc)
-    }
-
-    /// The hint of a branch, if it was analyzed.
-    pub fn hint_for(&self, pc: usize) -> Option<BranchHint> {
-        self.hints.hint(pc)
-    }
 }
 
 /// Runs Algorithm 2 on `program`.

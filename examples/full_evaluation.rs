@@ -1,5 +1,5 @@
 //! Regenerates the paper's evaluation tables and figures through the
-//! experiment registry, and fronts the long-running evaluation service.
+//! `Experiment` enum, and fronts the long-running evaluation service.
 //!
 //! Usage:
 //!
@@ -12,8 +12,9 @@
 //!     connect [--addr HOST:PORT] [REQUEST-JSON ...]
 //! ```
 //!
-//! `EXPERIMENT` is a registry name (`table1`, `fig7`, `fig8`, `fig9`, `q3`,
-//! `q4`, `security`, `tracegen`, `lint`, `consolidation`, `frontier`),
+//! `EXPERIMENT` is an experiment name (`table1`, `fig7`, `fig8`, `fig9`,
+//! `q3`, `q4`, `security`, `tracegen`, `lint`, `consolidation`, `frontier`,
+//! `sweep`),
 //! `all` (every experiment on the full 21-workload suite — takes a few
 //! minutes in release mode), or nothing for a quick subset. All experiments
 //! run on one executor over one analysis store, so each workload's
@@ -33,15 +34,15 @@
 //! the labels are parsed with `DefenseMode::from_str`, and the default
 //! matrix enumerates the standard policy registry — no variant is
 //! hand-listed here, so the tournament and partitioned-BTU design points
-//! flow through the sweep (and the registry-driven security experiment)
-//! with zero edits to this file.
+//! flow through the sweep (and the security experiment, which enumerates
+//! the same registry) with zero edits to this file.
 //! `q4` reports the context-switch cost priced both as whole-BTU flushes
 //! and as partition reassignments on the way-partitioned BTU.
 //!
 //! `serve` runs the evaluation service (see `docs/PROTOCOL.md`): one
 //! long-lived session whose memoized analyses are shared across every
 //! client request, with tagged requests pipelined — even two sweeps on
-//! one connection interleave their streams (protocol v4). `--threads`
+//! one connection interleave their streams (protocol v5). `--threads`
 //! sizes the shared request worker pool; when omitted it is auto-sized
 //! from `std::thread::available_parallelism` and the choice is logged at
 //! startup. `--cache-file PATH` journals the analysis store: replayed on
@@ -51,15 +52,14 @@
 //! `--smoke` instead runs a
 //! self-contained concurrent round trip (spawn on an ephemeral port, two
 //! overlapping tagged sweeps multiplexed on ONE connection while a second
-//! connection pings mid-sweep, a static Lint of the submitted workloads,
+//! connection pings mid-sweep, a check that the grid's cells left the
+//! session's policy set standard, a static Lint of the submitted workloads,
 //! a `consolidation` Experiment and a streamed `frontier` search over the
 //! wire, clean shutdown) — CI uses it. `connect` sends newline-delimited
 //! JSON requests (from the command line or stdin) and prints each
 //! response line.
 
 use cassandra::core::experiments::quick_workloads;
-use cassandra::core::frontier::AdaptiveSearch;
-use cassandra::core::registry::{Fig8Experiment, FrontierExperiment, SweepExperiment};
 use cassandra::kernels::suite;
 use cassandra::prelude::*;
 use cassandra::server::{
@@ -137,49 +137,49 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         _ => {}
     }
 
-    let mut registry = ExperimentRegistry::standard();
-    registry.register(match designs {
-        Some(designs) => SweepExperiment { designs },
-        None => SweepExperiment::default(),
+    // The standard set plus the raw sweep, by default over every design
+    // point of the standard policy registry. An override moves its
+    // experiment to the end of the report.
+    let mut experiments = Experiment::standard();
+    let mut replace = |experiment: Experiment| {
+        experiments.retain(|e| e.name() != experiment.name());
+        experiments.push(experiment);
+    };
+    replace(Experiment::Sweep {
+        designs: designs.unwrap_or_else(|| PolicyRegistry::standard().designs().to_vec()),
     });
     if adaptive {
-        // Replace the registry's exhaustive frontier entry with the
-        // successive-halving search over the same grid.
-        registry.register(FrontierExperiment {
-            grid: cassandra::core::frontier::standard_grid(),
-            adaptive: Some(AdaptiveSearch::default()),
-        });
+        replace(Experiment::Frontier { adaptive: true });
     }
+    if experiment != "quick" {
+        replace(Experiment::Fig8 { scale: 20 });
+    }
+    if !matches!(experiment.as_str(), "quick" | "all") {
+        let Some(found) = experiments.iter().position(|e| e.name() == experiment) else {
+            let mut names: Vec<&str> = experiments.iter().map(Experiment::name).collect();
+            names.push("all");
+            return Err(format!(
+                "unknown experiment `{experiment}`; available: {}",
+                names.join(", ")
+            )
+            .into());
+        };
+        experiments = vec![experiments.swap_remove(found)];
+    }
+    // `--smoke` trades the paper-sized suite for the quick subset so CI can
+    // exercise a single experiment end-to-end in seconds.
+    let workloads = if experiment == "quick" || (smoke && experiment != "all") {
+        quick_workloads()
+    } else {
+        suite::full_suite()
+    };
 
     let store = AnalysisStore::new();
     let ex = SweepExecutor::new(&store);
-    let runs = match experiment.as_str() {
-        "quick" => registry.run_all(&ex, &quick_workloads())?,
-        "all" => {
-            registry.register(Fig8Experiment { scale: 20 });
-            registry.run_all(&ex, &suite::full_suite())?
-        }
-        name => {
-            // `--smoke` trades the paper-sized suite for the quick subset so
-            // CI can exercise a single experiment end-to-end in seconds.
-            let workloads = if smoke {
-                quick_workloads()
-            } else {
-                suite::full_suite()
-            };
-            registry.register(Fig8Experiment { scale: 20 });
-            let Some(run) = registry.run(name, &ex, &workloads)? else {
-                let mut names = registry.names();
-                names.push("all");
-                return Err(format!(
-                    "unknown experiment `{name}`; available: {}",
-                    names.join(", ")
-                )
-                .into());
-            };
-            vec![run]
-        }
-    };
+    let runs = experiments
+        .iter()
+        .map(|experiment| experiment.run(&ex, &workloads))
+        .collect::<Result<Vec<_>, _>>()?;
     for run in runs {
         println!("=== {} ===", run.title);
         println!("{}", report::render(&run.output, format)?);
@@ -205,8 +205,8 @@ fn run_server(
     cache_file: Option<&str>,
 ) -> Result<(), Box<dyn std::error::Error>> {
     let bind_addr = if smoke { "127.0.0.1:0" } else { addr };
-    // `--threads` bounds concurrent simulations (the shared request pool),
-    // not connections; absent, size it from the machine.
+    // `--threads` bounds concurrent heavy requests (the shared request
+    // pool), not connections; absent, size it from the machine.
     let (threads, sized) = match threads {
         Some(n) => (n, "--threads"),
         None => (default_worker_threads(), "available_parallelism"),
@@ -241,7 +241,7 @@ fn run_server(
 /// The CI smoke run: two overlapping id-tagged sweeps multiplexed on ONE
 /// connection (protocol v3 pipelining) while a second connection pings
 /// mid-sweep — asserting interleaved streams, the session's cache
-/// metadata, a static Lint of the submitted workloads, a `consolidation`
+/// metadata, a standard policy set after the grid, a static Lint of the submitted workloads, a `consolidation`
 /// Experiment, a streamed `frontier` search, and a clean shutdown.
 fn smoke_round_trip(addr: std::net::SocketAddr) -> Result<(), Box<dyn std::error::Error>> {
     use std::time::Instant;
@@ -330,6 +330,21 @@ fn smoke_round_trip(addr: std::net::SocketAddr) -> Result<(), Box<dyn std::error
     println!(
         "smoke: pipelined second sweep on the same connection streamed {} records",
         short_summary.records
+    );
+
+    // The grid's cells lived only for its request: the session still
+    // offers exactly the standard policies.
+    let policies = prober.request(&Request::ListPolicies)?;
+    let standard = PolicyRegistry::standard();
+    let [Response::Policies { labels }] = policies.as_slice() else {
+        return Err(format!("smoke ListPolicies failed: {policies:?}").into());
+    };
+    if !labels.iter().map(String::as_str).eq(standard.labels()) {
+        return Err(format!("smoke GridSweep left policies behind: {labels:?}").into());
+    }
+    println!(
+        "smoke: ListPolicies still answers the {} standard labels",
+        labels.len()
     );
 
     // Static lint over every submitted workload: pure analysis, no

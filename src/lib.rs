@@ -48,7 +48,7 @@ pub mod prelude {
     };
     pub use cassandra_core::lint::LintRow;
     pub use cassandra_core::policies::{GridSweep, PolicyRegistry};
-    pub use cassandra_core::registry::{Experiment, ExperimentOutput, ExperimentRegistry};
+    pub use cassandra_core::registry::{Experiment, ExperimentOutput};
     pub use cassandra_core::report::{self, ReportFormat};
     pub use cassandra_core::AnalysisBundle;
     pub use cassandra_cpu::config::{CpuConfig, DefenseMode};

@@ -5,7 +5,7 @@ mod common;
 
 use cassandra::core::eval::simulate_program;
 use cassandra::core::experiments::{self, FIG7_DESIGNS, Q3_VARIANTS};
-use cassandra::core::registry::{Fig8Experiment, Q4Experiment, SweepExperiment};
+use cassandra::core::registry::ExperimentRun;
 use cassandra::core::security;
 use cassandra::kernels::suite;
 use cassandra::prelude::*;
@@ -13,6 +13,18 @@ use cassandra::trace::genproc::generate_traces;
 use cassandra::trace::stats::BranchAnalysisRow;
 use common::quick_workloads;
 use std::time::Duration;
+
+/// Runs every experiment of `experiments` over `workloads` on `ex`.
+fn run_all(
+    experiments: &[Experiment],
+    ex: &SweepExecutor<'_>,
+    workloads: &[Workload],
+) -> Vec<ExperimentRun> {
+    experiments
+        .iter()
+        .map(|experiment| experiment.run(ex, workloads).unwrap())
+        .collect()
+}
 
 /// The headline cache property: a full multi-experiment evaluation analyzes
 /// each distinct program exactly once, however many designs and experiments
@@ -23,11 +35,11 @@ fn full_registry_run_analyzes_each_program_exactly_once() {
     let n = workloads.len() as u64;
     let store = AnalysisStore::new();
     let ex = SweepExecutor::new(&store);
-    let mut registry = ExperimentRegistry::standard();
-    registry.register(SweepExperiment {
+    let mut experiments = Experiment::standard();
+    experiments.push(Experiment::Sweep {
         designs: FIG7_DESIGNS.map(DesignPoint::from_defense).to_vec(),
     });
-    let runs = registry.run_all(&ex, &workloads).unwrap();
+    let runs = run_all(&experiments, &ex, &workloads);
     assert_eq!(runs.len(), 12);
 
     let stats = store.stats();
@@ -43,7 +55,7 @@ fn full_registry_run_analyzes_each_program_exactly_once() {
     assert!(stats.hits > 10 * n, "cache hits {} too low", stats.hits);
 
     // Running the whole registry again must add zero analyses.
-    registry.run_all(&ex, &workloads).unwrap();
+    run_all(&experiments, &ex, &workloads);
     assert_eq!(store.stats().misses, stats.misses);
 }
 
@@ -58,15 +70,14 @@ fn fresh<T, E: std::fmt::Debug>(driver: impl FnOnce(&SweepExecutor<'_>) -> Resul
 fn registry_outputs_match_legacy_free_functions() {
     let workloads = quick_workloads();
     let store = AnalysisStore::new();
-    let mut registry = ExperimentRegistry::standard();
-    registry.register(Fig8Experiment { scale: 2 });
-    registry.register(Q4Experiment {
-        flush_interval: 5_000,
-        ..Q4Experiment::default()
-    });
-    let runs = registry
-        .run_all(&SweepExecutor::new(&store), &workloads)
-        .unwrap();
+    let scaled: Vec<Experiment> = Experiment::standard()
+        .into_iter()
+        .map(|experiment| match experiment {
+            Experiment::Fig8 { .. } => Experiment::Fig8 { scale: 2 },
+            other => other,
+        })
+        .collect();
+    let runs = run_all(&scaled, &SweepExecutor::new(&store), &workloads);
     let by_name = |name: &str| {
         runs.iter()
             .find(|r| r.name == name)
@@ -108,7 +119,7 @@ fn registry_outputs_match_legacy_free_functions() {
         ExperimentOutput::Q4(fresh(|ex| experiments::q4_with(
             ex,
             &workloads,
-            5_000,
+            experiments::Q4_FLUSH_INTERVAL,
             experiments::Q4_PARTITION_CONTEXTS
         )))
     );
@@ -132,15 +143,17 @@ fn registry_outputs_match_legacy_free_functions() {
 #[test]
 fn experiment_outputs_round_trip_through_json() {
     let store = AnalysisStore::new();
-    let mut registry = ExperimentRegistry::standard();
-    registry.register(SweepExperiment {
+    let mut experiments = Experiment::standard();
+    experiments.push(Experiment::Sweep {
         designs: [DefenseMode::UnsafeBaseline, DefenseMode::Cassandra]
             .map(DesignPoint::from_defense)
             .to_vec(),
     });
-    let runs = registry
-        .run_all(&SweepExecutor::new(&store), &quick_workloads())
-        .unwrap();
+    let runs = run_all(
+        &experiments,
+        &SweepExecutor::new(&store),
+        &quick_workloads(),
+    );
     for run in runs {
         let json = report::render_json(&run.output).unwrap();
         let back: ExperimentOutput = serde_json::from_str(&json).unwrap();

@@ -19,10 +19,10 @@ use cassandra::prelude::*;
 fn frontier_experiment_stream_matches_the_blessed_golden_fixture() {
     let store = AnalysisStore::new();
     let workloads = common::quick_workloads();
-    let run = ExperimentRegistry::standard()
-        .run("frontier", &SweepExecutor::new(&store), &workloads)
-        .expect("frontier experiment")
-        .expect("frontier is a standard registry entry");
+    let run = Experiment::named("frontier")
+        .expect("frontier is a standard experiment")
+        .run(&SweepExecutor::new(&store), &workloads)
+        .expect("frontier experiment");
     let ExperimentOutput::Frontier(result) = &run.output else {
         panic!("frontier produced the wrong output kind");
     };

@@ -9,7 +9,6 @@
 
 use std::time::Duration;
 
-use cassandra::core::registry::SweepExperiment;
 use cassandra::kernels::suite;
 use cassandra::prelude::*;
 use ReportFormat::{Csv, Text};
@@ -17,15 +16,18 @@ use ReportFormat::{Csv, Text};
 #[test]
 fn every_experiment_renders_text_and_csv_as_blessed() {
     let workloads = vec![suite::chacha20_workload(64), suite::des_workload(4)];
-    let mut registry = ExperimentRegistry::standard();
-    registry.register(SweepExperiment {
+    let mut experiments = Experiment::standard();
+    experiments.push(Experiment::Sweep {
         designs: [DefenseMode::UnsafeBaseline, DefenseMode::Cassandra]
             .map(DesignPoint::from_defense)
             .to_vec(),
     });
     let store = AnalysisStore::new();
-    let mut runs = registry
-        .run_all(&SweepExecutor::new(&store), &workloads)
+    let ex = SweepExecutor::new(&store);
+    let mut runs = experiments
+        .iter()
+        .map(|experiment| experiment.run(&ex, &workloads))
+        .collect::<Result<Vec<_>, _>>()
         .expect("every experiment runs");
     assert_eq!(runs.len(), 12, "one run per output kind");
     let us = Duration::from_micros;

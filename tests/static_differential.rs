@@ -290,10 +290,10 @@ fn lint_report_matches_committed_golden() {
         suite::aes_ctr_workload(32),
     ];
     let store = AnalysisStore::new();
-    let run = ExperimentRegistry::standard()
-        .run("lint", &SweepExecutor::new(&store), &workloads)
-        .unwrap()
-        .expect("lint is a standard experiment");
+    let run = Experiment::named("lint")
+        .expect("lint is a standard experiment")
+        .run(&SweepExecutor::new(&store), &workloads)
+        .unwrap();
     let ExperimentOutput::Lint(rows) = &run.output else {
         panic!("lint produced {:?}", run.output);
     };
